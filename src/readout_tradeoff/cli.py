@@ -231,6 +231,8 @@ def build_run_config(ns: argparse.Namespace) -> RunConfig:
         raise UsageError("speedup needs --target-snr")
     if cfg.command == "validate" and (cfg.shots is None or cfg.seed is None):
         raise UsageError("validate needs --shots and --seed")
+    if cfg.shots is not None and cfg.shots < 1:
+        raise UsageError(f"need shots >= 1, got {cfg.shots}")
     return cfg
 
 
@@ -439,7 +441,7 @@ def main(argv=None) -> int:
             header, rows, failed = run_validate(cfg)
         _emit(cfg, header, rows)
         return 2 if failed else 0
-    except UsageError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -425,10 +425,13 @@ def time_to_snr(
 ) -> float | None:
     """Smallest window length whose SNR reaches target_s, or None.
 
-    Brackets the crossing on the rising branch and bisects it down to the
-    relative window tolerance (the default is far inside the 1e-9
-    contract, so downstream ratios of solve results keep nine digits).
-    Peaked schemes whose maximum stays below the target return None.
+    An effectively ideal scheme has SNR 2*sqrt(n*t)*(mu1-mu0)/(sqrt(mu0) +
+    sqrt(mu1)); its closed-form crossing is stepped by ulps onto the
+    smallest float reaching the target. Otherwise the crossing is
+    bracketed on the rising branch and bisected down to the relative
+    window tolerance (the default is far inside the 1e-9 contract, so
+    downstream ratios of solve results keep nine digits). Peaked schemes
+    whose maximum stays below the target return None.
     """
     if not target_s > 0.0:
         raise DomainError(f"target SNR must be positive, got {target_s}")
@@ -437,25 +440,24 @@ def time_to_snr(
         return scheme_snr(config, t)
 
     if _is_effectively_ideal(config):
-        hi = 1.0
-        for _ in range(200):
-            if f(hi) >= target_s:
-                break
-            hi *= 2.0
-        else:
+        gap = config.rates.mu1 - config.rates.mu0
+        spread = math.sqrt(config.rates.mu0) + math.sqrt(config.rates.mu1)
+        root = target_s * spread / (2.0 * gap) if gap > 0.0 else math.inf
+        t = root * root / config.n_qubits
+        if not math.isfinite(t):
             return None
-        lo = hi
-        while lo > 0.0 and f(lo) >= target_s:
-            lo *= 0.5
-            hi = lo * 2.0
-    else:
-        s_max, t_peak = peak_snr(config)
-        if not s_max >= target_s:
-            return None
-        hi = t_peak
-        lo = t_peak
-        while lo > 0.0 and f(lo) >= target_s:
-            lo *= 0.5
+        while f(t) < target_s:
+            t = math.nextafter(t, math.inf)
+        while f(below := math.nextafter(t, 0.0)) >= target_s:
+            t = below
+        return t
+    s_max, t_peak = peak_snr(config)
+    if not s_max >= target_s:
+        return None
+    hi = t_peak
+    lo = t_peak
+    while lo > 0.0 and f(lo) >= target_s:
+        lo *= 0.5
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         if f(mid) >= target_s:

@@ -226,12 +226,25 @@ class TestUsageErrors:
         code, _, err = run(capsys, "snr-sweep", "--n-min", "5", "--n-max", "2")
         assert code == 1
 
+    def test_domain_error_is_one_line(self, capsys):
+        code, out, err = run(capsys, "snr-sweep", "--n-max", "65")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "n_qubits" in err
+
 
 class TestValidate:
     def test_requires_shots_and_seed(self, capsys):
         code, _, err = run(capsys, "validate")
         assert code == 1
         assert "shots" in err
+
+    def test_rejects_zero_shots(self, capsys):
+        code, out, err = run(capsys, "validate", "--shots", "0", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "shots" in err
 
     def test_small_run_passes(self, capsys):
         code, out, _ = run(capsys, "validate", "--shots", "40000", "--seed", "7")

@@ -286,6 +286,14 @@ class TestTimeToSnr:
         root = 8.0 * (math.sqrt(3.5) + math.sqrt(14.0)) / (2.0 * 10.5)
         assert t == pytest.approx(root * root, rel=1e-10)
 
+    @pytest.mark.parametrize("target", [0.5, 8.0, 30.0])
+    def test_ideal_is_smallest_float_reaching_target(self, target):
+        for n in range(1, 65):
+            cfg = SchemeConfig.ideal(n, RateParams(3.5, 14.0))
+            t = time_to_snr(cfg, target)
+            assert scheme_snr(cfg, t) >= target
+            assert scheme_snr(cfg, math.nextafter(t, 0.0)) < target
+
     def test_reaches_requested_level(self):
         cfg = SchemeConfig.noisy(3, RATES, NOISE)
         t = time_to_snr(cfg, 8.0)
