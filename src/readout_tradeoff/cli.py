@@ -37,64 +37,33 @@ from .scheme import (
 
 __all__ = ["RunConfig", "main", "run_snr_sweep", "run_speedup", "run_validate"]
 
-COMMANDS = ("snr-sweep", "mi-sweep", "speedup", "peak-snr", "compilation-dist", "validate")
-
-# Measured reference parameters used when neither flags nor config file
-# override them: emission rates in 1/ms, decay rate in 1/ms, gate failure
-# probability and circuit layout.
-DEFAULTS = {
-    "mu0": 3.5,
-    "mu1": 14.0,
-    "lambda": 0.0041,
-    "p": 0.01,
-    "compilation": "cascade",
-    "nmin": 1,
-    "nmax": 5,
-    "tstart": 0.1,
-    "tstop": 10.0,
-    "tpoints": 25,
-    "tspacing": "log",
-    "format": "csv",
+# Every option once, in --help order: config-file key (the long flag name
+# with the dashes stripped) -> (flag, type, default, choices). The defaults
+# are the measured reference parameters used when neither flags nor config
+# file override them: emission rates in 1/ms, decay rate in 1/ms, gate
+# failure probability and circuit layout.
+OPTIONS = {
+    "mu0": ("--mu0", float, 3.5, None),
+    "mu1": ("--mu1", float, 14.0, None),
+    "lambda": ("--lambda", float, 0.0041, None),
+    "p": ("--p", float, 0.01, None),
+    "compilation": ("--compilation", str, "cascade", ("flat", "cascade")),
+    "nmin": ("--n-min", int, 1, None),
+    "nmax": ("--n-max", int, 5, None),
+    "tstart": ("--t-start", float, 0.1, None),
+    "tstop": ("--t-stop", float, 10.0, None),
+    "tpoints": ("--t-points", int, 25, None),
+    "tspacing": ("--t-spacing", str, "log", ("linear", "log")),
+    "targetsnr": ("--target-snr", float, None, None),
+    "shots": ("--shots", int, None, None),
+    "seed": ("--seed", int, None, None),
+    "format": ("--format", str, "csv", ("csv", "json")),
+    "out": ("--out", str, None, None),
 }
-
-# argparse destination -> config file key (long flag name, dashes stripped).
-_KEYMAP = {
-    "mu0": "mu0",
-    "mu1": "mu1",
-    "lam": "lambda",
-    "p": "p",
-    "compilation": "compilation",
-    "n_min": "nmin",
-    "n_max": "nmax",
-    "t_start": "tstart",
-    "t_stop": "tstop",
-    "t_points": "tpoints",
-    "t_spacing": "tspacing",
-    "target_snr": "targetsnr",
-    "shots": "shots",
-    "seed": "seed",
-    "format": "format",
-    "out": "out",
-}
-
-_PARSERS = {
-    "mu0": float,
-    "mu1": float,
-    "lambda": float,
-    "p": float,
-    "compilation": str,
-    "nmin": int,
-    "nmax": int,
-    "tstart": float,
-    "tstop": float,
-    "tpoints": int,
-    "tspacing": str,
-    "targetsnr": float,
-    "shots": int,
-    "seed": int,
-    "format": str,
-    "out": str,
-}
+# The JSON config echo lists the options with a default first.
+_ECHO_ORDER = sorted(OPTIONS, key=lambda key: OPTIONS[key][2] is None)
+# Largest sweep grid, so a mistyped --t-points cannot ask for a huge array.
+MAX_T_POINTS = 10**5
 
 # Base TV acceptance threshold for the validate command at this shot count.
 _VALIDATE_BASE_SHOTS = 10**6
@@ -112,22 +81,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
-    common.add_argument("--mu0", type=float)
-    common.add_argument("--mu1", type=float)
-    common.add_argument("--lambda", dest="lam", type=float)
-    common.add_argument("--p", type=float)
-    common.add_argument("--compilation", choices=["flat", "cascade"])
-    common.add_argument("--n-min", type=int)
-    common.add_argument("--n-max", type=int)
-    common.add_argument("--t-start", type=float)
-    common.add_argument("--t-stop", type=float)
-    common.add_argument("--t-points", type=int)
-    common.add_argument("--t-spacing", choices=["linear", "log"])
-    common.add_argument("--target-snr", type=float)
-    common.add_argument("--shots", type=int)
-    common.add_argument("--seed", type=int)
-    common.add_argument("--format", choices=["csv", "json"])
-    common.add_argument("--out")
+    for key, (flag, kind, _, choices) in OPTIONS.items():
+        common.add_argument(flag, dest=key, type=kind, choices=choices)
     common.add_argument("--config")
     parser = _Parser(prog="rt", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -152,10 +107,10 @@ def _read_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _PARSERS:
+        if key not in OPTIONS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _PARSERS[key](value)
+            values[key] = OPTIONS[key][1](value)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -163,7 +118,10 @@ def _read_config_file(path: str) -> dict:
 
 @dataclass
 class RunConfig:
-    """Fully resolved parameters of one command invocation."""
+    """Fully resolved parameters of one command invocation.
+
+    ``echo`` lists them under their config-file keys, for the JSON output.
+    """
 
     command: str
     rates: RateParams
@@ -179,22 +137,20 @@ class RunConfig:
     seed: int | None
     format: str
     out: str | None
+    echo: dict
 
 
 def build_run_config(ns: argparse.Namespace) -> RunConfig:
-    merged = dict(DEFAULTS)
+    merged = {key: spec[2] for key, spec in OPTIONS.items()}
     if ns.config:
         merged.update(_read_config_file(ns.config))
-    for dest, key in _KEYMAP.items():
-        value = getattr(ns, dest)
-        if value is not None:
-            merged[key] = value
-    if merged["compilation"] not in ("flat", "cascade"):
-        raise UsageError(f"compilation must be flat or cascade, got {merged['compilation']!r}")
-    if merged["tspacing"] not in ("linear", "log"):
-        raise UsageError(f"t-spacing must be linear or log, got {merged['tspacing']!r}")
-    if merged["format"] not in ("csv", "json"):
-        raise UsageError(f"format must be csv or json, got {merged['format']!r}")
+    merged.update((key, value) for key in OPTIONS if (value := getattr(ns, key)) is not None)
+    for key, (flag, _, _, choices) in OPTIONS.items():
+        if choices and merged[key] not in choices:
+            raise UsageError(f"{flag[2:]} must be {' or '.join(choices)}, got {merged[key]!r}")
+    for key in ("tstart", "tstop", "targetsnr"):
+        if merged[key] is not None and not math.isfinite(merged[key]):
+            raise UsageError(f"{OPTIONS[key][0]} must be finite, got {merged[key]}")
     try:
         rates = RateParams(merged["mu0"], merged["mu1"], merged["lambda"])
         noise = GateNoise(merged["p"], Compilation(merged["compilation"]))
@@ -204,23 +160,25 @@ def build_run_config(ns: argparse.Namespace) -> RunConfig:
         command=ns.command,
         rates=rates,
         noise=noise,
-        n_min=int(merged["nmin"]),
-        n_max=int(merged["nmax"]),
-        t_start=float(merged["tstart"]),
-        t_stop=float(merged["tstop"]),
-        t_points=int(merged["tpoints"]),
+        n_min=merged["nmin"],
+        n_max=merged["nmax"],
+        t_start=merged["tstart"],
+        t_stop=merged["tstop"],
+        t_points=merged["tpoints"],
         t_spacing=merged["tspacing"],
-        target_snr=None if merged.get("targetsnr") is None else float(merged["targetsnr"]),
-        shots=None if merged.get("shots") is None else int(merged["shots"]),
-        seed=None if merged.get("seed") is None else int(merged["seed"]),
+        target_snr=merged["targetsnr"],
+        shots=merged["shots"],
+        seed=merged["seed"],
         format=merged["format"],
-        out=merged.get("out"),
+        out=merged["out"],
+        echo={"command": ns.command}
+        | {key: merged[key] for key in _ECHO_ORDER if merged[key] is not None},
     )
     if not 1 <= cfg.n_min <= cfg.n_max:
         raise UsageError(f"need 1 <= n-min <= n-max, got {cfg.n_min}..{cfg.n_max}")
     if cfg.command in ("snr-sweep", "mi-sweep"):
-        if cfg.t_points < 2:
-            raise UsageError("sweeps need t-points >= 2")
+        if not 2 <= cfg.t_points <= MAX_T_POINTS:
+            raise UsageError(f"sweeps need 2 <= --t-points <= {MAX_T_POINTS}, got {cfg.t_points}")
         if not cfg.t_start < cfg.t_stop:
             raise UsageError("need t-start < t-stop")
         if cfg.t_spacing == "log" and cfg.t_start <= 0.0:
@@ -242,19 +200,12 @@ def _t_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.t_start, cfg.t_stop, cfg.t_points)
 
 
-def _scheme(cfg: RunConfig, n: int) -> SchemeConfig:
-    # Zero gate noise plus zero decay is exactly the ideal model.
-    if cfg.noise.p == 0.0 and cfg.rates.lam == 0.0:
-        return SchemeConfig.ideal(n, cfg.rates)
-    return SchemeConfig.noisy(n, cfg.rates, cfg.noise)
-
-
 def run_snr_sweep(cfg: RunConfig):
     """Rows (n, t_ms, snr) over the qubit range and window grid."""
     header = ("n", "t_ms", "snr")
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        scheme = _scheme(cfg, n)
+        scheme = SchemeConfig.noisy(n, cfg.rates, cfg.noise)
         for t in _t_grid(cfg):
             point = MeritPoint(n, float(t), snr=scheme_snr(scheme, float(t)))
             rows.append((n, point.t, point.snr))
@@ -266,7 +217,7 @@ def run_mi_sweep(cfg: RunConfig):
     header = ("n", "t_ms", "mi", "eta_opt")
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        scheme = _scheme(cfg, n)
+        scheme = SchemeConfig.noisy(n, cfg.rates, cfg.noise)
         for t in _t_grid(cfg):
             mi, eta = mi_optimal(compose(scheme, float(t)))
             point = MeritPoint(n, float(t), mi=mi, eta_opt=eta)
@@ -277,10 +228,10 @@ def run_mi_sweep(cfg: RunConfig):
 def run_speedup(cfg: RunConfig):
     """Rows (n, t_ms, ratio, reachable) against the single-qubit solve."""
     header = ("n", "t_ms", "ratio", "reachable")
-    t1 = time_to_snr(_scheme(cfg, 1), cfg.target_snr)
+    t1 = time_to_snr(SchemeConfig.noisy(1, cfg.rates, cfg.noise), cfg.target_snr)
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        tn = time_to_snr(_scheme(cfg, n), cfg.target_snr)
+        tn = time_to_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise), cfg.target_snr)
         if t1 is None or tn is None:
             rows.append((n, math.nan, math.nan, False))
         else:
@@ -293,7 +244,7 @@ def run_peak_snr(cfg: RunConfig):
     header = ("n", "s_max", "t_max_ms")
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
-        s_max, t_max = peak_snr(_scheme(cfg, n))
+        s_max, t_max = peak_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise))
         rows.append((n, s_max, t_max))
     return header, rows
 
@@ -330,7 +281,7 @@ def run_validate(cfg: RunConfig):
     emp_w = sample_photon_counts(cfg.rates, 1, 3.0, shots, seed + 1)
     checks.append(("decay-bright-t3", tv_distance(w, emp_w)))
 
-    scheme = _scheme(cfg, 5)
+    scheme = SchemeConfig.noisy(5, cfg.rates, cfg.noise)
     stats = compose(scheme, 2.0)
     emp0, emp1 = sample_full_scheme(McConfig(shots, seed + 2, scheme, 2.0))
     checks.append(("scheme-dark-n5-t2", tv_distance(stats.p0, emp0)))
@@ -355,33 +306,6 @@ def _tv_outcomes(a, b) -> float:
         DiscreteDist(0, a.probs, 0.0),
         DiscreteDist(0, b.probs, 0.0),
     )
-
-
-def _echo(cfg: RunConfig) -> dict:
-    echo = {
-        "command": cfg.command,
-        "mu0": cfg.rates.mu0,
-        "mu1": cfg.rates.mu1,
-        "lambda": cfg.rates.lam,
-        "p": cfg.noise.p,
-        "compilation": cfg.noise.compilation.value,
-        "nmin": cfg.n_min,
-        "nmax": cfg.n_max,
-        "tstart": cfg.t_start,
-        "tstop": cfg.t_stop,
-        "tpoints": cfg.t_points,
-        "tspacing": cfg.t_spacing,
-        "format": cfg.format,
-    }
-    for key, value in (
-        ("targetsnr", cfg.target_snr),
-        ("shots", cfg.shots),
-        ("seed", cfg.seed),
-        ("out", cfg.out),
-    ):
-        if value is not None:
-            echo[key] = value
-    return echo
 
 
 def _cell(value) -> str:
@@ -409,7 +333,7 @@ def _emit(cfg: RunConfig, header, rows) -> None:
         text = "\n".join(lines) + "\n"
     else:
         payload = {
-            "config_echo": _echo(cfg),
+            "config_echo": cfg.echo,
             "rows": [
                 {key: _jsonable(v) for key, v in zip(header, row)} for row in rows
             ],
@@ -422,25 +346,23 @@ def _emit(cfg: RunConfig, header, rows) -> None:
         sys.stdout.write(text)
 
 
+COMMANDS = {
+    "snr-sweep": run_snr_sweep,
+    "mi-sweep": run_mi_sweep,
+    "speedup": run_speedup,
+    "peak-snr": run_peak_snr,
+    "compilation-dist": run_compilation_dist,
+    "validate": run_validate,
+}
+
+
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         cfg = build_run_config(ns)
-        failed = False
-        if cfg.command == "snr-sweep":
-            header, rows = run_snr_sweep(cfg)
-        elif cfg.command == "mi-sweep":
-            header, rows = run_mi_sweep(cfg)
-        elif cfg.command == "speedup":
-            header, rows = run_speedup(cfg)
-        elif cfg.command == "peak-snr":
-            header, rows = run_peak_snr(cfg)
-        elif cfg.command == "compilation-dist":
-            header, rows = run_compilation_dist(cfg)
-        else:
-            header, rows, failed = run_validate(cfg)
+        header, rows, *failed = COMMANDS[cfg.command](cfg)  # validate also reports failure
         _emit(cfg, header, rows)
-        return 2 if failed else 0
+        return 2 if any(failed) else 0
     except (UsageError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -136,10 +136,13 @@ def point_mass(k: int) -> DiscreteDist:
 
 def _poisson_window(omega: float) -> tuple[int, int]:
     """Smallest integer window holding all but ~TRUNCATION_EPS of a Poisson law."""
-    law = stats.poisson(mu=omega)
     tail = TRUNCATION_EPS / 4.0
-    lo = max(0, int(law.ppf(tail)) - 2)
-    hi = int(law.isf(tail)) + 2
+    lo_q, hi_q = stats.poisson.ppf(tail, omega), stats.poisson.isf(tail, omega)
+    if math.isnan(lo_q) or math.isnan(hi_q):
+        # scipy's quantiles give up for means from about 1e11 on
+        raise DomainError(f"poisson mean {omega} is too large for a support window")
+    lo = max(0, int(lo_q) - 2)
+    hi = int(hi_q) + 2
     if hi - lo + 1 > MAX_SUPPORT:
         lo = max(0, int(omega) - MAX_SUPPORT // 2)
         hi = lo + MAX_SUPPORT - 1

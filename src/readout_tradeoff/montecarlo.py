@@ -62,7 +62,8 @@ def _batches(seed: int, shots: int):
     batch = 0
     while done < shots:
         size = min(BATCH_SHOTS, shots - done)
-        yield np.random.Generator(np.random.Philox(key=[key, batch])), size
+        # the 128-bit key as one integer: its 64-bit words are (key, batch)
+        yield np.random.Generator(np.random.Philox(key=key | batch << 64)), size
         done += size
         batch += 1
 

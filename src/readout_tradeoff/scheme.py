@@ -28,7 +28,6 @@ from .dist import (
     mixture,
     moments,
     n_fold_convolve,
-    point_mass,
     poisson_pmf,
 )
 from .gates import (
@@ -192,49 +191,81 @@ def _laws_at(config: SchemeConfig, t: float) -> tuple[DiscreteDist, DiscreteDist
         ) from None
 
 
+def _poisson(mu: float, t: float):
+    # Poisson laws add: q qubits emitting at rate mu count one Pois(q*mu*t).
+    return (mu * t, mu * t), lambda q: poisson_pmf(q * mu * t)
+
+
+def _decayed(rates: RateParams, t: float):
+    params = DecayModelParams(rates, t)
+    law = None
+
+    def fold(q: int) -> DiscreteDist:
+        nonlocal law
+        if law is None:
+            law = decaying_poisson(params)
+        return n_fold_convolve(law, q)
+
+    return decaying_poisson_moments(params), fold
+
+
+def _tier(config: SchemeConfig, t: float):
+    """The scheme at window length t as (dark law, bright law, T0, T1).
+
+    Each single-qubit law is a pair ((mean, variance), fold) where fold(q)
+    is the law's q-fold convolution power; a decayed law's pmf is only
+    built once a fold is asked for. T0 and T1 are the entangling outcome
+    laws of the dark and bright preparations. Perfect gates make both a
+    point mass at n, and an effectively ideal scheme also emits Poisson
+    from bright qubits, so its composite laws are plain Poisson laws.
+    """
+    n = config.n_qubits
+    if config.model is Model.GENERAL_INJECTED:
+        law0, law1 = _laws_at(config, t)
+        fold0, fold1 = (lambda q: n_fold_convolve(law0, q)), (lambda q: n_fold_convolve(law1, q))
+        return (moments(law0), fold0), (moments(law1), fold1), *config.noise
+    perfect = point_outcome(n, n)
+    dark = _poisson(config.rates.mu0, t)
+    if _is_effectively_ideal(config):
+        return dark, _poisson(config.rates.mu1, t), perfect, perfect
+    return dark, _decayed(config.rates, t), perfect, compiled_dist(n, config.noise)
+
+
+def _window_length(t) -> float:
+    t = float(t)
+    if not math.isfinite(t) or t < 0.0:
+        raise DomainError(f"window length must be finite and non-negative, got {t}")
+    return t
+
+
 def compose(config: SchemeConfig, t: float) -> CompositeStats:
     """Exact composite count laws of the scheme at window length t.
 
     For each preparation the composite law is the T-weighted mixture over
-    the bright count q of (bright law)^(*q) convolved with
-    (dark law)^(*(n-q)). Perfect entangling collapses the mixture to plain
-    Poisson laws with n times the single-qubit mean. Mixture terms whose
+    the count q of qubits carrying the prepared state's law of (that
+    law)^(*q) convolved with (the other law)^(*(n-q)). Mixture terms whose
     weight falls below WEIGHT_FLOOR are dropped and accounted for in the
     truncation loss of the result.
     """
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"window length must be finite and non-negative, got {t}")
-    n = config.n_qubits
-    if config.model is Model.IDEAL_POISSON:
-        p0 = poisson_pmf(n * config.rates.mu0 * t)
-        p1 = poisson_pmf(n * config.rates.mu1 * t)
-    elif config.model is Model.NOISY_DECAYING:
-        p0 = poisson_pmf(n * config.rates.mu0 * t)
-        t1 = compiled_dist(n, config.noise)
-        bright = decaying_poisson(DecayModelParams(config.rates, t))
-        p1 = _two_sided_mix(t1, bright, lambda q: poisson_pmf((n - q) * config.rates.mu0 * t))
-    else:
-        t0, t1 = config.noise
-        law0, law1 = _laws_at(config, t)
-        p0 = _two_sided_mix(t0, law0, lambda q: n_fold_convolve(law1, n - q))
-        p1 = _two_sided_mix(t1, law1, lambda q: n_fold_convolve(law0, n - q))
-    return CompositeStats.from_dists(p0, p1, t)
+    t = _window_length(t)
+    (_, dark), (_, bright), t0, t1 = _tier(config, t)
+    return CompositeStats.from_dists(
+        _two_sided_mix(t0, dark, bright), _two_sided_mix(t1, bright, dark), t
+    )
 
 
-def _two_sided_mix(t_dist: OutcomeDist, own_law: DiscreteDist, other_for_q) -> DiscreteDist:
-    terms = []
-    weights = []
-    for q, w in enumerate(t_dist.probs):
-        if w < WEIGHT_FLOOR:
-            continue
-        terms.append(convolve(n_fold_convolve(own_law, q), other_for_q(q)))
-        weights.append(float(w))
-    return mixture(terms, weights)
+def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
+    n = t_dist.n_qubits
+    kept = [(q, float(w)) for q, w in enumerate(t_dist.probs) if w >= WEIGHT_FLOOR]
+    if kept == [(n, 1.0)]:
+        # every qubit carries its own law: no mixture, nothing to convolve
+        return own_fold(n)
+    terms = [convolve(own_fold(q), other_fold(n - q)) for q, _ in kept]
+    return mixture(terms, [w for _, w in kept])
 
 
-def _snr_from_moments(mean0: float, var0: float, mean1: float, var1: float) -> float:
-    num = 2.0 * abs(mean1 - mean0)
+def _snr_from_moments(mean_gap: float, var0: float, var1: float) -> float:
+    num = 2.0 * abs(mean_gap)
     if num == 0.0:
         return 0.0
     den = math.sqrt(var0) + math.sqrt(var1)
@@ -250,7 +281,7 @@ def snr_direct(stats: CompositeStats) -> float:
     means give zero; distinct means with both variances zero return the
     +inf sentinel for a perfectly resolvable pair.
     """
-    return _snr_from_moments(stats.mean0, stats.var0, stats.mean1, stats.var1)
+    return _snr_from_moments(stats.mean1 - stats.mean0, stats.var0, stats.var1)
 
 
 def snr_general(
@@ -281,38 +312,14 @@ def snr_general(
     gap = m1 - m0
     var0n = eq0 * v0 + (n - eq0) * v1 + gap * gap * vq0
     var1n = eq1 * v1 + (n - eq1) * v0 + gap * gap * vq1
-    num = 2.0 * abs(gap) * abs(eq0 + eq1 - n)
-    if num == 0.0:
-        return 0.0
-    den = math.sqrt(var0n) + math.sqrt(var1n)
-    if den == 0.0:
-        return math.inf
-    return num / den
-
-
-def _single_moments_and_pair(config: SchemeConfig, t: float):
-    n = config.n_qubits
-    if config.model is Model.IDEAL_POISSON:
-        perfect = point_outcome(n, n)
-        m0 = config.rates.mu0 * t
-        m1 = config.rates.mu1 * t
-        return (m0, m0), (m1, m1), (perfect, perfect)
-    if config.model is Model.NOISY_DECAYING:
-        m0 = config.rates.mu0 * t
-        bright = decaying_poisson_moments(DecayModelParams(config.rates, t))
-        pair = (point_outcome(n, n), compiled_dist(n, config.noise))
-        return (m0, m0), bright, pair
-    law0, law1 = _laws_at(config, t)
-    return moments(law0), moments(law1), config.noise
+    return _snr_from_moments(gap * (eq0 + eq1 - n), var0n, var1n)
 
 
 def scheme_snr(config: SchemeConfig, t: float) -> float:
     """SNR of the scheme at window length t, via the moment-only fast path."""
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"window length must be finite and non-negative, got {t}")
-    single0, single1, pair = _single_moments_and_pair(config, t)
-    return snr_general(pair, single0, single1, config.n_qubits)
+    t = _window_length(t)
+    (single0, _), (single1, _), t0, t1 = _tier(config, t)
+    return snr_general((t0, t1), single0, single1, config.n_qubits)
 
 
 def mi_optimal(stats: CompositeStats) -> tuple[float, float]:
@@ -346,9 +353,7 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
         raise DomainError("analytic threshold needs 0 < mu0 < mu1")
     if n != int(n) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"window length must be finite and non-negative, got {t}")
+    t = _window_length(t)
     alpha = rates.mu0 / rates.mu1
     beta = (1.0 / alpha - 1.0) / math.log(1.0 / alpha)
     gamma0 = beta * math.log(beta) + 1.0 - beta
@@ -405,12 +410,16 @@ def peak_snr(
     Scans a log-spaced grid over the bracket, then refines around the grid
     argmax by golden-section search to a relative window tolerance of
     1e-6. A scheme with perfect gates and no decay has no peak (SNR grows
-    as sqrt(t) without bound) and returns the (inf, inf) sentinel.
+    as sqrt(t) without bound) and returns the (inf, inf) sentinel. A
+    scheme with no signal anywhere on the grid (every gate failing, or
+    equal emission rates) has no peak either and returns (0.0, nan).
     """
-    if _is_effectively_ideal(config):
-        return math.inf, math.inf
     ts = np.geomspace(bracket[0], bracket[1], grid_points)
     vals = np.array([scheme_snr(config, t) for t in ts])
+    if not vals.any():
+        return 0.0, math.nan
+    if _is_effectively_ideal(config):
+        return math.inf, math.inf
     i = int(np.argmax(vals))
     a = ts[max(i - 1, 0)]
     b = ts[min(i + 1, ts.size - 1)]

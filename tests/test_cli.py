@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from readout_tradeoff.cli import main
+from readout_tradeoff.cli import COMMANDS, MAX_T_POINTS, main
 
 
 def run(capsys, *argv):
@@ -232,6 +235,73 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "n_qubits" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("snr-sweep", "--t-stop", "inf"), "--t-stop"),
+            (("mi-sweep", "--t-start", "nan"), "--t-start"),
+            (("speedup", "--target-snr", "inf"), "--target-snr"),
+            (("snr-sweep", "--n-max", "1", "--t-points", str(MAX_T_POINTS + 1)), "--t-points"),
+        ],
+    )
+    def test_bad_flag_named_up_front(self, capsys, argv, flag):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+
+    def test_window_beyond_poisson_range_is_one_line(self, capsys):
+        code, out, err = run(
+            capsys, "mi-sweep", "--t-stop", "1e300", "--n-max", "1", "--t-points", "2"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_FLAG_VALUES = {
+    "--mu0": st.sampled_from(["0", "3.5", "20", "-1", "inf", "nan"]),
+    "--mu1": st.sampled_from(["0", "14", "-3", "inf", "nan"]),
+    "--lambda": st.sampled_from(["0", "0.0041", "10", "-1", "inf", "nan", "1e6"]),
+    "--p": st.sampled_from(["0", "0.01", "1", "1.5", "-0.1", "nan"]),
+    "--compilation": st.sampled_from(["flat", "cascade", "tree"]),
+    "--n-min": st.sampled_from(["1", "2", "0", "-1", "x"]),
+    "--n-max": st.sampled_from(["1", "3", "0", "65"]),
+    "--t-start": st.sampled_from(["0", "0.1", "5", "-1", "inf", "nan", "1e300"]),
+    "--t-stop": st.sampled_from(["0.5", "20", "1e3", "0", "-1", "inf", "nan", "1e300"]),
+    "--t-points": st.sampled_from(["2", "3", "1", "0", "-5", str(MAX_T_POINTS + 1)]),
+    "--t-spacing": st.sampled_from(["linear", "log", "cubic"]),
+    "--target-snr": st.sampled_from(["8", "0.5", "1e300", "0", "-1", "inf", "nan"]),
+    "--shots": st.sampled_from(["1", "30", "0", "-1"]),
+    "--seed": st.sampled_from(["0", "7", "-3", "99999999999999999999999"]),
+    "--format": st.sampled_from(["csv", "json", "xml"]),
+}
+
+
+@st.composite
+def _argv(draw):
+    argv = [draw(st.sampled_from(sorted(COMMANDS)))]
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=5, unique=True)):
+        argv += [flag, draw(_FLAG_VALUES[flag])]
+    # keep the drawn runs small: few qubits, short grids, few shots
+    for flag, value in (("--n-max", "2"), ("--t-points", "3"), ("--shots", "20"), ("--seed", "1")):
+        if flag not in argv:
+            argv += [flag, value]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_never_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestValidate:

@@ -50,10 +50,12 @@ class TestMomentsClosedForm:
         assert mean == pytest.approx(ref_mean, rel=1e-8)
         assert var == pytest.approx(ref_var, rel=1e-7)
 
-    # lam*t from subnormal to 1e4; the 45-digit oracle resolves every point
-    # (below ~1e-45 its exp(-lam*t) rounds to one, as the float answer does)
+    # lam*t from subnormal to 1e4; the oracle's precision grows as lam*t
+    # shrinks, so it resolves every point
     @pytest.mark.parametrize(
-        "x", [2.2e-311, 1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.49, 0.5, 0.51, 1.0, 10.0, 1e3, 1e4]
+        "x",
+        [2.2e-311, 1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.49, 0.5, 0.51, 1.0, 10.0, 1e3, 1e4]
+        + [1e-40, 1e-30, 1e-20, 1e-15],
     )
     @pytest.mark.parametrize("mu0", [0.0, 3.5])
     @pytest.mark.parametrize("t", [0.1, 1e3])

@@ -105,6 +105,12 @@ class TestPoissonPmf:
         with pytest.raises(DomainError):
             poisson_pmf(-1.0)
 
+    @pytest.mark.parametrize("omega", [1e12, 3.5e300])
+    def test_rejects_mean_beyond_quantile_range(self, omega):
+        # scipy's Poisson quantiles come back NaN here
+        with pytest.raises(DomainError, match="too large"):
+            poisson_pmf(omega)
+
 
 class TestConvolve:
     def test_two_coins(self):

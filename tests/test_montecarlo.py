@@ -32,6 +32,11 @@ class TestDeterminism:
         b = sample_photon_counts(RATES, 1, 2.0, 30_000, 2)
         assert tv_distance(a, b) > 0.0
 
+    @pytest.mark.parametrize("seeds", [(-3, -4), (-1, 0), (2**63, 2**63 + 1)])
+    def test_negative_and_huge_seeds_keep_their_own_stream(self, seeds):
+        a, b = (sample_photon_counts(RATES, 1, 2.0, 30_000, s) for s in seeds)
+        assert tv_distance(a, b) > 0.0
+
     def test_partial_final_batch(self):
         # shot counts straddling the batch size must still be exact
         n = BATCH_SHOTS + 17

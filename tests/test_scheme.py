@@ -88,6 +88,16 @@ class TestNoisyComposite:
         assert tv_distance(a.p0, b.p0) < 1e-12
         assert tv_distance(a.p1, b.p1) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 20.0])
+    def test_noise_free_noisy_model_composes_as_ideal(self, n, t):
+        clean = compose(SchemeConfig.noisy(n, RateParams(3.5, 14, 0), GateNoise(0)), t)
+        ideal = compose(SchemeConfig.ideal(n, RateParams(3.5, 14, 0)), t)
+        for a, b in ((clean.p0, ideal.p0), (clean.p1, ideal.p1)):
+            assert a.offset == b.offset
+            assert a.truncation_loss == b.truncation_loss
+            np.testing.assert_array_equal(a.masses, b.masses)
+
     def test_bright_law_against_independent_assembly(self):
         # independent route: scipy pmfs, explicit weights, plain np.convolve
         mu0, mu1, lam, p, t, n = 3.5, 14.0, 0.0041, 0.01, 2.0, 3
@@ -265,6 +275,20 @@ class TestPeakSnr:
     def test_noise_free_noisy_model_also_unbounded(self):
         cfg = SchemeConfig.noisy(2, RateParams(3.5, 14.0, 0.0), GateNoise(0.0))
         assert peak_snr(cfg) == (math.inf, math.inf)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SchemeConfig.noisy(3, RATES, GateNoise(1.0)),
+            SchemeConfig.noisy(2, RateParams(5.0, 5.0, 0.0041), NOISE),
+            SchemeConfig.ideal(2, RateParams(5.0, 5.0)),
+        ],
+        ids=["all-gates-fail", "equal-rates", "ideal-equal-rates"],
+    )
+    def test_no_signal_sentinel(self, cfg):
+        s_max, t_max = peak_snr(cfg)
+        assert s_max == 0.0 and math.isnan(t_max)
+        assert time_to_snr(cfg, 1.0) is None
 
     def test_single_qubit_peak_location(self):
         s_max, t_max = peak_snr(SchemeConfig.noisy(1, RATES, NOISE))
