@@ -106,12 +106,19 @@ def decaying_poisson_moments(params: DecayModelParams) -> tuple[float, float]:
     mean = E[M] and var = E[M] + Var[M]. With x = lam*t the decay time
     capped at t has mean t*(1 - e^-x)/x and variance
     t^2*(1 - 2x e^-x - e^-2x)/x^2, so both moments are closed forms.
+    A window so long that either moment overflows raises DomainError.
     """
     rates, t = params.rates, params.t
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
     x = lam * t
     if x == 0.0:
-        return mu1 * t, mu1 * t
-    delta_t = (mu1 - mu0) * t
-    mean = mu0 * t + delta_t * (-math.expm1(-x) / x)
-    return mean, mean + delta_t * delta_t * _var_shape(x)
+        mean = var = mu1 * t
+    else:
+        delta_t = (mu1 - mu0) * t
+        mean = mu0 * t + delta_t * (-math.expm1(-x) / x)
+        var = mean + delta_t * delta_t * _var_shape(x)
+    if not (math.isfinite(mean) and math.isfinite(var)):
+        raise DomainError(
+            f"count moments overflow at window length t={t} ms (mu0={mu0}, mu1={mu1} per ms)"
+        )
+    return mean, var

@@ -167,18 +167,25 @@ def poisson_pmf(omega: float) -> DiscreteDist:
     return DiscreteDist(lo, np.exp(log_pmf))
 
 
+def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution of two mass arrays, unclipped.
+
+    Small supports use the direct O(n*m) product sum; large ones switch to
+    the FFT, whose rounding noise can leave bins slightly below zero.
+    """
+    if max(a.size, b.size) <= DIRECT_CONV_LIMIT:
+        return np.convolve(a, b)
+    return signal.fftconvolve(a, b)
+
+
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     """Distribution of the sum of independent draws from a and b.
 
-    Small supports use the direct O(n*m) product sum; large ones switch to
-    an FFT path whose rounding noise is clipped at zero. The two paths
-    agree to better than 1e-12 per bin.
+    FFT rounding noise is clipped at zero; the direct and FFT paths agree
+    to better than 1e-12 per bin.
     """
-    if max(a.masses.size, b.masses.size) <= DIRECT_CONV_LIMIT:
-        out = np.convolve(a.masses, b.masses)
-    else:
-        out = signal.fftconvolve(a.masses, b.masses)
-        np.maximum(out, 0.0, out=out)
+    out = _convolve_masses(a.masses, b.masses)
+    np.maximum(out, 0.0, out=out)
     return DiscreteDist(a.offset + b.offset, out)
 
 

@@ -2,10 +2,11 @@
 
 A scheme entangles n_qubits copies of the prepared state and counts all
 emitted photons in one detector. The composite count laws for the two
-preparations follow from mixing convolution powers of the single-qubit
-laws over the entangling outcome, and every merit figure (signal-to-noise
-ratio, misclassification infidelity, timing solutions) derives from those
-two laws or, where only moments are needed, from the moment identities of
+preparations mix convolution powers of the single-qubit laws over the
+entangling outcome, a polynomial in the prepared state's law that is
+evaluated by Horner's rule. Every merit figure (signal-to-noise ratio,
+misclassification infidelity, timing solutions) derives from those two
+laws or, where only moments are needed, from the moment identities of
 the same mixture.
 """
 
@@ -23,9 +24,8 @@ from .dist import (
     DiscreteDist,
     DomainError,
     RateParams,
+    _convolve_masses,
     _window,
-    convolve,
-    mixture,
     moments,
     n_fold_convolve,
     poisson_pmf,
@@ -243,9 +243,10 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
 
     For each preparation the composite law is the T-weighted mixture over
     the count q of qubits carrying the prepared state's law of (that
-    law)^(*q) convolved with (the other law)^(*(n-q)). Mixture terms whose
-    weight falls below WEIGHT_FLOOR are dropped and accounted for in the
-    truncation loss of the result.
+    law)^(*q) convolved with (the other law)^(*(n-q)), evaluated by
+    Horner's rule in powers of the prepared state's law. Mixture terms
+    whose weight falls below WEIGHT_FLOOR are dropped and accounted for in
+    the truncation loss of the result.
     """
     t = _window_length(t)
     (_, dark), (_, bright), t0, t1 = _tier(config, t)
@@ -255,13 +256,35 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
 
 
 def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
+    """sum_q w_q own^(*q) * other^(*(n-q)) over the kept outcomes q.
+
+    Horner's rule: G starts as w_q other^(*(n-q)) at the largest kept q
+    and steps down one q at a time, G <- G * own + w_q other^(*(n-q)),
+    adding a term only where q is kept. That is one convolution with the
+    single-qubit law per step and no power of it. Partial sums do not sum
+    to one, so they stay raw mass arrays, and FFT rounding noise is
+    clipped once, on the finished law.
+    """
     n = t_dist.n_qubits
     kept = [(q, float(w)) for q, w in enumerate(t_dist.probs) if w >= WEIGHT_FLOOR]
     if kept == [(n, 1.0)]:
         # every qubit carries its own law: no mixture, nothing to convolve
         return own_fold(n)
-    terms = [convolve(own_fold(q), other_fold(n - q)) for q, _ in kept]
-    return mixture(terms, [w for _, w in kept])
+    weights = dict(kept)
+    q_top = kept[-1][0]
+    top = other_fold(n - q_top)
+    lo, acc = top.offset, weights[q_top] * top.masses
+    own = own_fold(1) if q_top else None
+    for q in range(q_top - 1, -1, -1):
+        lo, acc = lo + own.offset, _convolve_masses(acc, own.masses)
+        if q in weights:
+            term = other_fold(n - q)
+            start, stop = min(lo, term.offset), max(lo + acc.size, term.k_max + 1)
+            acc = np.concatenate((np.zeros(lo - start), acc, np.zeros(stop - lo - acc.size)))
+            lo = start
+            acc[term.offset - lo : term.k_max + 1 - lo] += weights[q] * term.masses
+    np.maximum(acc, 0.0, out=acc)
+    return DiscreteDist(lo, acc)
 
 
 def _snr_from_moments(mean_gap: float, var0: float, var1: float) -> float:

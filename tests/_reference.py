@@ -2,8 +2,9 @@
 
 Everything here is deliberately written by a different route than the
 package: exact Fraction arithmetic for the gate outcome laws, closed-form
-integrals for the decayed-count moments, and dense-array helpers that do
-not share code with the DiscreteDist machinery.
+integrals for the decayed-count moments, dense-array helpers that do not
+share code with the DiscreteDist machinery, and the term-by-term mixture
+that composite laws were evaluated with before Horner's rule.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
+from readout_tradeoff.dist import convolve, mixture, n_fold_convolve
+
 __all__ = [
     "cascade_conv_ref",
     "cascade_explicit",
@@ -21,6 +24,8 @@ __all__ = [
     "dense",
     "flat_ref",
     "max_abs_diff",
+    "power_fold",
+    "term_by_term_mix",
 ]
 
 
@@ -119,3 +124,24 @@ def dense(dist, size: int) -> np.ndarray:
 def max_abs_diff(a, b) -> float:
     size = max(a.offset + a.masses.size, b.offset + b.masses.size)
     return float(np.max(np.abs(dense(a, size) - dense(b, size))))
+
+
+def term_by_term_mix(probs, own_fold, other_fold, floor: float):
+    """Composite law sum_q w_q own^(*q) * other^(*(n-q)), one term per q.
+
+    Each kept outcome q (weight at least floor) gets its own convolution
+    power own_fold(q), convolved with other_fold(n - q), and the terms are
+    mixed on their union support. When all the weight sits on q = n the
+    law is own_fold(n) itself.
+    """
+    n = len(probs) - 1
+    kept = [(q, float(w)) for q, w in enumerate(probs) if w >= floor]
+    if kept == [(n, 1.0)]:
+        return own_fold(n)
+    terms = [convolve(own_fold(q), other_fold(n - q)) for q, _ in kept]
+    return mixture(terms, [w for _, w in kept])
+
+
+def power_fold(law):
+    """q -> law^(*q) by the package's repeated squaring."""
+    return lambda q: n_fold_convolve(law, q)

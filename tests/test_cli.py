@@ -260,6 +260,15 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_overflowing_moments_name_the_window(self, capsys):
+        code, out, err = run(
+            capsys, "snr-sweep", "--t-stop", "1e300", "--n-max", "1", "--t-points", "3"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "window length" in err
+
 
 _FLAG_VALUES = {
     "--mu0": st.sampled_from(["0", "3.5", "20", "-1", "inf", "nan"]),

@@ -70,6 +70,11 @@ class TestMomentsClosedForm:
         params = DecayModelParams(RateParams(3.5, 14.0, 0.0), 2.0)
         assert decaying_poisson_moments(params) == (28.0, 28.0)
 
+    @pytest.mark.parametrize("lam, t", [(0.0041, 1e300), (0.0, 1e308)])
+    def test_overflow_names_the_window(self, lam, t):
+        with pytest.raises(DomainError, match="window length"):
+            decaying_poisson_moments(DecayModelParams(RateParams(3.5, 14.0, lam), t))
+
 
 def _quad_pmf(mu0, mu1, lam, t, k):
     """P(K = k) by scipy.quad over the decay time, split around the peak.

@@ -5,9 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy import stats as ss
 
+from readout_tradeoff import dist
+from readout_tradeoff.decay import DecayModelParams, decaying_poisson
 from readout_tradeoff.dist import DomainError, RateParams, point_mass, poisson_pmf, tv_distance
-from readout_tradeoff.gates import Compilation, GateNoise, point_outcome
+from readout_tradeoff.gates import (
+    Compilation,
+    GateNoise,
+    cascade_dist,
+    compiled_dist,
+    flat_dist,
+    point_outcome,
+)
 from readout_tradeoff.scheme import (
+    WEIGHT_FLOOR,
     CompositeStats,
     MeritPoint,
     Model,
@@ -23,7 +33,7 @@ from readout_tradeoff.scheme import (
     threshold_analytic,
     time_to_snr,
 )
-from tests._reference import dense
+from tests._reference import dense, power_fold, term_by_term_mix
 
 RATES = RateParams(3.5, 14.0, 0.0041)
 NOISE = GateNoise(0.01)
@@ -176,6 +186,78 @@ class TestInjected:
         )
         with pytest.raises(DomainError):
             compose(cfg, 2.0)
+
+
+def _laws_by_term(cfg, t):
+    """Both composite laws of a noisy or injected scheme, mixed term by term."""
+    n = cfg.n_qubits
+    if cfg.model is Model.GENERAL_INJECTED:
+        law0, law1 = _injected_laws(t)
+        dark, bright = power_fold(law0), power_fold(law1)
+        t0, t1 = cfg.noise
+    else:
+        def dark(q):
+            return poisson_pmf(q * cfg.rates.mu0 * t)
+
+        bright = power_fold(decaying_poisson(DecayModelParams(cfg.rates, t)))
+        t0, t1 = point_outcome(n, n), compiled_dist(n, cfg.noise)
+    return (
+        term_by_term_mix(t0.probs, dark, bright, WEIGHT_FLOOR),
+        term_by_term_mix(t1.probs, bright, dark, WEIGHT_FLOOR),
+    )
+
+
+def _injected_laws(t):
+    return poisson_pmf(RATES.mu0 * t), decaying_poisson(DecayModelParams(RATES, t))
+
+
+def _tiers(n):
+    return {
+        "cascade": SchemeConfig.noisy(n, RATES, NOISE),
+        "flat": SchemeConfig.noisy(n, RATES, GateNoise(0.01, Compilation.FLAT)),
+        "injected": SchemeConfig.injected(
+            n, (flat_dist(n, GateNoise(0.2)), cascade_dist(n, GateNoise(0.05))), _injected_laws
+        ),
+    }
+
+
+class TestHornerCompose:
+    """compose's Horner evaluation against the term-by-term mixture."""
+
+    @pytest.mark.parametrize("tier", ["cascade", "flat", "injected"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
+    @pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 20.0])
+    def test_matches_term_by_term_mixture(self, tier, n, t):
+        cfg = _tiers(n)[tier]
+        stats = compose(cfg, t)
+        for got, ref in zip((stats.p0, stats.p1), _laws_by_term(cfg, t)):
+            assert (got.offset, got.masses.size) == (ref.offset, ref.masses.size)
+            # every convolution of this law stayed on the direct path
+            assert got.masses.size <= dist.DIRECT_CONV_LIMIT
+            scale = np.maximum(got.masses, ref.masses)
+            live = scale >= 1e-300
+            rel = np.abs(got.masses - ref.masses)[live] / scale[live]
+            assert rel.max() <= 1e-13
+
+    @pytest.mark.parametrize("n, t", [(48, 5.0), (64, 5.0), (32, 20.0), (64, 20.0)])
+    def test_fft_side_against_all_direct(self, n, t, monkeypatch):
+        cfg = SchemeConfig.noisy(n, RATES, NOISE)
+        got = compose(cfg, t)
+        assert got.p1.masses.size > dist.DIRECT_CONV_LIMIT
+        monkeypatch.setattr(dist, "DIRECT_CONV_LIMIT", 10**12)
+        ref = compose(cfg, t)
+        assert mi_optimal(got)[0] == pytest.approx(mi_optimal(ref)[0], rel=1e-13, abs=0.0)
+        for a, b in ((got.p0, ref.p0), (got.p1, ref.p1)):
+            assert (a.offset, a.masses.size) == (b.offset, b.masses.size)
+            assert np.abs(a.masses - b.masses).max() <= 1e-16
+            # mass accounting to the rounding of log-space Poisson terms
+            k = max(a.k_max, 2)
+            tol = max(1e-12, np.finfo(float).eps * k * math.log(k))
+            assert abs(float(a.masses.sum()) + a.truncation_loss - 1.0) <= tol
+
+    def test_moment_route_at_envelope_edge(self):
+        cfg = SchemeConfig.noisy(64, RATES, NOISE)
+        assert scheme_snr(cfg, 100.0) == pytest.approx(snr_direct(compose(cfg, 100.0)), rel=1e-9)
 
 
 class TestSnr:
