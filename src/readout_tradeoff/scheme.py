@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
+from scipy import optimize
 
 from .decay import DecayModelParams, decaying_poisson, decaying_poisson_moments
 from .dist import (
@@ -322,27 +323,39 @@ def snr_general(
     entangling outcome variance. Never materialises a distribution, so it
     is the fast path for optimisation loops.
     """
+    return _moment_snr(t_pair, single0, single1, n, "")
+
+
+def _moment_snr(t_pair, single0, single1, n: int, where: str) -> float:
+    # snr_general's body. A moment that is NaN or has overflowed (the gap
+    # squared can overflow where the single-qubit moments do not) would
+    # read as SNR nan or 0, so it raises, with ``where`` naming the window.
     t0, t1 = t_pair
     if t0.n_qubits != n or t1.n_qubits != n:
         raise DomainError(f"outcome laws are not for {n} qubits")
     m0, v0 = (float(x) for x in single0)
     m1, v1 = (float(x) for x in single1)
-    for value in (m0, v0, m1, v1):
-        if not math.isfinite(value):
-            raise DomainError("single-qubit moments must be finite")
     eq0, vq0 = outcome_moments(t0)
     eq1, vq1 = outcome_moments(t1)
     gap = m1 - m0
     var0n = eq0 * v0 + (n - eq0) * v1 + gap * gap * vq0
     var1n = eq1 * v1 + (n - eq1) * v0 + gap * gap * vq1
+    if not all(math.isfinite(x) for x in (m0, v0, m1, v1, var0n, var1n)):
+        raise DomainError(f"count moments are not finite{where}")
     return _snr_from_moments(gap * (eq0 + eq1 - n), var0n, var1n)
 
 
 def scheme_snr(config: SchemeConfig, t: float) -> float:
-    """SNR of the scheme at window length t, via the moment-only fast path."""
+    """SNR of the scheme at window length t, via the moment-only fast path.
+
+    A window so long that a count moment overflows raises DomainError
+    naming the window length.
+    """
     t = _window_length(t)
     (single0, _), (single1, _), t0, t1 = _tier(config, t)
-    return snr_general((t0, t1), single0, single1, config.n_qubits)
+    return _moment_snr(
+        (t0, t1), single0, single1, config.n_qubits, f" at window length t={t} ms"
+    )
 
 
 def mi_optimal(stats: CompositeStats) -> tuple[float, float]:
@@ -395,49 +408,19 @@ def _is_effectively_ideal(config: SchemeConfig) -> bool:
     )
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(f, a: float, b: float, rel_tol: float) -> tuple[float, float]:
-    best_t, best_v = a, f(a)
-    vb = f(b)
-    if vb > best_v:
-        best_t, best_v = b, vb
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > rel_tol * b:
-        if fc > best_v:
-            best_t, best_v = c, fc
-        if fd > best_v:
-            best_t, best_v = d, fd
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-    return best_t, best_v
-
-
-def peak_snr(
-    config: SchemeConfig,
-    *,
-    bracket: tuple[float, float] = PEAK_BRACKET,
-    grid_points: int = PEAK_GRID_POINTS,
-) -> tuple[float, float]:
+def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     """Largest attainable SNR and the window length attaining it.
 
-    Scans a log-spaced grid over the bracket, then refines around the grid
-    argmax by golden-section search to a relative window tolerance of
-    1e-6. A scheme with perfect gates and no decay has no peak (SNR grows
-    as sqrt(t) without bound) and returns the (inf, inf) sentinel. A
-    scheme with no signal anywhere on the grid (every gate failing, or
-    equal emission rates) has no peak either and returns (0.0, nan).
+    Scans a log-spaced grid of PEAK_GRID_POINTS over PEAK_BRACKET, then
+    refines between the grid argmax's neighbours with Brent's bounded
+    maximiser to a window tolerance of 1e-6 of the upper neighbour; the
+    grid point is kept if the refined value falls short of it. A scheme
+    with perfect gates and no decay has no peak (SNR grows as sqrt(t)
+    without bound) and returns the (inf, inf) sentinel. A scheme with no
+    signal anywhere on the grid (every gate failing, or equal emission
+    rates) has no peak either and returns (0.0, nan).
     """
-    ts = np.geomspace(bracket[0], bracket[1], grid_points)
+    ts = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
     vals = np.array([scheme_snr(config, t) for t in ts])
     if not vals.any():
         return 0.0, math.nan
@@ -446,23 +429,27 @@ def peak_snr(
     i = int(np.argmax(vals))
     a = ts[max(i - 1, 0)]
     b = ts[min(i + 1, ts.size - 1)]
-    t_best, s_best = _golden_max(lambda t: scheme_snr(config, t), a, b, 1e-6)
-    if vals[i] > s_best:
+    best = optimize.minimize_scalar(
+        lambda t: -scheme_snr(config, t),
+        bounds=(a, b),
+        method="bounded",
+        options={"xatol": 1e-6 * b},
+    )
+    if vals[i] > -best.fun:
         return float(vals[i]), float(ts[i])
-    return float(s_best), float(t_best)
+    return float(-best.fun), float(best.x)
 
 
-def time_to_snr(
-    config: SchemeConfig, target_s: float, *, rel_tol: float = 1e-12
-) -> float | None:
+def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
     """Smallest window length whose SNR reaches target_s, or None.
 
-    An effectively ideal scheme has SNR 2*sqrt(n*t)*(mu1-mu0)/(sqrt(mu0) +
-    sqrt(mu1)); its closed-form crossing is stepped by ulps onto the
-    smallest float reaching the target. Otherwise the crossing is
-    bracketed on the rising branch and bisected down to the relative
-    window tolerance (the default is far inside the 1e-9 contract, so
-    downstream ratios of solve results keep nine digits). Peaked schemes
+    The result t is the smallest float with scheme_snr(config, t) >=
+    target_s: the float just below it falls short of the target. An
+    effectively ideal scheme has SNR 2*sqrt(n*t)*(mu1-mu0)/(sqrt(mu0) +
+    sqrt(mu1)) and starts from its closed-form crossing. Any other scheme
+    rises from SNR 0 at t = 0 to its peak, so Brent's root finder on
+    [0, t_peak] starts from a valid bracket. Either estimate is then
+    snapped onto the crossing by bisection over floats. Peaked schemes
     whose maximum stays below the target return None.
     """
     if not target_s > 0.0:
@@ -478,20 +465,22 @@ def time_to_snr(
         t = root * root / config.n_qubits
         if not math.isfinite(t):
             return None
-        while f(t) < target_s:
-            t = math.nextafter(t, math.inf)
-        while f(below := math.nextafter(t, 0.0)) >= target_s:
-            t = below
-        return t
-    s_max, t_peak = peak_snr(config)
-    if not s_max >= target_s:
-        return None
-    hi = t_peak
-    lo = t_peak
-    while lo > 0.0 and f(lo) >= target_s:
-        lo *= 0.5
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
+    else:
+        s_max, t_peak = peak_snr(config)
+        if not s_max >= target_s:
+            return None
+        t = optimize.brentq(lambda x: f(x) - target_s, 0.0, t_peak, xtol=1e-300)
+    # Snap onto the crossing in floats: widen [lo, hi] around t by doubling
+    # steps until f(lo) < target <= f(hi), then halve it to adjacent floats.
+    # Near its peak the SNR is flat over ~1e8 floats, so stepping one float
+    # at a time from a root that meets a near-peak target could run for hours.
+    lo = hi = t
+    step = math.ulp(t)
+    while f(hi) < target_s:
+        lo, hi, step = hi, hi + step, 2.0 * step
+    while lo == hi or f(lo) >= target_s:
+        hi, lo, step = lo, max(lo - step, 0.0), 2.0 * step
+    while (mid := lo + 0.5 * (hi - lo)) not in (lo, hi):
         if f(mid) >= target_s:
             hi = mid
         else:

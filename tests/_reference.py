@@ -3,8 +3,10 @@
 Everything here is deliberately written by a different route than the
 package: exact Fraction arithmetic for the gate outcome laws, closed-form
 integrals for the decayed-count moments, dense-array helpers that do not
-share code with the DiscreteDist machinery, and the term-by-term mixture
-that composite laws were evaluated with before Horner's rule.
+share code with the DiscreteDist machinery, the term-by-term mixture
+that composite laws were evaluated with before Horner's rule, and the
+golden-section peak search that peak_snr refined with before Brent's
+bounded maximiser.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from mpmath import mp
 
 from readout_tradeoff.dist import convolve, mixture, n_fold_convolve
+from readout_tradeoff.scheme import PEAK_BRACKET, PEAK_GRID_POINTS, scheme_snr
 
 __all__ = [
     "cascade_conv_ref",
@@ -23,6 +26,8 @@ __all__ = [
     "decay_mean_var",
     "dense",
     "flat_ref",
+    "golden_max",
+    "golden_peak_snr",
     "max_abs_diff",
     "power_fold",
     "term_by_term_mix",
@@ -145,3 +150,49 @@ def term_by_term_mix(probs, own_fold, other_fold, floor: float):
 def power_fold(law):
     """q -> law^(*q) by the package's repeated squaring."""
     return lambda q: n_fold_convolve(law, q)
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, a: float, b: float, rel_tol: float) -> tuple[float, float]:
+    """Golden-section search for the maximum of a unimodal f on [a, b].
+
+    Returns the best (t, f(t)) seen, endpoints included, once the bracket
+    is narrower than rel_tol * b.
+    """
+    best_t, best_v = a, f(a)
+    vb = f(b)
+    if vb > best_v:
+        best_t, best_v = b, vb
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > rel_tol * b:
+        if fc > best_v:
+            best_t, best_v = c, fc
+        if fd > best_v:
+            best_t, best_v = d, fd
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+    return best_t, best_v
+
+
+def golden_peak_snr(config) -> tuple[float, float]:
+    """Peak SNR of a signal-carrying, peaked scheme: the log grid over
+    PEAK_BRACKET, then golden-section search between the grid argmax's
+    neighbours to a relative window tolerance of 1e-6."""
+    ts = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
+    vals = [scheme_snr(config, t) for t in ts]
+    i = int(np.argmax(vals))
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, ts.size - 1)]
+    t_best, s_best = golden_max(lambda t: scheme_snr(config, t), a, b, 1e-6)
+    if vals[i] > s_best:
+        return float(vals[i]), float(ts[i])
+    return float(s_best), float(t_best)

@@ -269,6 +269,21 @@ class TestUsageErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "window length" in err
 
+    @pytest.mark.parametrize(
+        "argv, window",
+        [
+            (("--lambda", "0", "--t-stop", "1e300"), "t=1e+300 ms"),
+            (("--p", "0", "--lambda", "0", "--t-stop", "1e308"), "t=3.1622776601683792e+153 ms"),
+        ],
+        ids=["gap-squared", "ideal-moments"],
+    )
+    def test_overflowing_composite_moments_name_the_window(self, capsys, argv, window):
+        code, out, err = run(capsys, "snr-sweep", *argv, "--n-max", "1", "--t-points", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"window length {window}" in err
+
 
 _FLAG_VALUES = {
     "--mu0": st.sampled_from(["0", "3.5", "20", "-1", "inf", "nan"]),

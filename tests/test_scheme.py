@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy import stats as ss
 
 from readout_tradeoff import dist
@@ -33,7 +33,7 @@ from readout_tradeoff.scheme import (
     threshold_analytic,
     time_to_snr,
 )
-from tests._reference import dense, power_fold, term_by_term_mix
+from tests._reference import dense, golden_peak_snr, power_fold, term_by_term_mix
 
 RATES = RateParams(3.5, 14.0, 0.0041)
 NOISE = GateNoise(0.01)
@@ -384,6 +384,17 @@ class TestPeakSnr:
         for t in (0.9 * t_max, 0.97 * t_max, 1.03 * t_max, 1.1 * t_max):
             assert scheme_snr(cfg, t) <= s_max + 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 32])
+    @pytest.mark.parametrize("p", [0.001, 0.01])
+    @pytest.mark.parametrize("comp", list(Compilation), ids=lambda c: c.value)
+    def test_matches_golden_section_oracle(self, comp, p, n):
+        cfg = SchemeConfig.noisy(n, RATES, GateNoise(p, comp))
+        s_max, t_max = peak_snr(cfg)
+        s_ref, t_ref = golden_peak_snr(cfg)
+        assert s_max >= s_ref * (1.0 - 1e-12)
+        assert s_max == pytest.approx(s_ref, rel=1e-12)
+        assert t_max == pytest.approx(t_ref, rel=1e-6)
+
 
 class TestTimeToSnr:
     def test_ideal_closed_form(self):
@@ -399,6 +410,56 @@ class TestTimeToSnr:
             t = time_to_snr(cfg, target)
             assert scheme_snr(cfg, t) >= target
             assert scheme_snr(cfg, math.nextafter(t, 0.0)) < target
+
+    @staticmethod
+    def assert_smallest_float_reaching(cfg, target):
+        t = time_to_snr(cfg, target)
+        if peak_snr(cfg)[0] < target:
+            assert t is None
+        else:
+            assert scheme_snr(cfg, t) >= target
+            assert scheme_snr(cfg, math.nextafter(t, 0.0)) < target
+
+    @settings(max_examples=25)
+    @given(
+        comp=st.sampled_from(list(Compilation)),
+        p=st.floats(0.0, 0.05),
+        n=st.integers(1, 32),
+        target=st.floats(0.5, 15.0),
+    )
+    def test_noisy_is_smallest_float_reaching_target(self, comp, p, n, target):
+        cfg = SchemeConfig.noisy(n, RATES, GateNoise(p, comp))
+        self.assert_smallest_float_reaching(cfg, target)
+
+    @pytest.mark.parametrize(
+        "n, t_pair, bright",
+        [
+            (
+                3,
+                (point_outcome(3, 3), flat_dist(3, GateNoise(0.02))),
+                lambda t: decaying_poisson(DecayModelParams(RATES, t)),
+            ),
+            (
+                5,
+                (point_outcome(5, 5), cascade_dist(5, GateNoise(0.01))),
+                lambda t: poisson_pmf(14.0 * t),
+            ),
+        ],
+        ids=["flat-decayed", "cascade-poisson"],
+    )
+    def test_injected_is_smallest_float_reaching_target(self, n, t_pair, bright):
+        cfg = SchemeConfig.injected(n, t_pair, lambda t: (poisson_pmf(3.5 * t), bright(t)))
+        self.assert_smallest_float_reaching(cfg, 8.0)
+
+    @pytest.mark.parametrize("below", [0, 1, 2])
+    def test_target_at_the_peak(self, below):
+        # SNR is flat over ~1e8 floats around its peak: the solve must not
+        # walk that plateau one float at a time
+        cfg = SchemeConfig.noisy(13, RATES, GateNoise(0.01, Compilation.FLAT))
+        target = peak_snr(cfg)[0]
+        for _ in range(below):
+            target = math.nextafter(target, 0.0)
+        self.assert_smallest_float_reaching(cfg, target)
 
     def test_reaches_requested_level(self):
         cfg = SchemeConfig.noisy(3, RATES, NOISE)
