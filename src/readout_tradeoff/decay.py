@@ -20,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.signal import lfilter
-from scipy.special import gammainc, gammaln, xlogy
+from scipy.special import gammainc
 
-from .dist import DiscreteDist, DomainError, RateParams, point_mass, _poisson_window
+from .dist import DiscreteDist, DomainError, RateParams, point_mass
+from .dist import _poisson_terms, _poisson_window
 
 __all__ = ["DecayModelParams", "decaying_poisson", "decaying_poisson_moments"]
 
@@ -40,10 +41,6 @@ class DecayModelParams:
             raise DomainError("rates must be a RateParams instance")
         if not math.isfinite(self.t) or self.t < 0.0:
             raise DomainError(f"window length must be finite and non-negative, got {self.t}")
-
-
-def _poisson_terms(k: np.ndarray, m: float) -> np.ndarray:
-    return np.exp(xlogy(k, m) - m - gammaln(k + 1.0))
 
 
 def decaying_poisson(params: DecayModelParams) -> DiscreteDist:

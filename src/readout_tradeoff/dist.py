@@ -162,9 +162,11 @@ def poisson_pmf(omega: float) -> DiscreteDist:
     if omega == 0.0:
         return point_mass(0)
     lo, hi = _poisson_window(omega)
-    k = np.arange(lo, hi + 1, dtype=np.float64)
-    log_pmf = xlogy(k, omega) - omega - gammaln(k + 1.0)
-    return DiscreteDist(lo, np.exp(log_pmf))
+    return DiscreteDist(lo, _poisson_terms(np.arange(lo, hi + 1, dtype=np.float64), omega))
+
+
+def _poisson_terms(k: np.ndarray, omega: float) -> np.ndarray:
+    return np.exp(xlogy(k, omega) - omega - gammaln(k + 1.0))
 
 
 def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:

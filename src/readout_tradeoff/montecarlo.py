@@ -150,19 +150,15 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
         raise DomainError("trajectory sampling needs a physical gate and decay model")
     n = scheme.n_qubits
     rates = scheme.rates
-    noisy = scheme.model is Model.NOISY_DECAYING
-    p = scheme.noise.p if noisy else 0.0
-    lam = rates.lam if noisy else 0.0
-    compilation = scheme.noise.compilation if noisy else Compilation.CASCADE
-    wiring = flat_wiring(n) if compilation is Compilation.FLAT else cascade_wiring(n)
+    wiring = flat_wiring(n) if scheme.noise.compilation is Compilation.FLAT else cascade_wiring(n)
     t = config.t
     hist0 = np.zeros(1, dtype=np.int64)
     hist1 = np.zeros(1, dtype=np.int64)
     for rng, size in _batches(config.seed, config.shots):
         hist0 = _accumulate(hist0, rng.poisson(rates.mu0 * t, (size, n)).sum(axis=1))
-        state = _run_gates(rng, wiring, n, p, size)
-        if lam > 0.0:
-            tau = rng.exponential(1.0 / lam, (size, n))
+        state = _run_gates(rng, wiring, n, scheme.noise.p, size)
+        if rates.lam > 0.0:
+            tau = rng.exponential(1.0 / rates.lam, (size, n))
         else:
             tau = np.full((size, n), np.inf)
         bright = np.where(state, np.minimum(tau, t), 0.0)

@@ -13,6 +13,7 @@ the same mixture.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -68,7 +69,6 @@ PEAK_GRID_POINTS = 64
 
 
 class Model(enum.Enum):
-    IDEAL_POISSON = "ideal-poisson"
     NOISY_DECAYING = "noisy-decaying"
     GENERAL_INJECTED = "general-injected"
 
@@ -76,15 +76,15 @@ class Model(enum.Enum):
 LawProvider = Callable[[float], tuple[DiscreteDist, DiscreteDist]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SchemeConfig:
     """Everything needed to evaluate one readout scheme.
 
     model picks how single-qubit laws and entangling outcomes arise:
 
-    - ideal-poisson: perfect gates, pure Poisson emission.
     - noisy-decaying: failing gates per ``noise`` plus single-decay
-      emission statistics from ``rates``.
+      emission statistics from ``rates``; ``ideal()`` is its p = 0,
+      lam = 0 point.
     - general-injected: ``noise`` is an explicit (t0, t1) outcome pair and
       ``single_laws`` supplies the single-qubit count laws per window
       length, either as a callable t -> (law0, law1) or as a mapping keyed
@@ -102,26 +102,33 @@ class SchemeConfig:
             raise DomainError(
                 f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {self.n_qubits}"
             )
-        self.n_qubits = int(self.n_qubits)
+        object.__setattr__(self, "n_qubits", int(self.n_qubits))
         if not isinstance(self.model, Model):
             raise DomainError(f"unknown model {self.model!r}")
         if self.model is Model.GENERAL_INJECTED:
             if self.noise is None or isinstance(self.noise, GateNoise):
                 raise DomainError("injected model needs an explicit (t0, t1) outcome pair")
-            self.noise = general_t_pair(self.n_qubits, *self.noise)
+            object.__setattr__(self, "noise", general_t_pair(self.n_qubits, *self.noise))
             if self.single_laws is None:
                 raise DomainError("injected model needs single-qubit laws per window length")
-        else:
-            if self.rates is None:
-                raise DomainError(f"{self.model.value} model needs emission rates")
-            if self.model is Model.IDEAL_POISSON and self.noise is not None:
-                raise DomainError("ideal model admits no gate noise; use the noisy model")
-            if self.model is Model.NOISY_DECAYING and not isinstance(self.noise, GateNoise):
-                raise DomainError("noisy-decaying model needs GateNoise parameters")
+        elif self.rates is None:
+            raise DomainError("noisy-decaying model needs emission rates")
+        elif not isinstance(self.noise, GateNoise):
+            raise DomainError("noisy-decaying model needs GateNoise parameters")
+
+    @functools.cached_property
+    def outcomes(self) -> tuple[OutcomeDist, OutcomeDist]:
+        """Entangling outcome laws (T0, T1); t-independent, so built once."""
+        if self.model is Model.GENERAL_INJECTED:
+            return self.noise
+        n = self.n_qubits
+        return point_outcome(n, n), compiled_dist(n, self.noise)
 
     @classmethod
     def ideal(cls, n_qubits: int, rates: RateParams) -> "SchemeConfig":
-        return cls(n_qubits, Model.IDEAL_POISSON, rates=rates)
+        """Perfect gates and no decay: the noisy model at p = 0, lam = 0."""
+        clean = None if rates is None else RateParams(rates.mu0, rates.mu1, 0.0)
+        return cls.noisy(n_qubits, clean, GateNoise(0.0))
 
     @classmethod
     def noisy(cls, n_qubits: int, rates: RateParams, noise: GateNoise) -> "SchemeConfig":
@@ -211,25 +218,21 @@ def _decayed(rates: RateParams, t: float):
 
 
 def _tier(config: SchemeConfig, t: float):
-    """The scheme at window length t as (dark law, bright law, T0, T1).
+    """The single-qubit laws at window length t as (dark law, bright law).
 
-    Each single-qubit law is a pair ((mean, variance), fold) where fold(q)
-    is the law's q-fold convolution power; a decayed law's pmf is only
-    built once a fold is asked for. T0 and T1 are the entangling outcome
-    laws of the dark and bright preparations. Perfect gates make both a
-    point mass at n, and an effectively ideal scheme also emits Poisson
-    from bright qubits, so its composite laws are plain Poisson laws.
+    Each law is a pair ((mean, variance), fold) where fold(q) is the law's
+    q-fold convolution power; a decayed law's pmf is only built once a
+    fold is asked for. An effectively ideal scheme's bright qubits emit
+    Poisson, so its composite laws are plain Poisson laws.
     """
-    n = config.n_qubits
     if config.model is Model.GENERAL_INJECTED:
         law0, law1 = _laws_at(config, t)
         fold0, fold1 = (lambda q: n_fold_convolve(law0, q)), (lambda q: n_fold_convolve(law1, q))
-        return (moments(law0), fold0), (moments(law1), fold1), *config.noise
-    perfect = point_outcome(n, n)
+        return (moments(law0), fold0), (moments(law1), fold1)
     dark = _poisson(config.rates.mu0, t)
     if _is_effectively_ideal(config):
-        return dark, _poisson(config.rates.mu1, t), perfect, perfect
-    return dark, _decayed(config.rates, t), perfect, compiled_dist(n, config.noise)
+        return dark, _poisson(config.rates.mu1, t)
+    return dark, _decayed(config.rates, t)
 
 
 def _window_length(t) -> float:
@@ -250,7 +253,8 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
     the truncation loss of the result.
     """
     t = _window_length(t)
-    (_, dark), (_, bright), t0, t1 = _tier(config, t)
+    (_, dark), (_, bright) = _tier(config, t)
+    t0, t1 = config.outcomes
     return CompositeStats.from_dists(
         _two_sided_mix(t0, dark, bright), _two_sided_mix(t1, bright, dark), t
     )
@@ -352,9 +356,9 @@ def scheme_snr(config: SchemeConfig, t: float) -> float:
     naming the window length.
     """
     t = _window_length(t)
-    (single0, _), (single1, _), t0, t1 = _tier(config, t)
+    (single0, _), (single1, _) = _tier(config, t)
     return _moment_snr(
-        (t0, t1), single0, single1, config.n_qubits, f" at window length t={t} ms"
+        config.outcomes, single0, single1, config.n_qubits, f" at window length t={t} ms"
     )
 
 
@@ -399,12 +403,11 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
 
 
 def _is_effectively_ideal(config: SchemeConfig) -> bool:
-    if config.model is Model.IDEAL_POISSON:
-        return True
+    # Perfect gates and no decay; a single qubit has no gates, so any p.
     return (
         config.model is Model.NOISY_DECAYING
-        and config.noise.p == 0.0
         and config.rates.lam == 0.0
+        and config.outcomes[1].probs[config.n_qubits] == 1.0
     )
 
 

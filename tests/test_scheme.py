@@ -1,11 +1,12 @@
 import math
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats as ss
 
-from readout_tradeoff import dist
+from readout_tradeoff import dist, scheme
 from readout_tradeoff.decay import DecayModelParams, decaying_poisson
 from readout_tradeoff.dist import DomainError, RateParams, point_mass, poisson_pmf, tv_distance
 from readout_tradeoff.gates import (
@@ -44,9 +45,38 @@ def ideal_snr(n, t, mu0=3.5, mu1=14.0):
 
 
 class TestConfig:
-    def test_ideal_rejects_gate_noise(self):
+    def test_noisy_requires_gate_noise(self):
         with pytest.raises(DomainError):
-            SchemeConfig(2, Model.IDEAL_POISSON, rates=RATES, noise=NOISE)
+            SchemeConfig(2, Model.NOISY_DECAYING, rates=RATES)
+
+    def test_ideal_requires_rates(self):
+        with pytest.raises(DomainError):
+            SchemeConfig.ideal(2, None)
+
+    def test_fields_are_frozen(self):
+        cfg = SchemeConfig.noisy(2, RATES, NOISE)
+        with pytest.raises(FrozenInstanceError):
+            cfg.noise = GateNoise(0.5)
+
+    def test_outcomes_are_no_field(self):
+        cfg = SchemeConfig.noisy(2, RATES, NOISE)
+        assert cfg.outcomes[1].probs[2] == compiled_dist(2, NOISE).probs[2]
+        assert cfg == SchemeConfig.noisy(2, RATES, NOISE)
+        assert "outcomes" not in repr(cfg)
+
+    def test_outcome_laws_built_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counted(n, noise):
+            calls.append(n)
+            return compiled_dist(n, noise)
+
+        monkeypatch.setattr(scheme, "compiled_dist", counted)
+        cfg = SchemeConfig.noisy(13, RATES, NOISE)
+        peak_snr(cfg)
+        time_to_snr(cfg, 8.0)
+        compose(cfg, 2.0)
+        assert len(calls) <= 1
 
     def test_noisy_requires_rates(self):
         with pytest.raises(DomainError):
@@ -371,6 +401,21 @@ class TestPeakSnr:
         s_max, t_max = peak_snr(cfg)
         assert s_max == 0.0 and math.isnan(t_max)
         assert time_to_snr(cfg, 1.0) is None
+
+    @pytest.mark.parametrize("p", [0.0, 0.01, 0.5])
+    @pytest.mark.parametrize("comp", list(Compilation), ids=lambda c: c.value)
+    def test_single_qubit_without_decay_is_ideal_at_any_p(self, comp, p):
+        # one qubit has no gates, so p cannot matter once lam = 0
+        rates = RateParams(3.5, 14.0, 0.0)
+        cfg = SchemeConfig.noisy(1, rates, GateNoise(p, comp))
+        ref = SchemeConfig.noisy(1, rates, GateNoise(0.0, comp))
+        for t in (0.5, 10.0):
+            got, want = compose(cfg, t), compose(ref, t)
+            for a, b in ((got.p0, want.p0), (got.p1, want.p1)):
+                assert (a.offset, a.truncation_loss) == (b.offset, b.truncation_loss)
+                np.testing.assert_array_equal(a.masses, b.masses)
+        assert peak_snr(cfg) == (math.inf, math.inf)
+        assert time_to_snr(cfg, 8.0) == time_to_snr(ref, 8.0)
 
     def test_single_qubit_peak_location(self):
         s_max, t_max = peak_snr(SchemeConfig.noisy(1, RATES, NOISE))
