@@ -46,7 +46,6 @@ from .quadrature import integrate_family
 from .scheme import (
     CompositeStats,
     MeritPoint,
-    Model,
     SchemeConfig,
     ThresholdAnalysis,
     compose,
@@ -72,7 +71,6 @@ __all__ = [
     "GateNoise",
     "McConfig",
     "MeritPoint",
-    "Model",
     "OutcomeDist",
     "RateParams",
     "SchemeConfig",

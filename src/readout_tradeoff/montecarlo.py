@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDist, DomainError, RateParams
-from .gates import Compilation, OutcomeDist, cascade_wiring, flat_wiring, validate_wiring
-from .scheme import Model, SchemeConfig
+from .gates import Compilation, GateNoise, OutcomeDist, validate_wiring
+from .gates import cascade_wiring, flat_wiring
+from .scheme import SchemeConfig
 
 __all__ = [
     "BATCH_SHOTS",
@@ -146,7 +147,7 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
     and counts for the bright preparation.
     """
     scheme = config.scheme
-    if scheme.model is Model.GENERAL_INJECTED:
+    if not isinstance(scheme.noise, GateNoise):
         raise DomainError("trajectory sampling needs a physical gate and decay model")
     n = scheme.n_qubits
     rates = scheme.rates

@@ -12,11 +12,10 @@ the same mixture.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from scipy import optimize
@@ -44,7 +43,6 @@ from .gates import (
 __all__ = [
     "CompositeStats",
     "MeritPoint",
-    "Model",
     "SchemeConfig",
     "ThresholdAnalysis",
     "compose",
@@ -68,34 +66,25 @@ PEAK_BRACKET = (1e-3, 1e3)
 PEAK_GRID_POINTS = 64
 
 
-class Model(enum.Enum):
-    NOISY_DECAYING = "noisy-decaying"
-    GENERAL_INJECTED = "general-injected"
-
-
-LawProvider = Callable[[float], tuple[DiscreteDist, DiscreteDist]]
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Everything needed to evaluate one readout scheme.
 
-    model picks how single-qubit laws and entangling outcomes arise:
+    The type of ``noise`` tells where the entangling outcomes and the
+    single-qubit laws come from:
 
-    - noisy-decaying: failing gates per ``noise`` plus single-decay
+    - a ``GateNoise``: failing gates per ``noise`` plus single-decay
       emission statistics from ``rates``; ``ideal()`` is its p = 0,
       lam = 0 point.
-    - general-injected: ``noise`` is an explicit (t0, t1) outcome pair and
-      ``single_laws`` supplies the single-qubit count laws per window
-      length, either as a callable t -> (law0, law1) or as a mapping keyed
-      by exact t (no interpolation is attempted between entries).
+    - an explicit (t0, t1) outcome pair: an injected scheme, whose
+      single-qubit count laws come from ``single_laws``, a callable
+      t -> (law0, law1) defined at every window length.
     """
 
     n_qubits: int
-    model: Model
     rates: RateParams | None = None
     noise: GateNoise | tuple[OutcomeDist, OutcomeDist] | None = None
-    single_laws: LawProvider | Mapping[float, tuple[DiscreteDist, DiscreteDist]] | None = None
+    single_laws: Callable[[float], tuple[DiscreteDist, DiscreteDist]] | None = None
 
     def __post_init__(self):
         if self.n_qubits != int(self.n_qubits) or not 1 <= self.n_qubits <= MAX_QUBITS:
@@ -103,26 +92,31 @@ class SchemeConfig:
                 f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {self.n_qubits}"
             )
         object.__setattr__(self, "n_qubits", int(self.n_qubits))
-        if not isinstance(self.model, Model):
-            raise DomainError(f"unknown model {self.model!r}")
-        if self.model is Model.GENERAL_INJECTED:
-            if self.noise is None or isinstance(self.noise, GateNoise):
-                raise DomainError("injected model needs an explicit (t0, t1) outcome pair")
-            object.__setattr__(self, "noise", general_t_pair(self.n_qubits, *self.noise))
-            if self.single_laws is None:
-                raise DomainError("injected model needs single-qubit laws per window length")
-        elif self.rates is None:
-            raise DomainError("noisy-decaying model needs emission rates")
-        elif not isinstance(self.noise, GateNoise):
-            raise DomainError("noisy-decaying model needs GateNoise parameters")
+        if isinstance(self.noise, GateNoise):
+            if self.rates is None:
+                raise DomainError("a GateNoise scheme needs emission rates")
+            return
+        try:
+            t0, t1 = self.noise
+        except (TypeError, ValueError):
+            raise DomainError("noise must be GateNoise or a (t0, t1) outcome pair") from None
+        object.__setattr__(self, "noise", general_t_pair(self.n_qubits, t0, t1))
+        if not callable(self.single_laws):
+            # a table keyed by t would fail deep inside the timing solvers
+            raise DomainError("an injected scheme needs single_laws as a callable t -> laws")
 
     @functools.cached_property
     def outcomes(self) -> tuple[OutcomeDist, OutcomeDist]:
         """Entangling outcome laws (T0, T1); t-independent, so built once."""
-        if self.model is Model.GENERAL_INJECTED:
+        if not isinstance(self.noise, GateNoise):
             return self.noise
         n = self.n_qubits
         return point_outcome(n, n), compiled_dist(n, self.noise)
+
+    @functools.cached_property
+    def q_moments(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(E[Q], Var[Q]) of T0 and of T1, for the moment route."""
+        return tuple(outcome_moments(t) for t in self.outcomes)
 
     @classmethod
     def ideal(cls, n_qubits: int, rates: RateParams) -> "SchemeConfig":
@@ -132,11 +126,11 @@ class SchemeConfig:
 
     @classmethod
     def noisy(cls, n_qubits: int, rates: RateParams, noise: GateNoise) -> "SchemeConfig":
-        return cls(n_qubits, Model.NOISY_DECAYING, rates=rates, noise=noise)
+        return cls(n_qubits, rates=rates, noise=noise)
 
     @classmethod
     def injected(cls, n_qubits: int, t_pair, single_laws) -> "SchemeConfig":
-        return cls(n_qubits, Model.GENERAL_INJECTED, noise=t_pair, single_laws=single_laws)
+        return cls(n_qubits, noise=t_pair, single_laws=single_laws)
 
 
 @dataclass
@@ -186,53 +180,35 @@ class ThresholdAnalysis:
     eta_analytic: float
 
 
-def _laws_at(config: SchemeConfig, t: float) -> tuple[DiscreteDist, DiscreteDist]:
-    provider = config.single_laws
-    if callable(provider):
-        return provider(t)
-    try:
-        return provider[t]
-    except KeyError:
-        raise DomainError(
-            f"no injected single-qubit laws tabulated at t={t}; "
-            "interpolation between window lengths is not performed"
-        ) from None
+def _single_moments(config: SchemeConfig, t: float):
+    """(mean, variance) of the dark and of the bright single-qubit law at t."""
+    if not isinstance(config.noise, GateNoise):
+        law0, law1 = config.single_laws(t)
+        return moments(law0), moments(law1)
+    dark = config.rates.mu0 * t
+    # at lam = 0 this is exactly (mu1*t, mu1*t), the ideal bright moments
+    return (dark, dark), decaying_poisson_moments(DecayModelParams(config.rates, t))
 
 
-def _poisson(mu: float, t: float):
-    # Poisson laws add: q qubits emitting at rate mu count one Pois(q*mu*t).
-    return (mu * t, mu * t), lambda q: poisson_pmf(q * mu * t)
+def _single_folds(config: SchemeConfig, t: float):
+    """The dark and the bright law's convolution powers, q -> law^(*q), at t.
 
-
-def _decayed(rates: RateParams, t: float):
-    params = DecayModelParams(rates, t)
-    law = None
-
-    def fold(q: int) -> DiscreteDist:
-        nonlocal law
-        if law is None:
-            law = decaying_poisson(params)
-        return n_fold_convolve(law, q)
-
-    return decaying_poisson_moments(params), fold
-
-
-def _tier(config: SchemeConfig, t: float):
-    """The single-qubit laws at window length t as (dark law, bright law).
-
-    Each law is a pair ((mean, variance), fold) where fold(q) is the law's
-    q-fold convolution power; a decayed law's pmf is only built once a
-    fold is asked for. An effectively ideal scheme's bright qubits emit
-    Poisson, so its composite laws are plain Poisson laws.
+    Poisson laws add: q qubits emitting at rate mu count one Pois(q*mu*t).
+    That covers the dark law and an effectively ideal scheme's bright law.
+    Any other law is built once here, and compose folds it by convolution.
     """
-    if config.model is Model.GENERAL_INJECTED:
-        law0, law1 = _laws_at(config, t)
-        fold0, fold1 = (lambda q: n_fold_convolve(law0, q)), (lambda q: n_fold_convolve(law1, q))
-        return (moments(law0), fold0), (moments(law1), fold1)
-    dark = _poisson(config.rates.mu0, t)
+    if not isinstance(config.noise, GateNoise):
+        law0, law1 = config.single_laws(t)
+        return functools.partial(n_fold_convolve, law0), functools.partial(n_fold_convolve, law1)
+
+    def poisson(mu: float):
+        return lambda q: poisson_pmf(q * mu * t)
+
+    rates = config.rates
     if _is_effectively_ideal(config):
-        return dark, _poisson(config.rates.mu1, t)
-    return dark, _decayed(config.rates, t)
+        return poisson(rates.mu0), poisson(rates.mu1)
+    decayed = decaying_poisson(DecayModelParams(rates, t))
+    return poisson(rates.mu0), functools.partial(n_fold_convolve, decayed)
 
 
 def _window_length(t) -> float:
@@ -253,7 +229,7 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
     the truncation loss of the result.
     """
     t = _window_length(t)
-    (_, dark), (_, bright) = _tier(config, t)
+    dark, bright = _single_folds(config, t)
     t0, t1 = config.outcomes
     return CompositeStats.from_dists(
         _two_sided_mix(t0, dark, bright), _two_sided_mix(t1, bright, dark), t
@@ -327,20 +303,19 @@ def snr_general(
     entangling outcome variance. Never materialises a distribution, so it
     is the fast path for optimisation loops.
     """
-    return _moment_snr(t_pair, single0, single1, n, "")
-
-
-def _moment_snr(t_pair, single0, single1, n: int, where: str) -> float:
-    # snr_general's body. A moment that is NaN or has overflowed (the gap
-    # squared can overflow where the single-qubit moments do not) would
-    # read as SNR nan or 0, so it raises, with ``where`` naming the window.
     t0, t1 = t_pair
     if t0.n_qubits != n or t1.n_qubits != n:
         raise DomainError(f"outcome laws are not for {n} qubits")
+    return _moment_snr((outcome_moments(t0), outcome_moments(t1)), single0, single1, n, "")
+
+
+def _moment_snr(q_moments, single0, single1, n: int, where: str) -> float:
+    # snr_general's body on (E[Q], Var[Q]) of T0 and T1. A moment that is NaN
+    # or has overflowed (the gap squared can overflow where the single-qubit
+    # moments do not) would read as SNR nan or 0, so it raises.
     m0, v0 = (float(x) for x in single0)
     m1, v1 = (float(x) for x in single1)
-    eq0, vq0 = outcome_moments(t0)
-    eq1, vq1 = outcome_moments(t1)
+    (eq0, vq0), (eq1, vq1) = q_moments
     gap = m1 - m0
     var0n = eq0 * v0 + (n - eq0) * v1 + gap * gap * vq0
     var1n = eq1 * v1 + (n - eq1) * v0 + gap * gap * vq1
@@ -356,9 +331,9 @@ def scheme_snr(config: SchemeConfig, t: float) -> float:
     naming the window length.
     """
     t = _window_length(t)
-    (single0, _), (single1, _) = _tier(config, t)
+    single0, single1 = _single_moments(config, t)
     return _moment_snr(
-        config.outcomes, single0, single1, config.n_qubits, f" at window length t={t} ms"
+        config.q_moments, single0, single1, config.n_qubits, f" at window length t={t} ms"
     )
 
 
@@ -405,7 +380,7 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
 def _is_effectively_ideal(config: SchemeConfig) -> bool:
     # Perfect gates and no decay; a single qubit has no gates, so any p.
     return (
-        config.model is Model.NOISY_DECAYING
+        isinstance(config.noise, GateNoise)
         and config.rates.lam == 0.0
         and config.outcomes[1].probs[config.n_qubits] == 1.0
     )

@@ -66,9 +66,12 @@ class TestMomentsClosedForm:
         assert mean == pytest.approx(ref_mean, rel=1e-12)
         assert var == pytest.approx(ref_var, rel=1e-12)
 
-    def test_no_decay_is_plain_poisson_moments(self):
-        params = DecayModelParams(RateParams(3.5, 14.0, 0.0), 2.0)
-        assert decaying_poisson_moments(params) == (28.0, 28.0)
+    @pytest.mark.parametrize("mu0, mu1", [(3.5, 14.0), (7.0, 7.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("t", [0.0, 5e-324, 1e-3, 7.3, 1e300])
+    def test_no_decay_is_plain_poisson_moments(self, mu0, mu1, t):
+        # the ideal bright law's moments come from here, exactly
+        params = DecayModelParams(RateParams(mu0, mu1, 0.0), t)
+        assert decaying_poisson_moments(params) == (mu1 * t, mu1 * t)
 
     @pytest.mark.parametrize("lam, t", [(0.0041, 1e300), (0.0, 1e308)])
     def test_overflow_names_the_window(self, lam, t):

@@ -108,9 +108,7 @@ class TestFullScheme:
 
     def test_injected_model_unsupported(self):
         coin = [0.5, 0.0, 0.5]
-        cfg = SchemeConfig.injected(
-            2, (coin, coin), single_laws={1.0: (point_mass(1), point_mass(5))}
-        )
+        cfg = SchemeConfig.injected(2, (coin, coin), lambda t: (point_mass(1), point_mass(5)))
         with pytest.raises(DomainError):
             sample_full_scheme(McConfig(100, 0, cfg, 1.0))
 

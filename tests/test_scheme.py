@@ -15,13 +15,13 @@ from readout_tradeoff.gates import (
     cascade_dist,
     compiled_dist,
     flat_dist,
+    outcome_moments,
     point_outcome,
 )
 from readout_tradeoff.scheme import (
     WEIGHT_FLOOR,
     CompositeStats,
     MeritPoint,
-    Model,
     SchemeConfig,
     compose,
     estimate_time_exponent,
@@ -47,7 +47,14 @@ def ideal_snr(n, t, mu0=3.5, mu1=14.0):
 class TestConfig:
     def test_noisy_requires_gate_noise(self):
         with pytest.raises(DomainError):
-            SchemeConfig(2, Model.NOISY_DECAYING, rates=RATES)
+            SchemeConfig.noisy(2, RATES, 0.01)
+
+    @pytest.mark.parametrize(
+        "laws", [None, lambda t: (point_mass(0), point_mass(3))], ids=["no-laws", "callable"]
+    )
+    def test_rejects_missing_noise(self, laws):
+        with pytest.raises(DomainError):
+            SchemeConfig(2, rates=RATES, noise=None, single_laws=laws)
 
     def test_ideal_requires_rates(self):
         with pytest.raises(DomainError):
@@ -77,6 +84,19 @@ class TestConfig:
         time_to_snr(cfg, 8.0)
         compose(cfg, 2.0)
         assert len(calls) <= 1
+
+    def test_outcome_moments_once_per_config(self, monkeypatch):
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return outcome_moments(t)
+
+        monkeypatch.setattr(scheme, "outcome_moments", counted)
+        cfg = SchemeConfig.noisy(13, RATES, NOISE)
+        peak_snr(cfg)
+        time_to_snr(cfg, 8.0)
+        assert len(calls) <= 2
 
     def test_noisy_requires_rates(self):
         with pytest.raises(DomainError):
@@ -199,29 +219,26 @@ class TestInjected:
     def test_symmetric_two_sided_mixture(self):
         # fair coin between keeping and flipping both qubits, point-mass laws
         coin = [0.5, 0.0, 0.5]
-        cfg = SchemeConfig.injected(
-            2, (coin, coin), single_laws={1.0: (point_mass(1), point_mass(5))}
-        )
+        cfg = SchemeConfig.injected(2, (coin, coin), lambda t: (point_mass(1), point_mass(5)))
         stats = compose(cfg, 1.0)
         assert stats.p1.pmf(10) == pytest.approx(0.5)
         assert stats.p1.pmf(2) == pytest.approx(0.5)
         assert stats.p0.pmf(2) == pytest.approx(0.5)
         assert stats.p0.pmf(10) == pytest.approx(0.5)
 
-    def test_missing_time_key_raises(self):
-        cfg = SchemeConfig.injected(
-            2,
-            ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
-            single_laws={1.0: (point_mass(0), point_mass(3))},
-        )
+    def test_tabulated_laws_rejected_at_construction(self):
         with pytest.raises(DomainError):
-            compose(cfg, 2.0)
+            SchemeConfig.injected(
+                2,
+                ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+                single_laws={1.0: (point_mass(0), point_mass(3))},
+            )
 
 
 def _laws_by_term(cfg, t):
     """Both composite laws of a noisy or injected scheme, mixed term by term."""
     n = cfg.n_qubits
-    if cfg.model is Model.GENERAL_INJECTED:
+    if not isinstance(cfg.noise, GateNoise):
         law0, law1 = _injected_laws(t)
         dark, bright = power_fold(law0), power_fold(law1)
         t0, t1 = cfg.noise
