@@ -15,11 +15,11 @@ x = lam*t.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import gammainc
 
 from .dist import DiscreteDist, DomainError, RateParams, point_mass
@@ -55,8 +55,11 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     k = b it runs as the recurrence I_k = (I_{k-1} + c*[Pois(k; mu0*t) -
     exp(-lam*t)*Pois(k; mu1*t)])/(1+c), which never forms exp(c*mu0*t),
     from max(0, mu0*t - 12*sqrt(mu0*t)): Pois(mu0*t) holds under e^-72
-    below that count (Chernoff bound). Above b the bracket is
-    P(k+1, b) - P(k+1, a), a difference of two small tails.
+    below that count (Chernoff bound). The recurrence is the one-pole
+    filter y_k = g*x_k + r*y_{k-1}, stepped over Python floats; it rounds
+    the same products and sums as scipy.signal.lfilter([g], [1, -r], x).
+    Above b the bracket is P(k+1, b) - P(k+1, a), a difference of two
+    small tails.
     """
     rates, t = params.rates, params.t
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
@@ -76,7 +79,9 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
         split = (hi + 1 if b >= hi else math.floor(b) + 1) - start  # counts up to b
         drive = _poisson_terms(k[:split], m0) - stay[:split]
         # pole 1/(1+c) and gain c/(1+c), finite even for equal rates
-        masses[:split] += lfilter([lam / (delta + lam)], [1.0, -delta / (delta + lam)], drive)
+        gain, pole = lam / (delta + lam), delta / (delta + lam)
+        filtered = itertools.accumulate((gain * drive).tolist(), lambda y, gx: gx + pole * y)
+        masses[:split] += np.fromiter(filtered, np.float64, split)
         if split < k.size:
             kt = k[split:] + 1.0
             gap = gammainc(kt, b) - gammainc(kt, (1.0 + c) * m0)

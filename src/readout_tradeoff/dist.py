@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal, stats
-from scipy.special import gammaln, xlogy
+from scipy import fft
+from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 __all__ = [
     "DiscreteDist",
@@ -134,12 +134,26 @@ def point_mass(k: int) -> DiscreteDist:
     return DiscreteDist(int(k), np.ones(1), 0.0)
 
 
+def _poisson_quantile(q: float, omega: float) -> float:
+    # The kernel of scipy.stats.poisson.ppf: the continuous inverse of the
+    # cdf rounded up, or one count less where the cdf already reaches q.
+    # NaN where pdtrik gives up.
+    k = np.ceil(pdtrik(q, omega))
+    below = np.maximum(k - 1.0, 0.0)
+    return below if pdtr(below, omega) >= q else k
+
+
 def _poisson_window(omega: float) -> tuple[int, int]:
-    """Smallest integer window holding all but ~TRUNCATION_EPS of a Poisson law."""
+    """Smallest integer window holding all but ~TRUNCATION_EPS of a Poisson law.
+
+    Its edges are the TRUNCATION_EPS/4 quantiles that scipy.stats.poisson's
+    ppf and isf return, computed by the same scipy.special kernels without
+    the wrappers' argument handling, which costs several times the kernel.
+    """
     tail = TRUNCATION_EPS / 4.0
-    lo_q, hi_q = stats.poisson.ppf(tail, omega), stats.poisson.isf(tail, omega)
+    lo_q, hi_q = _poisson_quantile(tail, omega), _poisson_quantile(1.0 - tail, omega)
     if math.isnan(lo_q) or math.isnan(hi_q):
-        # scipy's quantiles give up for means from about 1e11 on
+        # the quantile kernel gives up for means from about 1e11 on
         raise DomainError(f"poisson mean {omega} is too large for a support window")
     lo = max(0, int(lo_q) - 2)
     hi = int(hi_q) + 2
@@ -173,11 +187,18 @@ def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Linear convolution of two mass arrays, unclipped.
 
     Small supports use the direct O(n*m) product sum; large ones switch to
-    the FFT, whose rounding noise can leave bins slightly below zero.
+    the FFT, whose rounding noise can leave bins slightly below zero. The
+    FFT side takes the steps scipy.signal.fftconvolve takes for real 1-d
+    input, so its bins are that function's: a one-point operand is a plain
+    product, and any other pair is multiplied in the frequency domain.
     """
     if max(a.size, b.size) <= DIRECT_CONV_LIMIT:
         return np.convolve(a, b)
-    return signal.fftconvolve(a, b)
+    if min(a.size, b.size) == 1:
+        return a * b
+    size = a.size + b.size - 1
+    n = fft.next_fast_len(size, True)
+    return fft.irfft(fft.rfft(a, n) * fft.rfft(b, n), n)[:size]
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:

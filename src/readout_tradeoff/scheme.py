@@ -27,6 +27,7 @@ from .dist import (
     RateParams,
     _convolve_masses,
     _window,
+    convolve,
     moments,
     n_fold_convolve,
     poisson_pmf,
@@ -195,11 +196,12 @@ def _single_folds(config: SchemeConfig, t: float):
 
     Poisson laws add: q qubits emitting at rate mu count one Pois(q*mu*t).
     That covers the dark law and an effectively ideal scheme's bright law.
-    Any other law is built once here, and compose folds it by convolution.
+    Any other law is folded by convolution; the decayed law is built on
+    its first fold, so a scheme that never folds it never builds it.
     """
     if not isinstance(config.noise, GateNoise):
         law0, law1 = config.single_laws(t)
-        return functools.partial(n_fold_convolve, law0), functools.partial(n_fold_convolve, law1)
+        return _powers(lambda: law0), _powers(lambda: law1)
 
     def poisson(mu: float):
         return lambda q: poisson_pmf(q * mu * t)
@@ -207,8 +209,30 @@ def _single_folds(config: SchemeConfig, t: float):
     rates = config.rates
     if _is_effectively_ideal(config):
         return poisson(rates.mu0), poisson(rates.mu1)
-    decayed = decaying_poisson(DecayModelParams(rates, t))
-    return poisson(rates.mu0), functools.partial(n_fold_convolve, decayed)
+    return poisson(rates.mu0), _powers(lambda: decaying_poisson(DecayModelParams(rates, t)))
+
+
+def _powers(build):
+    """q -> law^(*q) for the law build() returns, built on the first call.
+
+    The last power is kept: asked for one more fold, as compose's Horner
+    loop asks for the other side's law, it is extended by one convolution,
+    a running product. Any other request goes through n_fold_convolve.
+    """
+    law = last = None
+
+    def fold(q: int) -> DiscreteDist:
+        nonlocal law, last
+        if law is None:
+            law = build()
+        if last is not None and q == last[0] + 1:
+            power = convolve(last[1], law)
+        else:
+            power = n_fold_convolve(law, q)
+        last = (q, power)
+        return power
+
+    return fold
 
 
 def _window_length(t) -> float:
@@ -242,9 +266,11 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
     Horner's rule: G starts as w_q other^(*(n-q)) at the largest kept q
     and steps down one q at a time, G <- G * own + w_q other^(*(n-q)),
     adding a term only where q is kept. That is one convolution with the
-    single-qubit law per step and no power of it. Partial sums do not sum
-    to one, so they stay raw mass arrays, and FFT rounding noise is
-    clipped once, on the finished law.
+    single-qubit law per step and no power of it. The other side's powers
+    are asked for in increasing n - q, so a law without additivity builds
+    them as a running product (see _powers). Partial sums do not sum to
+    one, so they stay raw mass arrays, and FFT rounding noise is clipped
+    once, on the finished law.
     """
     n = t_dist.n_qubits
     kept = [(q, float(w)) for q, w in enumerate(t_dist.probs) if w >= WEIGHT_FLOOR]

@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import integrate, stats as ss
+from scipy import integrate, signal, stats as ss
+from scipy.special import gammainc
 
 from readout_tradeoff.decay import (
     DecayModelParams,
     decaying_poisson,
     decaying_poisson_moments,
 )
-from readout_tradeoff.dist import DomainError, RateParams, moments, poisson_pmf, tv_distance
+from readout_tradeoff.dist import DiscreteDist, DomainError, RateParams, point_mass
+from readout_tradeoff.dist import _poisson_terms, _poisson_window
+from readout_tradeoff.dist import moments, poisson_pmf, tv_distance
 from tests._reference import decay_mean_var, max_abs_diff
 
 RATES = RateParams(3.5, 14.0, 0.0041)
@@ -160,6 +163,44 @@ class TestMassFunction:
         d = decaying_poisson(DecayModelParams(RateParams(3.5, 14.0, lam), t))
         assert d.truncation_loss <= 1e-11
         assert d.masses.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+def _lfilter_decaying_poisson(params):
+    """decaying_poisson with its recurrence run by scipy.signal.lfilter."""
+    rates, t = params.rates, params.t
+    mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
+    m0, m1 = mu0 * t, mu1 * t
+    if m1 == 0.0:
+        return point_mass(0)
+    lo = 0 if m0 == 0.0 else _poisson_window(m0)[0]
+    hi = _poisson_window(m1)[1]
+    start = min(lo, max(0, math.floor(m0 - 12.0 * math.sqrt(m0))))
+    k = np.arange(start, hi + 1, dtype=np.float64)
+    stay = math.exp(-lam * t) * _poisson_terms(k, m1)
+    masses = stay.copy()
+    if lam > 0.0:
+        delta = mu1 - mu0
+        c = lam / delta if delta > 0.0 else math.inf
+        b = (1.0 + c) * m1
+        split = (hi + 1 if b >= hi else math.floor(b) + 1) - start
+        drive = _poisson_terms(k[:split], m0) - stay[:split]
+        gain, pole = lam / (delta + lam), delta / (delta + lam)
+        masses[:split] += signal.lfilter([gain], [1.0, -pole], drive)
+        if split < k.size:
+            kt = k[split:] + 1.0
+            gap = gammainc(kt, b) - gammainc(kt, (1.0 + c) * m0)
+            masses[split:] += c * np.exp(c * m0 - kt * math.log1p(c)) * gap
+    return DiscreteDist(lo, masses[lo - start :])
+
+
+class TestRecurrenceEqualsLfilter:
+    @pytest.mark.parametrize("lam", [1e-4, 0.0041, 10.0])
+    @pytest.mark.parametrize("t", [0.5, 60.0, 1e3])
+    def test_bit_identical(self, lam, t):
+        params = DecayModelParams(RateParams(3.5, 14.0, lam), t)
+        got, want = decaying_poisson(params), _lfilter_decaying_poisson(params)
+        assert got.offset == want.offset
+        assert np.array_equal(got.masses, want.masses)
 
 
 class TestLimits:

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy import stats as ss
+from scipy import signal, stats as ss
 
+from readout_tradeoff import dist
 from readout_tradeoff.dist import (
     DIRECT_CONV_LIMIT,
     DiscreteDist,
@@ -110,6 +113,47 @@ class TestPoissonPmf:
         # scipy's Poisson quantiles come back NaN here
         with pytest.raises(DomainError, match="too large"):
             poisson_pmf(omega)
+
+
+class TestScipyKernels:
+    """The windows and FFT convolutions equal the scipy wrappers they replace."""
+
+    @staticmethod
+    def scipy_window(omega):
+        # _poisson_window's arithmetic on scipy.stats' own quantiles
+        tail = dist.TRUNCATION_EPS / 4.0
+        lo_q, hi_q = ss.poisson.ppf(tail, omega), ss.poisson.isf(tail, omega)
+        if math.isnan(lo_q) or math.isnan(hi_q):
+            return None
+        lo, hi = max(0, int(lo_q) - 2), int(hi_q) + 2
+        if hi - lo + 1 > dist.MAX_SUPPORT:
+            lo = max(0, int(omega) - dist.MAX_SUPPORT // 2)
+            hi = lo + dist.MAX_SUPPORT - 1
+        return lo, hi
+
+    def test_window_equals_scipy_quantiles(self):
+        omegas = np.append(np.geomspace(1e-300, 1e11, 311), 1e12)
+        expected = [self.scipy_window(float(w)) for w in omegas]
+        # the grid reaches far past the envelope's largest mean, and ends
+        # where scipy's quantiles come back NaN
+        assert all(e is not None for w, e in zip(omegas, expected) if w <= 1e9)
+        assert expected[-1] is None
+        for omega, want in zip(omegas, expected):
+            if want is None:
+                with pytest.raises(DomainError, match="too large"):
+                    dist._poisson_window(float(omega))
+            else:
+                assert dist._poisson_window(float(omega)) == want
+
+    @pytest.mark.parametrize(
+        "n, m",
+        [(4097, 1), (4097, 60), (4097, 4097), (5000, 4099), (20000, 60), (93001, 4500)],
+    )
+    def test_fft_side_equals_fftconvolve(self, n, m):
+        rng = np.random.default_rng(n + m)
+        a, b = rng.random(n), rng.random(m)
+        for x, y in ((a, b), (b, a)):
+            assert np.array_equal(dist._convolve_masses(x, y), signal.fftconvolve(x, y))
 
 
 class TestConvolve:

@@ -302,6 +302,54 @@ class TestHornerCompose:
             tol = max(1e-12, np.finfo(float).eps * k * math.log(k))
             assert abs(float(a.masses.sum()) + a.truncation_loss - 1.0) <= tol
 
+    @pytest.mark.parametrize("n, t", [(32, 20.0), (64, 5.0)])
+    def test_injected_fft_side_against_all_direct(self, n, t, monkeypatch):
+        cfg = _tiers(n)["injected"]
+        got = compose(cfg, t)
+        assert got.p1.masses.size > dist.DIRECT_CONV_LIMIT
+        monkeypatch.setattr(dist, "DIRECT_CONV_LIMIT", 10**12)
+        ref = compose(cfg, t)
+        assert mi_optimal(got)[0] == pytest.approx(mi_optimal(ref)[0], rel=1e-13, abs=0.0)
+        for a, b in ((got.p0, ref.p0), (got.p1, ref.p1)):
+            assert (a.offset, a.masses.size) == (b.offset, b.masses.size)
+            assert np.abs(a.masses - b.masses).max() <= 1e-16
+
+    def test_injected_other_side_is_a_running_product(self, monkeypatch):
+        # each Horner step convolves once with the own law and extends the
+        # other side's power once; no power is squared up from scratch
+        calls = [0]
+
+        def counted(fn):
+            def wrapper(*args):
+                calls[0] += 1
+                return fn(*args)
+
+            return wrapper
+
+        # every convolution, in compose or in a fold, runs _convolve_masses
+        for module in (dist, scheme):
+            monkeypatch.setattr(module, "_convolve_masses", counted(module._convolve_masses))
+        cfg = _tiers(10)["injected"]
+        compose(cfg, 2.0)
+        steps = sum(
+            max(q for q, w in enumerate(t.probs) if w >= WEIGHT_FLOOR) for t in cfg.outcomes
+        )
+        assert steps == 20
+        assert calls[0] <= 2 * steps, calls[0]
+
+    @pytest.mark.parametrize("p, builds", [(1.0, 0), (0.01, 1)])
+    def test_decayed_law_built_on_first_fold(self, p, builds, monkeypatch):
+        calls = [0]
+        original = scheme.decaying_poisson
+
+        def counted(params):
+            calls[0] += 1
+            return original(params)
+
+        monkeypatch.setattr(scheme, "decaying_poisson", counted)
+        compose(SchemeConfig.noisy(8, RATES, GateNoise(p)), 20.0)
+        assert calls[0] == builds
+
     def test_moment_route_at_envelope_edge(self):
         cfg = SchemeConfig.noisy(64, RATES, NOISE)
         assert scheme_snr(cfg, 100.0) == pytest.approx(snr_direct(compose(cfg, 100.0)), rel=1e-9)
