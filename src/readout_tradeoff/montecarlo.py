@@ -4,9 +4,10 @@ All randomness comes from numpy's Philox counter-based bit generator,
 which has a fixed published algorithm and produces identical streams on
 every platform. Shots are partitioned into fixed batches of BATCH_SHOTS;
 batch i draws from a generator keyed by (seed, i), and each batch consumes
-its draws in a fixed documented order. Histograms therefore merge by plain
-addition in any batch order, so results are bit-identical no matter how
-the batches are scheduled or parallelised.
+its draws in a fixed documented order. The batches run on a thread pool
+with one worker per CPU this process may use (numpy's samplers release
+the GIL) and their histograms are summed in batch order, so results are
+bit-identical on any machine: no setting changes the output.
 
 Per-shot sampling follows the physical story literally, one qubit at a
 time: gates fail and collapse their control, each bright qubit draws a
@@ -18,6 +19,9 @@ are used here, which is what makes the sampler an independent check.
 from __future__ import annotations
 
 import math
+import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,25 +52,66 @@ class McConfig:
     t: float
 
     def __post_init__(self):
-        if self.shots != int(self.shots) or self.shots < 1:
-            raise DomainError(f"shots must be a positive integer, got {self.shots}")
-        object.__setattr__(self, "shots", int(self.shots))
+        object.__setattr__(self, "shots", _check_shots(self.shots))
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "t", float(self.t))
         if not math.isfinite(self.t) or self.t < 0.0:
             raise DomainError(f"window length must be finite and non-negative, got {self.t}")
 
 
-def _batches(seed: int, shots: int):
-    """Philox generator per fixed-size shot batch, keyed by (seed, batch)."""
-    key = int(seed) % (1 << 64)
-    done = 0
-    batch = 0
-    while done < shots:
-        size = min(BATCH_SHOTS, shots - done)
+def _check_shots(shots) -> int:
+    try:
+        ok = shots == int(shots) and shots >= 1
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"shots must be a positive integer, got {shots!r}")
+    return int(shots)
+
+
+def _check_seed(seed) -> int:
+    """Integers of any size or sign; nothing is rounded or parsed into one."""
+    try:
+        return operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_batches(seed: int, shots: int, draw) -> list:
+    """draw(rng, size) for every shot batch, its results in batch order.
+
+    Batch i gets a Philox generator keyed by (seed, i) and shares nothing
+    else, so the batches run on min(cpus, batches) threads; one worker
+    runs them inline. draw must not call a traced library function (the
+    perfbench recorder's span stack is not thread-safe).
+    """
+    key = _check_seed(seed) % (1 << 64)
+    sizes = [min(BATCH_SHOTS, shots - done) for done in range(0, shots, BATCH_SHOTS)]
+
+    def run(batch: int):
         # the 128-bit key as one integer: its 64-bit words are (key, batch)
-        yield np.random.Generator(np.random.Philox(key=key | batch << 64)), size
-        done += size
-        batch += 1
+        return draw(np.random.Generator(np.random.Philox(key=key | batch << 64)), sizes[batch])
+
+    workers = min(_cpus(), len(sizes))
+    if workers == 1:
+        return [run(batch) for batch in range(len(sizes))]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, range(len(sizes))))
+
+
+def _merge(bincounts) -> np.ndarray:
+    """Sum of count histograms of different lengths, added in order."""
+    hist = np.zeros(max(bc.size for bc in bincounts), dtype=np.int64)
+    for bc in bincounts:
+        hist[: bc.size] += bc
+    return hist
 
 
 def _wiring_size(wiring) -> int:
@@ -85,13 +130,12 @@ def sample_gate_outcomes(wiring, p: float, shots: int, seed: int) -> OutcomeDist
     validate_wiring(n, wiring)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"gate failure probability must lie in [0, 1], got {p}")
-    if shots != int(shots) or shots < 1:
-        raise DomainError(f"shots must be a positive integer, got {shots}")
-    hist = np.zeros(n + 1, dtype=np.int64)
-    for rng, size in _batches(seed, shots):
-        state = _run_gates(rng, wiring, n, p, size)
-        hist += np.bincount(state.sum(axis=1), minlength=n + 1)
-    return OutcomeDist(n, hist / shots)
+    shots = _check_shots(shots)
+
+    def draw(rng, size):
+        return np.bincount(_run_gates(rng, wiring, n, p, size).sum(axis=1), minlength=n + 1)
+
+    return OutcomeDist(n, _merge(_map_batches(seed, shots, draw)) / shots)
 
 
 def _run_gates(rng, wiring, n: int, p: float, size: int) -> np.ndarray:
@@ -99,10 +143,27 @@ def _run_gates(rng, wiring, n: int, p: float, size: int) -> np.ndarray:
     state = np.zeros((size, n), dtype=bool)
     state[:, 0] = True
     for g, (c, t) in enumerate(wiring):
-        f = fails[:, g]
-        state[f, c] = False
-        state[:, t] = ~f & state[:, c]
+        ok = ~fails[:, g]
+        state[:, c] &= ok
+        state[:, t] = ok & state[:, c]
     return state
+
+
+def _bright_time(rng, lam: float, t: float, shape) -> np.ndarray:
+    """Time each qubit spends bright in the window: min(Exp(lam), t)."""
+    if lam > 0.0:
+        tau = rng.exponential(1.0 / lam, shape)
+        return np.minimum(tau, t, out=tau)
+    return np.full(shape, t)
+
+
+def _count_means(bright: np.ndarray, rates: RateParams, t: float) -> np.ndarray:
+    """mu1 * bright + mu0 * (t - bright), built in place in bright."""
+    dark = t - bright
+    dark *= rates.mu0
+    bright *= rates.mu1
+    bright += dark
+    return bright
 
 
 def sample_photon_counts(
@@ -120,21 +181,16 @@ def sample_photon_counts(
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise DomainError(f"window length must be finite and non-negative, got {t}")
-    if shots != int(shots) or shots < 1:
-        raise DomainError(f"shots must be a positive integer, got {shots}")
-    hist = np.zeros(1, dtype=np.int64)
-    for rng, size in _batches(seed, shots):
+    shots = _check_shots(shots)
+
+    def draw(rng, size):
         if initial_state == 1:
-            if rates.lam > 0.0:
-                tau = rng.exponential(1.0 / rates.lam, size)
-            else:
-                tau = np.full(size, np.inf)
-            bright = np.minimum(tau, t)
-            mean = rates.mu1 * bright + rates.mu0 * (t - bright)
+            mean = _count_means(_bright_time(rng, rates.lam, t, size), rates, t)
         else:
             mean = np.full(size, rates.mu0 * t)
-        hist = _accumulate(hist, rng.poisson(mean))
-    return _empirical(hist, shots)
+        return np.bincount(rng.poisson(mean))
+
+    return _empirical(_merge(_map_batches(seed, shots, draw)), shots)
 
 
 def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
@@ -153,27 +209,16 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
     rates = scheme.rates
     wiring = flat_wiring(n) if scheme.noise.compilation is Compilation.FLAT else cascade_wiring(n)
     t = config.t
-    hist0 = np.zeros(1, dtype=np.int64)
-    hist1 = np.zeros(1, dtype=np.int64)
-    for rng, size in _batches(config.seed, config.shots):
-        hist0 = _accumulate(hist0, rng.poisson(rates.mu0 * t, (size, n)).sum(axis=1))
+
+    def draw(rng, size):
+        dark = np.bincount(rng.poisson(rates.mu0 * t, (size, n)).sum(axis=1))
         state = _run_gates(rng, wiring, n, scheme.noise.p, size)
-        if rates.lam > 0.0:
-            tau = rng.exponential(1.0 / rates.lam, (size, n))
-        else:
-            tau = np.full((size, n), np.inf)
-        bright = np.where(state, np.minimum(tau, t), 0.0)
-        mean = rates.mu1 * bright + rates.mu0 * (t - bright)
-        hist1 = _accumulate(hist1, rng.poisson(mean).sum(axis=1))
-    return _empirical(hist0, config.shots), _empirical(hist1, config.shots)
+        bright = _bright_time(rng, rates.lam, t, (size, n))
+        bright[~state] = 0.0
+        return dark, np.bincount(rng.poisson(_count_means(bright, rates, t)).sum(axis=1))
 
-
-def _accumulate(hist: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    bc = np.bincount(counts)
-    if bc.size > hist.size:
-        hist = np.concatenate((hist, np.zeros(bc.size - hist.size, dtype=np.int64)))
-    hist[: bc.size] += bc
-    return hist
+    dark, bright = zip(*_map_batches(config.seed, config.shots, draw))
+    return _empirical(_merge(dark), config.shots), _empirical(_merge(bright), config.shots)
 
 
 def _empirical(hist: np.ndarray, shots: int) -> DiscreteDist:

@@ -4,9 +4,10 @@ Everything here is deliberately written by a different route than the
 package: exact Fraction arithmetic for the gate outcome laws, closed-form
 integrals for the decayed-count moments, dense-array helpers that do not
 share code with the DiscreteDist machinery, the term-by-term mixture
-that composite laws were evaluated with before Horner's rule, and the
+that composite laws were evaluated with before Horner's rule, the
 golden-section peak search that peak_snr refined with before Brent's
-bounded maximiser.
+bounded maximiser, and one-batch-after-another replays of the trajectory
+samplers that follow their documented per-batch draw order.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ __all__ = [
     "golden_peak_snr",
     "max_abs_diff",
     "power_fold",
+    "replay_full_scheme",
+    "replay_gate_outcomes",
+    "replay_photon_counts",
     "term_by_term_mix",
 ]
 
@@ -196,3 +200,82 @@ def golden_peak_snr(config) -> tuple[float, float]:
     if vals[i] > s_best:
         return float(vals[i]), float(ts[i])
     return float(s_best), float(t_best)
+
+
+def _sequential_batches(seed: int, shots: int, batch_shots: int):
+    """(generator, size) per shot batch in order, Philox keyed by (seed mod 2**64, batch)."""
+    key = int(seed) % (1 << 64)
+    done = 0
+    batch = 0
+    while done < shots:
+        size = min(batch_shots, shots - done)
+        yield np.random.Generator(np.random.Philox(key=key | batch << 64)), size
+        done += size
+        batch += 1
+
+
+def _grow_add(hist: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    bc = np.bincount(counts)
+    if bc.size > hist.size:
+        hist = np.concatenate((hist, np.zeros(bc.size - hist.size, dtype=np.int64)))
+    hist[: bc.size] += bc
+    return hist
+
+
+def _replay_gates(rng, wiring, n: int, p: float, size: int) -> np.ndarray:
+    fails = rng.random((size, len(wiring))) < p
+    state = np.zeros((size, n), dtype=bool)
+    state[:, 0] = True
+    for g, (c, t) in enumerate(wiring):
+        f = fails[:, g]
+        state[f, c] = False
+        state[:, t] = ~f & state[:, c]
+    return state
+
+
+def replay_gate_outcomes(wiring, n: int, p: float, shots: int, seed: int, batch_shots: int):
+    """Bright-count histogram of sample_gate_outcomes, batch after batch:
+    per batch the (shots, gates) uniform block, row per shot."""
+    hist = np.zeros(n + 1, dtype=np.int64)
+    for rng, size in _sequential_batches(seed, shots, batch_shots):
+        hist += np.bincount(_replay_gates(rng, wiring, n, p, size).sum(axis=1), minlength=n + 1)
+    return hist
+
+
+def replay_photon_counts(rates, initial_state: int, t: float, shots: int, seed: int,
+                         batch_shots: int):
+    """Count histogram of sample_photon_counts, batch after batch: per
+    batch the decay times (bright only), then the counts."""
+    hist = np.zeros(1, dtype=np.int64)
+    for rng, size in _sequential_batches(seed, shots, batch_shots):
+        if initial_state == 1:
+            if rates.lam > 0.0:
+                tau = rng.exponential(1.0 / rates.lam, size)
+            else:
+                tau = np.full(size, np.inf)
+            bright = np.minimum(tau, t)
+            mean = rates.mu1 * bright + rates.mu0 * (t - bright)
+        else:
+            mean = np.full(size, rates.mu0 * t)
+        hist = _grow_add(hist, rng.poisson(mean))
+    return hist
+
+
+def replay_full_scheme(wiring, n: int, rates, p: float, t: float, shots: int, seed: int,
+                       batch_shots: int):
+    """Dark and bright histograms of sample_full_scheme, batch after batch:
+    per batch the dark-preparation counts, then gate uniforms, decay times
+    and counts for the bright preparation."""
+    hist0 = np.zeros(1, dtype=np.int64)
+    hist1 = np.zeros(1, dtype=np.int64)
+    for rng, size in _sequential_batches(seed, shots, batch_shots):
+        hist0 = _grow_add(hist0, rng.poisson(rates.mu0 * t, (size, n)).sum(axis=1))
+        state = _replay_gates(rng, wiring, n, p, size)
+        if rates.lam > 0.0:
+            tau = rng.exponential(1.0 / rates.lam, (size, n))
+        else:
+            tau = np.full((size, n), np.inf)
+        bright = np.where(state, np.minimum(tau, t), 0.0)
+        mean = rates.mu1 * bright + rates.mu0 * (t - bright)
+        hist1 = _grow_add(hist1, rng.poisson(mean).sum(axis=1))
+    return hist0, hist1

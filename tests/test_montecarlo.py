@@ -1,6 +1,12 @@
+import math
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import readout_tradeoff.montecarlo as mc
 from readout_tradeoff.decay import DecayModelParams, decaying_poisson
 from readout_tradeoff.dist import DomainError, RateParams, moments, point_mass, poisson_pmf, tv_distance
 from readout_tradeoff.gates import Compilation, GateNoise, cascade_dist, cascade_wiring, flat_dist, flat_wiring
@@ -12,6 +18,7 @@ from readout_tradeoff.montecarlo import (
     sample_photon_counts,
 )
 from readout_tradeoff.scheme import SchemeConfig, compose
+from tests._reference import replay_full_scheme, replay_gate_outcomes, replay_photon_counts
 
 RATES = RateParams(3.5, 14.0, 0.0041)
 
@@ -127,3 +134,146 @@ class TestValidation:
     def test_rejects_bad_gate_probability(self):
         with pytest.raises(DomainError):
             sample_gate_outcomes(flat_wiring(2), 1.5, 100, 0)
+
+    @pytest.mark.parametrize("shots", [math.nan, math.inf, "100", 2.5])
+    def test_rejects_non_integer_shots(self, shots):
+        with pytest.raises(DomainError):
+            McConfig(shots, 1, SchemeConfig.ideal(1, RATES), 1.0)
+        with pytest.raises(DomainError):
+            sample_photon_counts(RATES, 1, 1.0, shots, 0)
+
+
+BAD_SEEDS = [
+    pytest.param(1.7, id="fraction"),
+    pytest.param("3", id="string"),
+    pytest.param(math.nan, id="nan"),
+    pytest.param(math.inf, id="inf"),
+]
+
+
+class TestSeedValidation:
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_mc_config_rejects(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            McConfig(100, seed, SchemeConfig.ideal(1, RATES), 1.0)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_gate_sampling_rejects(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            sample_gate_outcomes(cascade_wiring(3), 0.1, 100, seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_photon_sampling_rejects(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            sample_photon_counts(RATES, 1, 1.0, 100, seed)
+
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        a = sample_photon_counts(RATES, 1, 2.0, 1_000, np.int64(-3))
+        b = sample_photon_counts(RATES, 1, 2.0, 1_000, -3)
+        np.testing.assert_array_equal(a.masses, b.masses)
+
+
+SHOT_COUNTS = [1, BATCH_SHOTS, 3 * BATCH_SHOTS + 17]
+
+
+def assert_same_law(dist, hist, shots):
+    first = int(np.argmax(hist > 0))
+    assert dist.offset == first
+    np.testing.assert_array_equal(dist.masses, hist[first:] / shots)
+
+
+class TestScheduleIndependence:
+    """The pooled samplers equal a sequential replay of their batches, bit for bit."""
+
+    @pytest.mark.parametrize("shots", SHOT_COUNTS)
+    @pytest.mark.parametrize("compilation", list(Compilation))
+    @pytest.mark.parametrize("lam", [0.0, 0.0041])
+    def test_full_scheme(self, shots, compilation, lam):
+        rates = RateParams(3.5, 14.0, lam)
+        cfg = SchemeConfig.noisy(5, rates, GateNoise(0.02, compilation))
+        e0, e1 = sample_full_scheme(McConfig(shots, 2**64 + 11, cfg, 2.0))
+        wiring = cascade_wiring(5) if compilation is Compilation.CASCADE else flat_wiring(5)
+        h0, h1 = replay_full_scheme(wiring, 5, rates, 0.02, 2.0, shots, 2**64 + 11, BATCH_SHOTS)
+        assert_same_law(e0, h0, shots)
+        assert_same_law(e1, h1, shots)
+
+    @pytest.mark.parametrize("shots", SHOT_COUNTS)
+    @pytest.mark.parametrize("wiring", [cascade_wiring(10), flat_wiring(10)],
+                             ids=["cascade", "flat"])
+    def test_gate_outcomes(self, shots, wiring):
+        emp = sample_gate_outcomes(wiring, 0.05, shots, -7)
+        hist = replay_gate_outcomes(wiring, 10, 0.05, shots, -7, BATCH_SHOTS)
+        np.testing.assert_array_equal(emp.probs, hist / shots)
+
+    @pytest.mark.parametrize("shots", SHOT_COUNTS)
+    @pytest.mark.parametrize("lam", [0.0, 0.0041])
+    @pytest.mark.parametrize("initial_state", [0, 1], ids=["dark", "bright"])
+    def test_photon_counts(self, shots, lam, initial_state):
+        rates = RateParams(3.5, 14.0, lam)
+        emp = sample_photon_counts(rates, initial_state, 3.0, shots, 29)
+        hist = replay_photon_counts(rates, initial_state, 3.0, shots, 29, BATCH_SHOTS)
+        assert_same_law(emp, hist, shots)
+
+    def test_more_workers_than_cores(self, monkeypatch):
+        monkeypatch.setattr(mc, "_cpus", lambda: 8)
+        shots = 3 * BATCH_SHOTS + 17
+        cfg = SchemeConfig.noisy(5, RATES, GateNoise(0.02))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            e0, e1 = sample_full_scheme(McConfig(shots, 3, cfg, 2.0))
+        finally:
+            sys.setswitchinterval(interval)
+        h0, h1 = replay_full_scheme(cascade_wiring(5), 5, RATES, 0.02, 2.0, shots, 3, BATCH_SHOTS)
+        assert_same_law(e0, h0, shots)
+        assert_same_law(e1, h1, shots)
+
+
+def _batch_index(rng) -> int:
+    # the second 64-bit word of a batch generator's Philox key
+    return int(rng.bit_generator.state["state"]["key"][1])
+
+
+class TestMapBatches:
+    def test_results_in_batch_order_when_first_finishes_last(self, monkeypatch):
+        monkeypatch.setattr(mc, "_cpus", lambda: 4)
+
+        def draw(rng, size):
+            batch = _batch_index(rng)
+            time.sleep(0.2 if batch == 0 else 0.0)
+            return batch, size, time.perf_counter()
+
+        out = mc._map_batches(5, 3 * BATCH_SHOTS + 1, draw)
+        assert [(b, s) for b, s, _ in out] == [(0, BATCH_SHOTS), (1, BATCH_SHOTS),
+                                               (2, BATCH_SHOTS), (3, 1)]
+        # batch 0 really did finish after the others
+        assert out[0][2] > max(done for _, _, done in out[1:])
+
+    @pytest.mark.parametrize("cpus, shots, workers", [
+        (8, 3 * BATCH_SHOTS, 3),
+        (2, 5 * BATCH_SHOTS, 2),
+        (8, BATCH_SHOTS, 0),
+        (1, 5 * BATCH_SHOTS, 0),
+    ])
+    def test_pool_size_is_min_of_cpus_and_batches(self, monkeypatch, cpus, shots, workers):
+        pools = []
+
+        class Recording(mc.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(mc, "_cpus", lambda: cpus)
+        monkeypatch.setattr(mc, "ThreadPoolExecutor", Recording)
+        threads = set()
+
+        def draw(rng, size):
+            threads.add(threading.get_ident())
+            return size
+
+        assert sum(mc._map_batches(0, shots, draw)) == shots
+        if workers:
+            assert pools == [workers] and len(threads) <= workers
+        else:
+            # inline: no pool, every batch on the calling thread
+            assert pools == [] and threads == {threading.get_ident()}
