@@ -204,10 +204,11 @@ def run_snr_sweep(cfg: RunConfig):
     """Rows (n, t_ms, snr) over the qubit range and window grid."""
     header = ("n", "t_ms", "snr")
     rows = []
+    ts = _t_grid(cfg)
     for n in range(cfg.n_min, cfg.n_max + 1):
-        scheme = SchemeConfig.noisy(n, cfg.rates, cfg.noise)
-        for t in _t_grid(cfg):
-            point = MeritPoint(n, float(t), snr=scheme_snr(scheme, float(t)))
+        snrs = scheme_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise), ts)
+        for t, snr in zip(ts.tolist(), snrs.tolist()):
+            point = MeritPoint(n, t, snr=snr)
             rows.append((n, point.t, point.snr))
     return header, rows
 

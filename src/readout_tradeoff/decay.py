@@ -30,17 +30,46 @@ __all__ = ["DecayModelParams", "decaying_poisson", "decaying_poisson_moments"]
 
 @dataclass(frozen=True)
 class DecayModelParams:
-    """Rates plus the counting window length t in ms."""
+    """Rates plus the counting window length t in ms (an ndarray of t for the moments)."""
 
     rates: RateParams
-    t: float
+    t: float | np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _window_length(self.t))
         if not isinstance(self.rates, RateParams):
             raise DomainError("rates must be a RateParams instance")
-        if not math.isfinite(self.t) or self.t < 0.0:
-            raise DomainError(f"window length must be finite and non-negative, got {self.t}")
+
+
+def _window_length(t) -> float | np.ndarray:
+    """t as a float or a float64 ndarray, each entry finite and non-negative."""
+    t = np.asarray(t, dtype=np.float64)
+    t = float(t) if t.ndim == 0 else t
+    u = _where(t == t, t, -1.0)  # NaN reaches no ordered comparison, which can warn
+    ok = (u >= 0.0) & (u < math.inf)
+    if not _all(ok):
+        bad = np.extract(np.logical_not(ok), t)[0]
+        raise DomainError(f"window length must be finite and non-negative, got {float(bad)}")
+    return t
+
+
+# _where, _all and _libm keep a float t in Python floats, where numpy's calls are slow
+def _where(cond, a, b):
+    """np.where(cond, a, b), or a if cond else b for a single flag."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _all(ok) -> bool:
+    """ok.all() for an array of flags, bool(ok) for a single one."""
+    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
+
+
+def _libm(f, x):
+    """math.exp or .expm1 at x or at each entry of an array x (numpy's SIMD exp
+    rounds differently on some CPUs, and _var_shape's closed form cancels)."""
+    if isinstance(x, np.ndarray):
+        return np.fromiter(map(f, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    return f(x)
 
 
 def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
@@ -62,6 +91,8 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     small tails.
     """
     rates, t = params.rates, params.t
+    if isinstance(t, np.ndarray):
+        raise DomainError("decaying_poisson builds the law at one window length")
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
     m0, m1 = mu0 * t, mu1 * t
     if m1 == 0.0:
@@ -89,38 +120,46 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     return DiscreteDist(lo, masses[lo - start :])
 
 
-def _var_shape(x: float) -> float:
+_SERIES = tuple(1.0 / math.factorial(2 * m + 1) for m in range(8, 0, -1))
+
+
+def _var_shape(x):
     """(1 - 2x e^-x - e^-2x)/x^2, the decay-time variance over (mu1-mu0)^2 t^2.
 
     Below x = 1/2 it is 2 e^-x (sinh x - x)/x^2 summed as a positive series,
-    which neither cancels nor divides by a possibly subnormal x^2.
-    """
-    if x >= 0.5:
-        return (-math.expm1(-2.0 * x) - 2.0 * x * math.exp(-x)) / (x * x)
-    series = sum(x ** (2 * m - 1) / math.factorial(2 * m + 1) for m in range(1, 9))
-    return 2.0 * math.exp(-x) * series
+    which neither cancels nor divides by a possibly subnormal x^2. Each
+    branch sees x clamped to its own side of 1/2."""
+    above = x >= 0.5
+    big, small = _where(above, x, 0.5), _where(above, 0.5, x)
+    closed = (-_libm(math.expm1, -2.0 * big) - 2.0 * big * _libm(math.exp, -big)) / (big * big)
+    s2, series = small * small, 0.0
+    for c in _SERIES:
+        series = series * s2 + c
+    return _where(above, closed, 2.0 * _libm(math.exp, -small) * (series * small))
 
 
-def decaying_poisson_moments(params: DecayModelParams) -> tuple[float, float]:
+@np.errstate(over="ignore", invalid="ignore")
+def decaying_poisson_moments(params: DecayModelParams):
     """Mean and variance of the count law without building the pmf.
 
     The decay time acts as a mixing variable over Poisson means M, so
     mean = E[M] and var = E[M] + Var[M]. With x = lam*t the decay time
     capped at t has mean t*(1 - e^-x)/x and variance
-    t^2*(1 - 2x e^-x - e^-2x)/x^2, so both moments are closed forms.
-    A window so long that either moment overflows raises DomainError.
-    """
+    t^2*(1 - 2x e^-x - e^-2x)/x^2: closed forms, floats for a float t and
+    arrays for an ndarray of t. A window so long that either moment
+    overflows raises DomainError naming the smallest such t."""
     rates, t = params.rates, params.t
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
     x = lam * t
-    if x == 0.0:
-        mean = var = mu1 * t
-    else:
-        delta_t = (mu1 - mu0) * t
-        mean = mu0 * t + delta_t * (-math.expm1(-x) / x)
-        var = mean + delta_t * delta_t * _var_shape(x)
-    if not (math.isfinite(mean) and math.isfinite(var)):
+    plain = x == 0.0
+    x = x + plain  # 1 where x = 0: those take the plain moments, and nothing divides by 0
+    delta_t = (mu1 - mu0) * t
+    mean = _where(plain, mu1 * t, mu0 * t + delta_t * (-_libm(math.expm1, -x) / x))
+    var = _where(plain, mean, mean + delta_t * delta_t * _var_shape(x))
+    ok = (abs(mean) < math.inf) & (abs(var) < math.inf)
+    if not _all(ok):
+        bad = float(np.min(np.where(ok, np.inf, t)))
         raise DomainError(
-            f"count moments overflow at window length t={t} ms (mu0={mu0}, mu1={mu1} per ms)"
+            f"count moments overflow at window length t={bad} ms (mu0={mu0}, mu1={mu1} per ms)"
         )
     return mean, var

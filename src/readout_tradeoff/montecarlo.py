@@ -18,7 +18,7 @@ are used here, which is what makes the sampler an independent check.
 
 from __future__ import annotations
 
-import math
+import contextlib
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decay import _window_length
 from .dist import DiscreteDist, DomainError, RateParams
 from .gates import Compilation, GateNoise, OutcomeDist, validate_wiring
 from .gates import cascade_wiring, flat_wiring
@@ -54,9 +55,7 @@ class McConfig:
     def __post_init__(self):
         object.__setattr__(self, "shots", _check_shots(self.shots))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "t", float(self.t))
-        if not math.isfinite(self.t) or self.t < 0.0:
-            raise DomainError(f"window length must be finite and non-negative, got {self.t}")
+        object.__setattr__(self, "t", _window_length(float(self.t)))
 
 
 def _check_shots(shots) -> int:
@@ -70,11 +69,11 @@ def _check_shots(shots) -> int:
 
 
 def _check_seed(seed) -> int:
-    """Integers of any size or sign; nothing is rounded or parsed into one."""
-    try:
-        return operator.index(seed)
-    except TypeError:
-        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    """Integers in [-2**255, 2**255); nothing is rounded or parsed into one."""
+    with contextlib.suppress(TypeError):
+        if -(1 << 255) <= operator.index(seed) < 1 << 255:
+            return operator.index(seed)
+    raise DomainError(f"seed must be an integer in [-2**255, 2**255), got {seed!r}")
 
 
 def _cpus() -> int:
@@ -87,17 +86,19 @@ def _cpus() -> int:
 def _map_batches(seed: int, shots: int, draw) -> list:
     """draw(rng, size) for every shot batch, its results in batch order.
 
-    Batch i gets a Philox generator keyed by (seed, i) and shares nothing
-    else, so the batches run on min(cpus, batches) threads; one worker
-    runs them inline. draw must not call a traced library function (the
+    Batch i gets a Philox generator keyed by (seed's low 64 bits, i) and
+    counting from the seed's upper 192 bits (256-bit two's complement), a
+    start no batch counts up to, 0 for seeds below 2**64. It shares nothing
+    else, so the batches run on min(cpus, batches) threads; one worker runs
+    them inline. draw must not call a traced library function (the
     perfbench recorder's span stack is not thread-safe).
     """
-    key = _check_seed(seed) % (1 << 64)
+    word = _check_seed(seed) % (1 << 256)
     sizes = [min(BATCH_SHOTS, shots - done) for done in range(0, shots, BATCH_SHOTS)]
 
     def run(batch: int):
-        # the 128-bit key as one integer: its 64-bit words are (key, batch)
-        return draw(np.random.Generator(np.random.Philox(key=key | batch << 64)), sizes[batch])
+        philox = np.random.Philox(key=word % (1 << 64) | batch << 64, counter=word >> 64 << 64)
+        return draw(np.random.Generator(philox), sizes[batch])
 
     workers = min(_cpus(), len(sizes))
     if workers == 1:
@@ -178,9 +179,7 @@ def sample_photon_counts(
     """
     if initial_state not in (0, 1):
         raise DomainError(f"initial state must be 0 or 1, got {initial_state}")
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"window length must be finite and non-negative, got {t}")
+    t = _window_length(float(t))
     shots = _check_shots(shots)
 
     def draw(rng, size):

@@ -20,7 +20,8 @@ from typing import Callable
 import numpy as np
 from scipy import optimize
 
-from .decay import DecayModelParams, decaying_poisson, decaying_poisson_moments
+from .decay import DecayModelParams, _all, _where, _window_length
+from .decay import decaying_poisson, decaying_poisson_moments
 from .dist import (
     DiscreteDist,
     DomainError,
@@ -181,12 +182,13 @@ class ThresholdAnalysis:
     eta_analytic: float
 
 
-def _single_moments(config: SchemeConfig, t: float):
-    """(mean, variance) of the dark and of the bright single-qubit law at t."""
-    if not isinstance(config.noise, GateNoise):
-        law0, law1 = config.single_laws(t)
-        return moments(law0), moments(law1)
-    dark = config.rates.mu0 * t
+def _single_moments(config: SchemeConfig, t):
+    """(mean, variance) of the dark and of the bright single-qubit law at t (or each t)."""
+    if not isinstance(config.noise, GateNoise):  # single_laws takes one t at a time
+        rows = [moments(a) + moments(b) for a, b in map(config.single_laws, np.ravel(t).tolist())]
+        return np.reshape(rows, (-1, 4)).T.reshape((2, 2) + np.shape(t))
+    with np.errstate(over="ignore"):
+        dark = config.rates.mu0 * t  # an overflow fails in _moment_snr
     # at lam = 0 this is exactly (mu1*t, mu1*t), the ideal bright moments
     return (dark, dark), decaying_poisson_moments(DecayModelParams(config.rates, t))
 
@@ -235,13 +237,6 @@ def _powers(build):
     return fold
 
 
-def _window_length(t) -> float:
-    t = float(t)
-    if not math.isfinite(t) or t < 0.0:
-        raise DomainError(f"window length must be finite and non-negative, got {t}")
-    return t
-
-
 def compose(config: SchemeConfig, t: float) -> CompositeStats:
     """Exact composite count laws of the scheme at window length t.
 
@@ -252,7 +247,7 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
     whose weight falls below WEIGHT_FLOOR are dropped and accounted for in
     the truncation loss of the result.
     """
-    t = _window_length(t)
+    t = _window_length(float(t))
     dark, bright = _single_folds(config, t)
     t0, t1 = config.outcomes
     return CompositeStats.from_dists(
@@ -294,14 +289,10 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
     return DiscreteDist(lo, acc)
 
 
-def _snr_from_moments(mean_gap: float, var0: float, var1: float) -> float:
+def _snr_from_moments(mean_gap, var0, var1):
+    # 0 for equal means, +inf for distinct ones without spread (numpy errors ignored)
     num = 2.0 * abs(mean_gap)
-    if num == 0.0:
-        return 0.0
-    den = math.sqrt(var0) + math.sqrt(var1)
-    if den == 0.0:
-        return math.inf
-    return num / den
+    return _where(num == 0.0, 0.0, num / (np.sqrt(var0) + np.sqrt(var1)))
 
 
 def snr_direct(stats: CompositeStats) -> float:
@@ -311,7 +302,8 @@ def snr_direct(stats: CompositeStats) -> float:
     means give zero; distinct means with both variances zero return the
     +inf sentinel for a perfectly resolvable pair.
     """
-    return _snr_from_moments(stats.mean1 - stats.mean0, stats.var0, stats.var1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return float(_snr_from_moments(stats.mean1 - stats.mean0, stats.var0, stats.var1))
 
 
 def snr_general(
@@ -332,35 +324,41 @@ def snr_general(
     t0, t1 = t_pair
     if t0.n_qubits != n or t1.n_qubits != n:
         raise DomainError(f"outcome laws are not for {n} qubits")
-    return _moment_snr((outcome_moments(t0), outcome_moments(t1)), single0, single1, n, "")
+    return float(_moment_snr((outcome_moments(t0), outcome_moments(t1)), single0, single1, n))
 
 
-def _moment_snr(q_moments, single0, single1, n: int, where: str) -> float:
-    # snr_general's body on (E[Q], Var[Q]) of T0 and T1. A moment that is NaN
-    # or has overflowed (the gap squared can overflow where the single-qubit
-    # moments do not) would read as SNR nan or 0, so it raises.
-    m0, v0 = (float(x) for x in single0)
-    m1, v1 = (float(x) for x in single1)
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _moment_snr(q_moments, single0, single1, n: int, t=None):
+    # snr_general's body on (E[Q], Var[Q]) of T0 and T1, over floats or arrays.
+    # A NaN or overflowed moment (the gap squared can overflow where the single
+    # moments do not) spoils both variances, reading as SNR nan or 0: it raises.
+    (m0, v0), (m1, v1) = single0, single1
     (eq0, vq0), (eq1, vq1) = q_moments
     gap = m1 - m0
     var0n = eq0 * v0 + (n - eq0) * v1 + gap * gap * vq0
     var1n = eq1 * v1 + (n - eq1) * v0 + gap * gap * vq1
-    if not all(math.isfinite(x) for x in (m0, v0, m1, v1, var0n, var1n)):
+    ok = (abs(var0n) < math.inf) & (abs(var1n) < math.inf)
+    if not _all(ok):
+        where = "" if t is None else f" at window length t={np.min(np.where(ok, np.inf, t))} ms"
         raise DomainError(f"count moments are not finite{where}")
     return _snr_from_moments(gap * (eq0 + eq1 - n), var0n, var1n)
 
 
-def scheme_snr(config: SchemeConfig, t: float) -> float:
+def scheme_snr(config: SchemeConfig, t):
     """SNR of the scheme at window length t, via the moment-only fast path.
 
-    A window so long that a count moment overflows raises DomainError
-    naming the window length.
+    t is a float, or an ndarray of t giving the array of the float calls'
+    results in one pass. A window so long that a count moment overflows
+    raises the float call's DomainError at the smallest such t.
     """
     t = _window_length(t)
-    single0, single1 = _single_moments(config, t)
-    return _moment_snr(
-        config.q_moments, single0, single1, config.n_qubits, f" at window length t={t} ms"
-    )
+    try:
+        snr = _moment_snr(config.q_moments, *_single_moments(config, t), config.n_qubits, t)
+    except DomainError:  # the first moment to fail depends on t
+        for x in np.sort(t, axis=None) if isinstance(t, np.ndarray) else ():
+            scheme_snr(config, float(x))
+        raise
+    return snr if isinstance(t, np.ndarray) else float(snr)
 
 
 def mi_optimal(stats: CompositeStats) -> tuple[float, float]:
@@ -394,7 +392,7 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
         raise DomainError("analytic threshold needs 0 < mu0 < mu1")
     if n != int(n) or n < 1:
         raise DomainError(f"n must be a positive integer, got {n}")
-    t = _window_length(t)
+    t = _window_length(float(t))
     alpha = rates.mu0 / rates.mu1
     beta = (1.0 / alpha - 1.0) / math.log(1.0 / alpha)
     gamma0 = beta * math.log(beta) + 1.0 - beta
@@ -415,17 +413,17 @@ def _is_effectively_ideal(config: SchemeConfig) -> bool:
 def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     """Largest attainable SNR and the window length attaining it.
 
-    Scans a log-spaced grid of PEAK_GRID_POINTS over PEAK_BRACKET, then
-    refines between the grid argmax's neighbours with Brent's bounded
-    maximiser to a window tolerance of 1e-6 of the upper neighbour; the
-    grid point is kept if the refined value falls short of it. A scheme
-    with perfect gates and no decay has no peak (SNR grows as sqrt(t)
-    without bound) and returns the (inf, inf) sentinel. A scheme with no
-    signal anywhere on the grid (every gate failing, or equal emission
-    rates) has no peak either and returns (0.0, nan).
+    Scans a log-spaced grid of PEAK_GRID_POINTS over PEAK_BRACKET (one
+    array scheme_snr call), then refines between the grid argmax's
+    neighbours with Brent's bounded maximiser to a window tolerance of 1e-6
+    of the upper neighbour; the grid point is kept if the refined value
+    falls short of it. A scheme with perfect gates and no decay has no peak
+    (SNR grows as sqrt(t) without bound) and returns the (inf, inf)
+    sentinel. A scheme with no signal anywhere on the grid (every gate
+    failing, or equal emission rates) has no peak either and returns (0.0, nan).
     """
     ts = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
-    vals = np.array([scheme_snr(config, t) for t in ts])
+    vals = scheme_snr(config, ts)
     if not vals.any():
         return 0.0, math.nan
     if _is_effectively_ideal(config):

@@ -203,13 +203,17 @@ def golden_peak_snr(config) -> tuple[float, float]:
 
 
 def _sequential_batches(seed: int, shots: int, batch_shots: int):
-    """(generator, size) per shot batch in order, Philox keyed by (seed mod 2**64, batch)."""
-    key = int(seed) % (1 << 64)
+    """(generator, size) per shot batch in order: Philox keyed by the words
+    (seed mod 2**64, batch), its counter starting at the words (0, and the
+    seed's bits 64..255 in 256-bit two's complement)."""
+    words = [(int(seed) >> shift) % (1 << 64) for shift in (0, 64, 128, 192)]
+    counter = np.array([0] + words[1:], dtype=np.uint64)
     done = 0
     batch = 0
     while done < shots:
         size = min(batch_shots, shots - done)
-        yield np.random.Generator(np.random.Philox(key=key | batch << 64)), size
+        key = np.array([words[0], batch], dtype=np.uint64)
+        yield np.random.Generator(np.random.Philox(key=key, counter=counter)), size
         done += size
         batch += 1
 

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from readout_tradeoff import SchemeConfig, scheme_snr
 from readout_tradeoff.cli import COMMANDS, MAX_T_POINTS, main
+from readout_tradeoff.cli import _build_parser, _t_grid, build_run_config, run_snr_sweep
 
 
 def run(capsys, *argv):
@@ -70,6 +72,18 @@ class TestSnrSweep:
         )
         ts = [float(line.split(",")[1]) for line in out.splitlines()[1:]]
         assert ts == [1.0, 2.0, 3.0]
+
+    def test_rows_equal_one_call_per_window(self):
+        # each n's grid is one array scheme_snr call; its rows are the float calls'
+        argv = ["snr-sweep", "--n-max", "4", "--t-points", "50", "--t-stop", "400"]
+        cfg = build_run_config(_build_parser().parse_args(argv))
+        _, rows = run_snr_sweep(cfg)
+        want = [
+            (n, t, scheme_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise), t))
+            for n in range(1, 5)
+            for t in _t_grid(cfg).tolist()
+        ]
+        assert rows == want
 
 
 class TestJson:

@@ -81,6 +81,37 @@ class TestMomentsClosedForm:
         with pytest.raises(DomainError, match="window length"):
             decaying_poisson_moments(DecayModelParams(RateParams(3.5, 14.0, lam), t))
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-4, 0.0041, 1.0, 10.0])
+    def test_array_of_windows_equals_float_calls(self, lam):
+        rates = RateParams(3.5, 14.0, lam)
+        half = 0.5 / lam if lam else 1.0  # x = 1/2: the series meets the closed form
+        ts = np.array(
+            [0.0, 5e-324, 1e-300, math.nextafter(half, 0.0), half, math.nextafter(half, 9.0)]
+            + list(half * np.geomspace(1e-3, 1e3, 25))
+        )
+        mean, var = decaying_poisson_moments(DecayModelParams(rates, ts))
+        want = [decaying_poisson_moments(DecayModelParams(rates, t)) for t in ts.tolist()]
+        np.testing.assert_array_equal(mean, [m for m, _ in want])
+        np.testing.assert_array_equal(var, [v for _, v in want])
+
+    def test_array_overflow_names_the_smallest_window(self):
+        rates = RateParams(3.5, 14.0, 0.0041)
+        with pytest.raises(DomainError) as one:
+            decaying_poisson_moments(DecayModelParams(rates, 1e200))
+        with pytest.raises(DomainError) as many:
+            decaying_poisson_moments(DecayModelParams(rates, [3.0, 1e300, 1e200, 1e250]))
+        assert "t=1e+200 ms" in str(one.value)
+        assert str(many.value) == str(one.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, -2.0])
+    def test_array_with_a_bad_window_is_rejected(self, bad):
+        with pytest.raises(DomainError, match=f"got {bad}"):
+            DecayModelParams(RATES, [1.0, bad])
+
+    def test_law_needs_a_single_window(self):
+        with pytest.raises(DomainError):
+            decaying_poisson(DecayModelParams(RATES, [1.0, 2.0]))
+
 
 def _quad_pmf(mu0, mu1, lam, t, k):
     """P(K = k) by scipy.quad over the decay time, split around the peak.

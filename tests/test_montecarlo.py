@@ -39,7 +39,18 @@ class TestDeterminism:
         b = sample_photon_counts(RATES, 1, 2.0, 30_000, 2)
         assert tv_distance(a, b) > 0.0
 
-    @pytest.mark.parametrize("seeds", [(-3, -4), (-1, 0), (2**63, 2**63 + 1)])
+    @pytest.mark.parametrize(
+        "seeds",
+        [
+            (-3, -4),
+            (-1, 0),
+            (2**63, 2**63 + 1),
+            (5, 2**64 + 5),
+            (5, 5 - 2**64),
+            (0, -(2**255)),
+            (-1, 2**255 - 1),
+        ],
+    )
     def test_negative_and_huge_seeds_keep_their_own_stream(self, seeds):
         a, b = (sample_photon_counts(RATES, 1, 2.0, 30_000, s) for s in seeds)
         assert tv_distance(a, b) > 0.0
@@ -148,6 +159,8 @@ BAD_SEEDS = [
     pytest.param("3", id="string"),
     pytest.param(math.nan, id="nan"),
     pytest.param(math.inf, id="inf"),
+    pytest.param(2**255, id="above-range"),
+    pytest.param(-(2**255) - 1, id="below-range"),
 ]
 
 

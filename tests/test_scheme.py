@@ -376,6 +376,84 @@ class TestSnr:
             snr_general(perfect, (math.nan, 1.0), (14.0, 14.0), 2)
 
 
+# Window lengths for the array route: t = 0, the smallest subnormal, both
+# sides of x = lam*t = 1/2 (where the decay variance switches from its
+# series to its closed form), the peak grid and the envelope's edge.
+_X_HALF = 0.5 / RATES.lam
+ARRAY_TS = np.concatenate(
+    (
+        [0.0, 5e-324],
+        [math.nextafter(_X_HALF, 0.0), _X_HALF, math.nextafter(_X_HALF, math.inf)],
+        _X_HALF * np.array([0.9, 0.999, 1.001, 1.1]),
+        np.geomspace(*scheme.PEAK_BRACKET, scheme.PEAK_GRID_POINTS),
+        [1e3],
+    )
+)
+
+
+def _array_tiers():
+    cfgs = {
+        f"{comp.value}-p{p}": SchemeConfig.noisy(5, RATES, GateNoise(p, comp))
+        for comp in Compilation
+        for p in (0.001, 0.01, 1.0)
+    }
+    cfgs["ideal-n1"] = SchemeConfig.ideal(1, RateParams(3.5, 14.0))
+    cfgs["ideal-n8"] = SchemeConfig.ideal(8, RateParams(3.5, 14.0))
+    cfgs["injected"] = _tiers(3)["injected"]
+    return cfgs
+
+
+class TestArrayRoute:
+    """scheme_snr over an array of t is the float call at each t, bit for bit."""
+
+    @pytest.mark.parametrize("cfg", _array_tiers().values(), ids=_array_tiers().keys())
+    def test_equals_float_calls(self, cfg):
+        got = scheme_snr(cfg, ARRAY_TS)
+        assert isinstance(got, np.ndarray) and got.shape == ARRAY_TS.shape
+        want = [scheme_snr(cfg, float(t)) for t in ARRAY_TS]
+        assert all(type(w) is float for w in want)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -5e-324])
+    def test_bad_entry_raises_the_float_error(self, bad):
+        cfg = SchemeConfig.noisy(3, RATES, NOISE)
+        with pytest.raises(DomainError) as one:
+            scheme_snr(cfg, bad)
+        with pytest.raises(DomainError) as many:
+            scheme_snr(cfg, np.array([1.0, bad, 2.0, math.nan]))
+        assert str(many.value) == str(one.value)
+
+    @pytest.mark.parametrize(
+        "cfg, ts, first",
+        [
+            # the decayed bright moments overflow
+            (SchemeConfig.noisy(1, RATES, NOISE), [1.0, 1e300, 1e200, 2.0], 1e200),
+            # the gap squared overflows below the window where a mean does
+            (SchemeConfig.ideal(1, RateParams(3.5, 14.0)), [1e308, 1.0, 3e153, 1e200], 3e153),
+        ],
+        ids=["decay-moments", "gap-squared"],
+    )
+    def test_overflow_names_the_smallest_window(self, cfg, ts, first):
+        with pytest.raises(DomainError) as one:
+            scheme_snr(cfg, first)
+        with pytest.raises(DomainError) as many:
+            scheme_snr(cfg, np.array(ts))
+        assert f"t={first} ms" in str(one.value)
+        assert str(many.value) == str(one.value)
+
+    def test_peak_grid_is_one_array_call(self, monkeypatch):
+        calls = []
+
+        def counted(config, t):
+            calls.append(np.shape(t))
+            return scheme_snr(config, t)
+
+        monkeypatch.setattr(scheme, "scheme_snr", counted)
+        peak_snr(SchemeConfig.noisy(5, RATES, NOISE))
+        assert calls[0] == (scheme.PEAK_GRID_POINTS,)
+        assert all(shape == () for shape in calls[1:])
+
+
 class TestMiOptimal:
     def test_separated_point_masses(self):
         stats = CompositeStats.from_dists(point_mass(0), point_mass(5), 1.0)
