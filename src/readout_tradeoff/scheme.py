@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
+from scipy import fft, optimize
 
+from . import dist as _dist
 from .decay import DecayModelParams, _all, _where, _window_length
 from .decay import decaying_poisson, decaying_poisson_moments
 from .dist import (
@@ -66,6 +67,8 @@ WEIGHT_FLOOR = 1e-15
 
 PEAK_BRACKET = (1e-3, 1e3)
 PEAK_GRID_POINTS = 64
+_PEAK_GRID = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
+_PEAK_GRID.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -243,9 +246,10 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
     For each preparation the composite law is the T-weighted mixture over
     the count q of qubits carrying the prepared state's law of (that
     law)^(*q) convolved with (the other law)^(*(n-q)), evaluated by
-    Horner's rule in powers of the prepared state's law. Mixture terms
-    whose weight falls below WEIGHT_FLOOR are dropped and accounted for in
-    the truncation loss of the result.
+    Horner's rule in powers of the prepared state's law, in blocks of about
+    sqrt(n) outcomes with one transform each once a law outgrows the direct
+    path. Mixture terms whose weight falls below WEIGHT_FLOOR are dropped
+    and accounted for in the truncation loss of the result.
     """
     t = _window_length(float(t))
     dark, bright = _single_folds(config, t)
@@ -258,14 +262,15 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
 def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
     """sum_q w_q own^(*q) * other^(*(n-q)) over the kept outcomes q.
 
-    Horner's rule: G starts as w_q other^(*(n-q)) at the largest kept q
-    and steps down one q at a time, G <- G * own + w_q other^(*(n-q)),
-    adding a term only where q is kept. That is one convolution with the
-    single-qubit law per step and no power of it. The other side's powers
-    are asked for in increasing n - q, so a law without additivity builds
-    them as a running product (see _powers). Partial sums do not sum to
-    one, so they stay raw mass arrays, and FFT rounding noise is clipped
-    once, on the finished law.
+    Horner's rule in blocks of consecutive q. A block steps from its largest
+    q down to its base, G <- G * own + w_q other^(*(n-q)), adding a term only
+    where q is kept: one convolution with the single-qubit law per step, for
+    a sum relative to own^(*base). If own^(*q_top) fits in DIRECT_CONV_LIMIT
+    points, one block is the whole sum; a longer law takes blocks of
+    isqrt(q_top + 1), joined by _spectral_horner. The other side's powers are
+    asked for in increasing n - q, so a law without additivity builds them as
+    a running product (see _powers). Partial sums do not sum to one, so they
+    stay raw mass arrays, and FFT rounding noise is clipped once at the end.
     """
     n = t_dist.n_qubits
     kept = [(q, float(w)) for q, w in enumerate(t_dist.probs) if w >= WEIGHT_FLOOR]
@@ -274,19 +279,48 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
         return own_fold(n)
     weights = dict(kept)
     q_top = kept[-1][0]
-    top = other_fold(n - q_top)
-    lo, acc = top.offset, weights[q_top] * top.masses
     own = own_fold(1) if q_top else None
-    for q in range(q_top - 1, -1, -1):
-        lo, acc = lo + own.offset, _convolve_masses(acc, own.masses)
-        if q in weights:
-            term = other_fold(n - q)
-            start, stop = min(lo, term.offset), max(lo + acc.size, term.k_max + 1)
-            acc = np.concatenate((np.zeros(lo - start), acc, np.zeros(stop - lo - acc.size)))
-            lo = start
-            acc[term.offset - lo : term.k_max + 1 - lo] += weights[q] * term.masses
+    blocked = q_top and q_top * (own.masses.size - 1) >= _dist.DIRECT_CONV_LIMIT
+    size = math.isqrt(q_top + 1) if blocked else q_top + 1
+    blocks = []  # (base, lo, acc) from the top block down; acc None where nothing is kept
+    for base in range(q_top - q_top % size, -1, -size):
+        lo = acc = None
+        for q in range(min(base + size - 1, q_top), base - 1, -1):
+            if acc is not None:
+                lo, acc = lo + own.offset, _convolve_masses(acc, own.masses)
+            if q in weights:
+                term = other_fold(n - q)
+                if acc is None:
+                    lo, acc = term.offset, weights[q] * term.masses
+                    continue
+                start, stop = min(lo, term.offset), max(lo + acc.size, term.k_max + 1)
+                acc = np.concatenate((np.zeros(lo - start), acc, np.zeros(stop - lo - acc.size)))
+                lo = start
+                acc[term.offset - lo : term.k_max + 1 - lo] += weights[q] * term.masses
+        blocks.append((base, lo, acc))
+    lo, acc = blocks[0][1:] if size > q_top else _spectral_horner(blocks, own, size)
     np.maximum(acc, 0.0, out=acc)
     return DiscreteDist(lo, acc)
+
+
+def _spectral_horner(blocks, own: DiscreteDist, size: int):
+    """(lo, masses) of the sum of own^(*base) * acc over the blocks, bases size apart.
+
+    Horner's rule at the finished law's FFT length, G <- G * FFT(own^(*size)) +
+    FFT(acc): one transform per block, one of own^(*size) and one inverse. The
+    power is built in the time domain; FFT(own)**size rounds once per factor.
+    """
+    lo = min(s + b * own.offset for b, s, a in blocks if a is not None)
+    hi = max(s + a.size - 1 + b * own.k_max for b, s, a in blocks if a is not None)
+    length = fft.next_fast_len(hi - lo + 1, True)
+    step = fft.rfft(n_fold_convolve(own, size).masses, length)
+    g = 0.0
+    for base, start, acc in blocks:
+        x = np.zeros(length)
+        if acc is not None:
+            x[start + base * own.offset - lo :][: acc.size] = acc
+        g = g * step + fft.rfft(x)
+    return lo, fft.irfft(g, length)[: hi - lo + 1]
 
 
 def _snr_from_moments(mean_gap, var0, var1):
@@ -368,6 +402,10 @@ def mi_optimal(stats: CompositeStats) -> tuple[float, float]:
     covers every integer cut through the union support including the two
     degenerate cuts that classify everything one way, so the result never
     exceeds one half. Ties resolve to the smallest threshold.
+
+    The mass the laws dropped can lie on either side of a cut, so the true
+    minimum is between the result and the result plus (p0.truncation_loss +
+    p1.truncation_loss)/2: a result below about that is not resolved.
     """
     lo = min(stats.p0.offset, stats.p1.offset)
     hi = max(stats.p0.k_max, stats.p1.k_max)
@@ -422,7 +460,7 @@ def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     sentinel. A scheme with no signal anywhere on the grid (every gate
     failing, or equal emission rates) has no peak either and returns (0.0, nan).
     """
-    ts = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
+    ts = _PEAK_GRID
     vals = scheme_snr(config, ts)
     if not vals.any():
         return 0.0, math.nan

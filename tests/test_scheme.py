@@ -3,6 +3,7 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 from scipy import stats as ss
 
@@ -268,6 +269,25 @@ def _tiers(n):
     }
 
 
+def _horner_steps_and_convolutions(cfg, t, monkeypatch):
+    """Horner steps of both laws of cfg at t, and the convolutions compose ran."""
+    calls = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[0] += 1
+            return fn(*args)
+
+        return wrapper
+
+    # every convolution, in compose or in a fold, runs _convolve_masses
+    for module in (dist, scheme):
+        monkeypatch.setattr(module, "_convolve_masses", counted(module._convolve_masses))
+    compose(cfg, t)
+    steps = sum(max(q for q, w in enumerate(o.probs) if w >= WEIGHT_FLOOR) for o in cfg.outcomes)
+    return steps, calls[0]
+
+
 class TestHornerCompose:
     """compose's Horner evaluation against the term-by-term mixture."""
 
@@ -286,7 +306,11 @@ class TestHornerCompose:
             rel = np.abs(got.masses - ref.masses)[live] / scale[live]
             assert rel.max() <= 1e-13
 
-    @pytest.mark.parametrize("n, t", [(48, 5.0), (64, 5.0), (32, 20.0), (64, 20.0)])
+    # (48, 5) is the case a pointwise power FFT(own)**size of the block step
+    # pushed past the mi bound; (16, 100) and (64, 100) are envelope-laws' edges.
+    @pytest.mark.parametrize(
+        "n, t", [(48, 5.0), (64, 5.0), (32, 20.0), (64, 20.0), (16, 100.0), (64, 100.0)]
+    )
     def test_fft_side_against_all_direct(self, n, t, monkeypatch):
         cfg = SchemeConfig.noisy(n, RATES, NOISE)
         got = compose(cfg, t)
@@ -302,7 +326,7 @@ class TestHornerCompose:
             tol = max(1e-12, np.finfo(float).eps * k * math.log(k))
             assert abs(float(a.masses.sum()) + a.truncation_loss - 1.0) <= tol
 
-    @pytest.mark.parametrize("n, t", [(32, 20.0), (64, 5.0)])
+    @pytest.mark.parametrize("n, t", [(32, 20.0), (64, 5.0), (64, 20.0)])
     def test_injected_fft_side_against_all_direct(self, n, t, monkeypatch):
         cfg = _tiers(n)["injected"]
         got = compose(cfg, t)
@@ -314,28 +338,57 @@ class TestHornerCompose:
             assert (a.offset, a.masses.size) == (b.offset, b.masses.size)
             assert np.abs(a.masses - b.masses).max() <= 1e-16
 
+    def test_empty_blocks_against_all_direct(self, monkeypatch):
+        # T1 keeps only q in {0, 1, 64}: seven of its nine blocks of 8 keep no term
+        probs = np.zeros(65)
+        probs[[0, 1, 64]] = 0.25, 0.25, 0.5
+        cfg = SchemeConfig.injected(64, (probs[::-1], probs), _injected_laws)
+        got = compose(cfg, 10.0)
+        assert got.p0.masses.size > dist.DIRECT_CONV_LIMIT
+        monkeypatch.setattr(dist, "DIRECT_CONV_LIMIT", 10**12)
+        ref = compose(cfg, 10.0)
+        assert mi_optimal(got)[0] == pytest.approx(mi_optimal(ref)[0], rel=1e-13, abs=0.0)
+        for a, b in ((got.p0, ref.p0), (got.p1, ref.p1)):
+            assert (a.offset, a.masses.size) == (b.offset, b.masses.size)
+            assert np.abs(a.masses - b.masses).max() <= 1e-16
+
     def test_injected_other_side_is_a_running_product(self, monkeypatch):
         # each Horner step convolves once with the own law and extends the
         # other side's power once; no power is squared up from scratch
-        calls = [0]
+        steps, calls = _horner_steps_and_convolutions(_tiers(10)["injected"], 2.0, monkeypatch)
+        assert steps == 20
+        assert calls <= 2 * steps, calls
+
+    def test_injected_running_product_across_blocks(self, monkeypatch):
+        # at n = 64 both laws are blocked; the blocks still ask for the other
+        # side in increasing n - q, and own^(*size) costs a few squarings
+        steps, calls = _horner_steps_and_convolutions(_tiers(64)["injected"], 20.0, monkeypatch)
+        assert calls <= 2 * steps, calls
+
+    def test_blocks_are_transformed_once(self, monkeypatch):
+        # 65 outcomes in blocks of isqrt(65) = 8: one transform per block, one
+        # of own^(*8) and one inverse at the finished law's length
+        lengths, builds = [], [0]
 
         def counted(fn):
-            def wrapper(*args):
-                calls[0] += 1
-                return fn(*args)
+            def wrapper(x, n=None, *args, **kwargs):
+                lengths.append(np.shape(x)[-1] if n is None else n)
+                return fn(x, n, *args, **kwargs)
 
             return wrapper
 
-        # every convolution, in compose or in a fold, runs _convolve_masses
-        for module in (dist, scheme):
-            monkeypatch.setattr(module, "_convolve_masses", counted(module._convolve_masses))
-        cfg = _tiers(10)["injected"]
-        compose(cfg, 2.0)
-        steps = sum(
-            max(q for q, w in enumerate(t.probs) if w >= WEIGHT_FLOOR) for t in cfg.outcomes
-        )
-        assert steps == 20
-        assert calls[0] <= 2 * steps, calls[0]
+        def decayed(params):
+            builds[0] += 1
+            return decaying_poisson(params)
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+        monkeypatch.setattr(scheme, "decaying_poisson", decayed)
+        got = compose(SchemeConfig.noisy(64, RATES, NOISE), 20.0)
+        # a transform per Horner step would run about 100 at half length or more
+        full = sum(2 * length >= got.p1.masses.size for length in lengths)
+        assert 0 < full <= math.ceil(65 / math.isqrt(65)) + 2, full
+        assert builds[0] == 1
 
     @pytest.mark.parametrize("p, builds", [(1.0, 0), (0.01, 1)])
     def test_decayed_law_built_on_first_fold(self, p, builds, monkeypatch):
@@ -452,6 +505,20 @@ class TestArrayRoute:
         peak_snr(SchemeConfig.noisy(5, RATES, NOISE))
         assert calls[0] == (scheme.PEAK_GRID_POINTS,)
         assert all(shape == () for shape in calls[1:])
+
+    def test_peak_grid_is_built_once(self, monkeypatch):
+        grids = []
+
+        def counted(config, t):
+            grids.append(t)
+            return scheme_snr(config, t)
+
+        monkeypatch.setattr(scheme, "scheme_snr", counted)
+        for n in (3, 5):
+            peak_snr(SchemeConfig.noisy(n, RATES, NOISE))
+        first, second = (t for t in grids if np.ndim(t))
+        assert first is second and not first.flags.writeable
+        assert np.array_equal(first, np.geomspace(*scheme.PEAK_BRACKET, scheme.PEAK_GRID_POINTS))
 
 
 class TestMiOptimal:
