@@ -4,7 +4,6 @@ Columns (k, p0, p1, mc0, mc1) for one scheme; the mc columns make the
 agreement (or any residual bias) visible bin by bin.
 """
 
-import argparse
 import csv
 import pathlib
 
@@ -19,6 +18,11 @@ from readout_tradeoff import (
 
 OUT_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
+N = 5
+T = 2.0
+SHOTS = 10**6
+SEED = 20260822
+
 
 def _embed(dist, size):
     out = [0.0] * size
@@ -28,21 +32,14 @@ def _embed(dist, size):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--n", type=int, default=5)
-    ap.add_argument("--t", type=float, default=2.0)
-    ap.add_argument("--shots", type=int, default=10**6)
-    ap.add_argument("--seed", type=int, default=20260822)
-    args = ap.parse_args()
-
     OUT_DIR.mkdir(exist_ok=True)
-    cfg = SchemeConfig.noisy(args.n, RateParams(3.5, 14.0, 0.0041), GateNoise(0.01))
-    stats = compose(cfg, args.t)
-    e0, e1 = sample_full_scheme(McConfig(args.shots, args.seed, cfg, args.t))
+    cfg = SchemeConfig.noisy(N, RateParams(3.5, 14.0, 0.0041), GateNoise(0.01))
+    stats = compose(cfg, T)
+    e0, e1 = sample_full_scheme(McConfig(SHOTS, SEED, cfg, T))
     size = 1 + max(stats.p0.k_max, stats.p1.k_max, e0.k_max, e1.k_max)
     cols = [_embed(d, size) for d in (stats.p0, stats.p1, e0, e1)]
 
-    path = OUT_DIR / f"composite_n{args.n}_t{args.t:g}.csv"
+    path = OUT_DIR / f"composite_n{N}_t{T:g}.csv"
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["k", "p0", "p1", "mc0", "mc1"])

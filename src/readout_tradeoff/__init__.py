@@ -28,7 +28,6 @@ from .gates import (
     cascade_dist,
     cascade_wiring,
     compiled_dist,
-    enumerate_gate_patterns,
     flat_dist,
     flat_wiring,
     general_t_pair,
@@ -55,7 +54,6 @@ from .scheme import (
     peak_snr,
     scheme_snr,
     snr_direct,
-    snr_general,
     threshold_analytic,
     time_to_snr,
 )
@@ -82,7 +80,6 @@ __all__ = [
     "convolve",
     "decaying_poisson",
     "decaying_poisson_moments",
-    "enumerate_gate_patterns",
     "estimate_time_exponent",
     "flat_dist",
     "flat_wiring",
@@ -103,7 +100,6 @@ __all__ = [
     "sample_photon_counts",
     "scheme_snr",
     "snr_direct",
-    "snr_general",
     "tail_ge",
     "threshold_analytic",
     "time_to_snr",

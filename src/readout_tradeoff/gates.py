@@ -24,7 +24,6 @@ __all__ = [
     "cascade_dist",
     "cascade_wiring",
     "compiled_dist",
-    "enumerate_gate_patterns",
     "flat_dist",
     "flat_wiring",
     "general_t_pair",
@@ -207,33 +206,3 @@ def validate_wiring(n: int, wiring) -> None:
         if c not in in_play:
             raise DomainError(f"gate {idx} is controlled by idle qubit {c}")
         in_play.add(t)
-
-
-def enumerate_gate_patterns(n: int, wiring, p: float) -> OutcomeDist:
-    """Exact outcome law by exhausting all success/failure patterns.
-
-    Walks every one of the 2**len(wiring) patterns through the wiring and
-    accumulates the pattern probabilities per bright count, in a fixed
-    pattern order so the reduction is deterministic. Exponential in the
-    gate count by construction; it is the ground truth the closed forms
-    are checked against, not a production path.
-    """
-    validate_wiring(n, wiring)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"gate failure probability must lie in [0, 1], got {p}")
-    wiring = list(wiring)
-    probs = np.zeros(n + 1)
-    for pattern in range(1 << len(wiring)):
-        state = [False] * n
-        state[0] = True
-        weight = 1.0
-        for g, (c, t) in enumerate(wiring):
-            if (pattern >> g) & 1:
-                weight *= p
-                state[c] = False
-            else:
-                weight *= 1.0 - p
-                if state[c]:
-                    state[t] = True
-        probs[sum(state)] += weight
-    return OutcomeDist(n, probs)

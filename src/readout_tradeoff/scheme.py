@@ -55,7 +55,6 @@ __all__ = [
     "peak_snr",
     "scheme_snr",
     "snr_direct",
-    "snr_general",
     "threshold_analytic",
     "time_to_snr",
 ]
@@ -190,8 +189,7 @@ def _single_moments(config: SchemeConfig, t):
     if not isinstance(config.noise, GateNoise):  # single_laws takes one t at a time
         rows = [moments(a) + moments(b) for a, b in map(config.single_laws, np.ravel(t).tolist())]
         return np.reshape(rows, (-1, 4)).T.reshape((2, 2) + np.shape(t))
-    with np.errstate(over="ignore"):
-        dark = config.rates.mu0 * t  # an overflow fails in _moment_snr
+    dark = config.rates.mu0 * t  # an overflow fails in _moment_snr
     # at lam = 0 this is exactly (mu1*t, mu1*t), the ideal bright moments
     return (dark, dark), decaying_poisson_moments(DecayModelParams(config.rates, t))
 
@@ -340,30 +338,12 @@ def snr_direct(stats: CompositeStats) -> float:
         return float(_snr_from_moments(stats.mean1 - stats.mean0, stats.var0, stats.var1))
 
 
-def snr_general(
-    t_pair: tuple[OutcomeDist, OutcomeDist],
-    single0: tuple[float, float],
-    single1: tuple[float, float],
-    n: int,
-) -> float:
-    """Composite SNR from single-qubit moments alone.
-
-    Uses the mixture moment identities: the composite mean gap is the
-    single-qubit gap scaled by |E[Q0] + E[Q1] - n|, and each composite
-    variance splits into the mean count of qubits carrying either law
-    times that law's variance, plus the mean-gap squared times the
-    entangling outcome variance. Never materialises a distribution, so it
-    is the fast path for optimisation loops.
-    """
-    t0, t1 = t_pair
-    if t0.n_qubits != n or t1.n_qubits != n:
-        raise DomainError(f"outcome laws are not for {n} qubits")
-    return float(_moment_snr((outcome_moments(t0), outcome_moments(t1)), single0, single1, n))
-
-
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _moment_snr(q_moments, single0, single1, n: int, t=None):
-    # snr_general's body on (E[Q], Var[Q]) of T0 and T1, over floats or arrays.
+def _moment_snr(q_moments, single0, single1, n: int, t):
+    # Composite SNR from (E[Q], Var[Q]) of T0 and T1 and the single-qubit
+    # (mean, variance) pairs at t, over floats or arrays, by the mixture moment
+    # identities: the mean gap is the single-qubit gap times |E[Q0] + E[Q1] - n|,
+    # and each variance is the mean count of qubits carrying either law times
+    # that law's variance, plus the gap squared times the outcome variance.
     # A NaN or overflowed moment (the gap squared can overflow where the single
     # moments do not) spoils both variances, reading as SNR nan or 0: it raises.
     (m0, v0), (m1, v1) = single0, single1
@@ -373,8 +353,8 @@ def _moment_snr(q_moments, single0, single1, n: int, t=None):
     var1n = eq1 * v1 + (n - eq1) * v0 + gap * gap * vq1
     ok = (abs(var0n) < math.inf) & (abs(var1n) < math.inf)
     if not _all(ok):
-        where = "" if t is None else f" at window length t={np.min(np.where(ok, np.inf, t))} ms"
-        raise DomainError(f"count moments are not finite{where}")
+        bad = np.min(np.where(ok, np.inf, t))
+        raise DomainError(f"count moments are not finite at window length t={bad} ms")
     return _snr_from_moments(gap * (eq0 + eq1 - n), var0n, var1n)
 
 
@@ -387,7 +367,8 @@ def scheme_snr(config: SchemeConfig, t):
     """
     t = _window_length(t)
     try:
-        snr = _moment_snr(config.q_moments, *_single_moments(config, t), config.n_qubits, t)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # _moment_snr raises
+            snr = _moment_snr(config.q_moments, *_single_moments(config, t), config.n_qubits, t)
     except DomainError:  # the first moment to fail depends on t
         for x in np.sort(t, axis=None) if isinstance(t, np.ndarray) else ():
             scheme_snr(config, float(x))

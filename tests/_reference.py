@@ -1,7 +1,8 @@
 """Independent oracles the tests compare the library against.
 
 Everything here is deliberately written by a different route than the
-package: exact Fraction arithmetic for the gate outcome laws, closed-form
+package: exact Fraction arithmetic for the gate outcome laws, a walk
+through every gate success/failure pattern of a wiring, closed-form
 integrals for the decayed-count moments, dense-array helpers that do not
 share code with the DiscreteDist machinery, the term-by-term mixture
 that composite laws were evaluated with before Horner's rule, the
@@ -18,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 from mpmath import mp
 
-from readout_tradeoff.dist import convolve, mixture, n_fold_convolve
+from readout_tradeoff.dist import DomainError, convolve, mixture, n_fold_convolve
+from readout_tradeoff.gates import OutcomeDist, validate_wiring
 from readout_tradeoff.scheme import PEAK_BRACKET, PEAK_GRID_POINTS, scheme_snr
 
 __all__ = [
@@ -26,6 +28,7 @@ __all__ = [
     "cascade_explicit",
     "decay_mean_var",
     "dense",
+    "enumerate_gate_patterns",
     "flat_ref",
     "golden_max",
     "golden_peak_snr",
@@ -92,6 +95,36 @@ def cascade_conv_ref(n: int, p: Fraction) -> list[Fraction]:
     out = [(1 - p) * c for c in conv]
     out[0] += p
     return out
+
+
+def enumerate_gate_patterns(n: int, wiring, p: float) -> OutcomeDist:
+    """Exact outcome law by exhausting all success/failure patterns.
+
+    Walks every one of the 2**len(wiring) patterns through the wiring and
+    accumulates the pattern probabilities per bright count, in a fixed
+    pattern order so the reduction is deterministic. Exponential in the
+    gate count by construction; it is the ground truth the closed forms
+    are checked against.
+    """
+    validate_wiring(n, wiring)
+    if not 0.0 <= p <= 1.0:
+        raise DomainError(f"gate failure probability must lie in [0, 1], got {p}")
+    wiring = list(wiring)
+    probs = np.zeros(n + 1)
+    for pattern in range(1 << len(wiring)):
+        state = [False] * n
+        state[0] = True
+        weight = 1.0
+        for g, (c, t) in enumerate(wiring):
+            if (pattern >> g) & 1:
+                weight *= p
+                state[c] = False
+            else:
+                weight *= 1.0 - p
+                if state[c]:
+                    state[t] = True
+        probs[sum(state)] += weight
+    return OutcomeDist(n, probs)
 
 
 def decay_mean_var(mu0: float, mu1: float, lam: float, t: float) -> tuple[float, float]:

@@ -17,6 +17,7 @@ import pytest
 from scipy import stats as ss
 
 import readout_tradeoff as rt
+from tests._reference import enumerate_gate_patterns
 
 CLEAN = rt.RateParams(3.5, 14.0)
 RATES = rt.RateParams(3.5, 14.0, 0.0041)
@@ -92,10 +93,10 @@ def test_criterion_03_closed_forms_match_brute_force():
     ok = True
     for n in range(1, 11):
         for p in (0.001, 0.005, 0.01, 0.25):
-            brute = rt.enumerate_gate_patterns(n, rt.flat_wiring(n), p)
+            brute = enumerate_gate_patterns(n, rt.flat_wiring(n), p)
             closed = rt.flat_dist(n, rt.GateNoise(p, rt.Compilation.FLAT))
             ok &= 0.5 * np.abs(brute.probs - closed.probs).sum() <= 1e-12
-            brute = rt.enumerate_gate_patterns(n, rt.cascade_wiring(n), p)
+            brute = enumerate_gate_patterns(n, rt.cascade_wiring(n), p)
             closed = rt.cascade_dist(n, rt.GateNoise(p))
             ok &= 0.5 * np.abs(brute.probs - closed.probs).sum() <= 1e-12
     _finish(3, "outcome laws equal exhaustive gate enumeration", ok, start, limit)

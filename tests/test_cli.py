@@ -21,19 +21,41 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(*args, check=True):
+    """A fresh interpreter that imports the package from this checkout."""
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=check
+    )
+
+
 class TestImportGraph:
     def test_cli_import_loads_no_stats_or_signal(self):
         # both are slow to import and the library needs neither
-        paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         code = (
             "import sys, readout_tradeoff.cli; "
             "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
+        out = run_python("-c", code)
         assert out.stdout.strip() == "[]"
+
+
+class TestModuleEntry:
+    """`python -m readout_tradeoff.cli` exits with main's code, as scripts/reproduce.sh needs."""
+
+    def test_success_exits_zero(self):
+        out = run_python("-m", "readout_tradeoff.cli", "peak-snr", "--n-max", "2", check=False)
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[0] == "n,s_max,t_max_ms"
+        assert len(out.stdout.splitlines()) == 3
+
+    def test_usage_error_exits_one_with_one_line(self):
+        out = run_python("-m", "readout_tradeoff.cli", "snr-sweep", "--t-points", "1", check=False)
+        assert out.returncode == 1
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestSnrSweep:

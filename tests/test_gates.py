@@ -11,7 +11,6 @@ from readout_tradeoff.gates import (
     cascade_dist,
     cascade_wiring,
     compiled_dist,
-    enumerate_gate_patterns,
     flat_dist,
     flat_wiring,
     general_t_pair,
@@ -20,7 +19,7 @@ from readout_tradeoff.gates import (
     validate_wiring,
 )
 from readout_tradeoff.dist import DomainError
-from tests._reference import cascade_conv_ref, cascade_explicit, flat_ref
+from tests._reference import cascade_conv_ref, cascade_explicit, enumerate_gate_patterns, flat_ref
 
 P_GRID = [0.0, 0.001, 0.01, 0.25, 0.5, 0.9, 1.0]
 

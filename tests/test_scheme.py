@@ -31,7 +31,6 @@ from readout_tradeoff.scheme import (
     peak_snr,
     scheme_snr,
     snr_direct,
-    snr_general,
     threshold_analytic,
     time_to_snr,
 )
@@ -420,13 +419,13 @@ class TestSnr:
     def test_moment_formula_collapses_for_trivial_gates(self):
         # all qubits nominal: the general expression is the plain ratio
         perfect = (point_outcome(2, 2), point_outcome(2, 2))
-        got = snr_general(perfect, (3.5, 3.5), (14.0, 14.0), 2)
+        got = scheme._moment_snr(tuple(map(outcome_moments, perfect)), (3.5, 3.5), (14.0, 14.0), 2, 1.0)
         assert got == pytest.approx(ideal_snr(2, 1.0), rel=1e-12)
 
     def test_rejects_non_finite_moments(self):
         perfect = (point_outcome(2, 2), point_outcome(2, 2))
         with pytest.raises(DomainError):
-            snr_general(perfect, (math.nan, 1.0), (14.0, 14.0), 2)
+            scheme._moment_snr(tuple(map(outcome_moments, perfect)), (math.nan, 1.0), (14.0, 14.0), 2, 1.0)
 
 
 # Window lengths for the array route: t = 0, the smallest subnormal, both
