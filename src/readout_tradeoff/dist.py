@@ -36,6 +36,12 @@ TRUNCATION_EPS = 1e-12
 MAX_SUPPORT = 10**6
 # Largest support length that stays on the direct O(n*m) convolution path.
 DIRECT_CONV_LIMIT = 4096
+# Cost model of the two kernels (_convolve_by_cost), fitted on a 2-core
+# x86-64 machine: seconds per multiply-add of np.convolve, and the FFT
+# path's fixed seconds plus seconds per L*log2(L) at transform length L.
+_DIRECT_S = 0.12e-9
+_FFT_S = 23e-6
+_FFT_POINT_S = 1.5e-9
 
 _NORM_TOL = 1e-9
 
@@ -96,11 +102,14 @@ class DiscreteDist:
         arr = np.array(self.masses, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("masses must be a non-empty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("masses must be finite")
-        if np.any(arr < 0.0):
-            raise DomainError("masses must be non-negative")
-        total = float(arr.sum())
+        # A NaN or negative mass fails the minimum, which also keeps -inf out of
+        # the sum, and +inf fails the sum; only a failure pays the scans that
+        # tell the faults apart, in their order of precedence.
+        if not (arr.min() >= 0.0 and math.isfinite(total := float(arr.sum()))):
+            if not np.all(np.isfinite(arr)):
+                raise DomainError("masses must be finite")
+            if np.any(arr < 0.0):
+                raise DomainError("masses must be non-negative")
         if self.truncation_loss is None:
             self.truncation_loss = max(0.0, 1.0 - total)
         self.truncation_loss = float(self.truncation_loss)
@@ -187,13 +196,30 @@ def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Linear convolution of two mass arrays, unclipped.
 
     Small supports use the direct O(n*m) product sum; large ones switch to
-    the FFT, whose rounding noise can leave bins slightly below zero. The
-    FFT side takes the steps scipy.signal.fftconvolve takes for real 1-d
-    input, so its bins are that function's: a one-point operand is a plain
-    product, and any other pair is multiplied in the frequency domain.
+    the FFT, whose rounding noise can leave bins slightly below zero.
     """
     if max(a.size, b.size) <= DIRECT_CONV_LIMIT:
         return np.convolve(a, b)
+    return _fft_convolve(a, b)
+
+
+def _convolve_by_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Linear convolution of two mass arrays by the kernel priced lower, unclipped.
+
+    Direct iff _DIRECT_S * n * m <= _FFT_S + _FFT_POINT_S * L * log2(L), with
+    L the real FFT length of the product. An FFT bin is accurate only in
+    absolute terms, so this is for laws that already pass through one.
+    """
+    length = fft.next_fast_len(a.size + b.size - 1, True)
+    if _DIRECT_S * a.size * b.size <= _FFT_S + _FFT_POINT_S * length * math.log2(length):
+        return np.convolve(a, b)
+    return _fft_convolve(a, b)
+
+
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # The steps scipy.signal.fftconvolve takes for real 1-d input, so its
+    # bins are that function's: a one-point operand is a plain product, and
+    # any other pair is multiplied in the frequency domain.
     if min(a.size, b.size) == 1:
         return a * b
     size = a.size + b.size - 1
@@ -222,23 +248,28 @@ def n_fold_convolve(d: DiscreteDist, n: int) -> DiscreteDist:
     n = int(n)
     if n == 0:
         return point_mass(0)
-    result: DiscreteDist | None = None
-    base = d
+    return _fold(d, n, convolve)
+
+
+def _fold(base, n: int, conv):
+    """base convolved with itself n >= 1 times by squaring, each product by conv."""
+    result = None
     while n:
         if n & 1:
-            result = base if result is None else convolve(result, base)
+            result = base if result is None else conv(result, base)
         n >>= 1
         if n:
-            base = convolve(base, base)
-    assert result is not None
+            base = conv(base, base)
     return result
 
 
 def moments(d: DiscreteDist) -> tuple[float, float]:
     """Mean and variance as exact weighted sums over the stored support."""
+    # einsum, unlike @, never hands the sums to a threaded BLAS, whose
+    # partial sums would move the last bits with the thread count
     k = d.support.astype(np.float64)
-    mean = float(k @ d.masses)
-    var = float(((k - mean) ** 2) @ d.masses)
+    mean = float(np.einsum("i,i", k, d.masses))
+    var = float(np.einsum("i,i", (k - mean) ** 2, d.masses))
     return mean, var
 
 

@@ -27,7 +27,9 @@ from .dist import (
     DiscreteDist,
     DomainError,
     RateParams,
+    _convolve_by_cost,
     _convolve_masses,
+    _fold,
     _window,
     convolve,
     moments,
@@ -264,8 +266,11 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
     q down to its base, G <- G * own + w_q other^(*(n-q)), adding a term only
     where q is kept: one convolution with the single-qubit law per step, for
     a sum relative to own^(*base). If own^(*q_top) fits in DIRECT_CONV_LIMIT
-    points, one block is the whole sum; a longer law takes blocks of
-    isqrt(q_top + 1), joined by _spectral_horner. The other side's powers are
+    points, one block is the whole sum, and each step takes the kernel
+    _convolve_masses picks by the larger size. A longer law takes blocks of
+    isqrt(q_top + 1), joined by _spectral_horner. Its bins come out of an
+    inverse FFT, accurate only in absolute terms, so its steps take the
+    kernel _convolve_by_cost prices lower. The other side's powers are
     asked for in increasing n - q, so a law without additivity builds them as
     a running product (see _powers). Partial sums do not sum to one, so they
     stay raw mass arrays, and FFT rounding noise is clipped once at the end.
@@ -280,12 +285,13 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
     own = own_fold(1) if q_top else None
     blocked = q_top and q_top * (own.masses.size - 1) >= _dist.DIRECT_CONV_LIMIT
     size = math.isqrt(q_top + 1) if blocked else q_top + 1
+    conv = _convolve_by_cost if blocked else _convolve_masses
     blocks = []  # (base, lo, acc) from the top block down; acc None where nothing is kept
     for base in range(q_top - q_top % size, -1, -size):
         lo = acc = None
         for q in range(min(base + size - 1, q_top), base - 1, -1):
             if acc is not None:
-                lo, acc = lo + own.offset, _convolve_masses(acc, own.masses)
+                lo, acc = lo + own.offset, conv(acc, own.masses)
             if q in weights:
                 term = other_fold(n - q)
                 if acc is None:
@@ -306,12 +312,13 @@ def _spectral_horner(blocks, own: DiscreteDist, size: int):
 
     Horner's rule at the finished law's FFT length, G <- G * FFT(own^(*size)) +
     FFT(acc): one transform per block, one of own^(*size) and one inverse. The
-    power is built in the time domain; FFT(own)**size rounds once per factor.
+    power is built in the time domain, by squaring with the kernel
+    _convolve_by_cost prices lower; FFT(own)**size rounds once per factor.
     """
     lo = min(s + b * own.offset for b, s, a in blocks if a is not None)
     hi = max(s + a.size - 1 + b * own.k_max for b, s, a in blocks if a is not None)
     length = fft.next_fast_len(hi - lo + 1, True)
-    step = fft.rfft(n_fold_convolve(own, size).masses, length)
+    step = fft.rfft(_fold(own.masses, size, _convolve_by_cost), length)
     g = 0.0
     for base, start, acc in blocks:
         x = np.zeros(length)

@@ -21,10 +21,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def run_python(*args, check=True):
-    """A fresh interpreter that imports the package from this checkout."""
+def run_python(*args, check=True, env=None):
+    """A fresh interpreter that imports the package from this checkout.
+
+    env holds environment variables to set on top of this process's.
+    """
     paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     return subprocess.run(
         [sys.executable, *args], env=env, capture_output=True, text=True, check=check
     )

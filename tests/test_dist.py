@@ -21,6 +21,7 @@ from readout_tradeoff.dist import (
     tv_distance,
 )
 from tests._reference import max_abs_diff
+from tests.test_cli import run_python
 
 
 def small_dists(max_offset=6, max_len=8):
@@ -73,6 +74,22 @@ class TestDiscreteDist:
     def test_rejects_negative_mass(self):
         with pytest.raises(DomainError):
             DiscreteDist(0, np.array([0.5, -0.1, 0.6]), 0.0)
+
+    @pytest.mark.parametrize(
+        "masses, message",
+        [
+            ([0.5, math.nan, 0.5], "masses must be finite"),
+            ([0.5, math.inf, 0.5], "masses must be finite"),
+            ([-math.inf, math.inf, 1.0], "masses must be finite"),
+            ([0.5, -0.1, 0.6], "masses must be non-negative"),
+            # a non-finite mass is reported before a negative one
+            ([-0.5, math.nan, 1.5], "masses must be finite"),
+            ([math.nan, -0.5, 1.5], "masses must be finite"),
+        ],
+    )
+    def test_bad_masses_name_their_fault(self, masses, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            DiscreteDist(0, np.array(masses))
 
     def test_rejects_negative_offset(self):
         with pytest.raises(DomainError):
@@ -225,6 +242,21 @@ class TestMoments:
     def test_point_mass(self):
         mean, var = moments(point_mass(4))
         assert mean == 4.0 and var == 0.0
+
+    def test_independent_of_blas_threads(self):
+        # 93k points: large enough for a BLAS dot product to split across threads
+        code = (
+            "from readout_tradeoff import *; "
+            "cfg = SchemeConfig.noisy(64, RateParams(3.5, 14.0, 0.0041), GateNoise(0.01)); "
+            "s = compose(cfg, 100.0); "
+            "print(s.p1.masses.size, *(x.hex() for x in moments(s.p0) + moments(s.p1)))"
+        )
+        outs = {
+            threads: run_python("-c", code, env={"OPENBLAS_NUM_THREADS": threads}).stdout
+            for threads in ("1", "2")
+        }
+        assert outs["1"].split()[0] == "93377"
+        assert outs["1"] == outs["2"]
 
 
 class TestTailGe:

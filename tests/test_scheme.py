@@ -279,9 +279,10 @@ def _horner_steps_and_convolutions(cfg, t, monkeypatch):
 
         return wrapper
 
-    # every convolution, in compose or in a fold, runs _convolve_masses
+    # every convolution, in compose or in a fold, runs one of these two
     for module in (dist, scheme):
-        monkeypatch.setattr(module, "_convolve_masses", counted(module._convolve_masses))
+        for name in ("_convolve_masses", "_convolve_by_cost"):
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
     compose(cfg, t)
     steps = sum(max(q for q, w in enumerate(o.probs) if w >= WEIGHT_FLOOR) for o in cfg.outcomes)
     return steps, calls[0]
@@ -293,7 +294,12 @@ class TestHornerCompose:
     @pytest.mark.parametrize("tier", ["cascade", "flat", "injected"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 20.0])
-    def test_matches_term_by_term_mixture(self, tier, n, t):
+    def test_matches_term_by_term_mixture(self, tier, n, t, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("a law at paper scale reached scipy.fft")
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(scipy.fft, name, no_fft)
         cfg = _tiers(n)[tier]
         stats = compose(cfg, t)
         for got, ref in zip((stats.p0, stats.p1), _laws_by_term(cfg, t)):
@@ -306,9 +312,12 @@ class TestHornerCompose:
             assert rel.max() <= 1e-13
 
     # (48, 5) is the case a pointwise power FFT(own)**size of the block step
-    # pushed past the mi bound; (16, 100) and (64, 100) are envelope-laws' edges.
+    # pushed past the mi bound; (16, 100) and (64, 100) are envelope-laws' edges;
+    # at (32, 60) and (48, 40) the in-block steps switch kernel part-way.
     @pytest.mark.parametrize(
-        "n, t", [(48, 5.0), (64, 5.0), (32, 20.0), (64, 20.0), (16, 100.0), (64, 100.0)]
+        "n, t",
+        [(48, 5.0), (64, 5.0), (32, 20.0), (64, 20.0), (16, 100.0), (64, 100.0), (32, 60.0),
+         (48, 40.0)],
     )
     def test_fft_side_against_all_direct(self, n, t, monkeypatch):
         cfg = SchemeConfig.noisy(n, RATES, NOISE)
@@ -350,6 +359,23 @@ class TestHornerCompose:
         for a, b in ((got.p0, ref.p0), (got.p1, ref.p1)):
             assert (a.offset, a.masses.size) == (b.offset, b.masses.size)
             assert np.abs(a.masses - b.masses).max() <= 1e-16
+
+    def test_blocked_law_prices_its_kernels(self, monkeypatch):
+        # Under the cost model two operands of 1,000 points or more always go
+        # to the FFT: here the squarings of own^(*8), 1897 and 3793 points a
+        # side, which DIRECT_CONV_LIMIT alone kept direct. own has 949 points
+        # at t = 60, so an in-block step past 1e6 multiply-adds has a partial
+        # sum of over 1,000 points, which the FFT also does faster.
+        direct, original = [], np.convolve
+
+        def recorded(a, b, *args):
+            direct.append((a.size, b.size))
+            return original(a, b, *args)
+
+        monkeypatch.setattr(np, "convolve", recorded)
+        compose(SchemeConfig.noisy(64, RATES, NOISE), 60.0)
+        assert direct
+        assert all(min(pair) < 1000 and math.prod(pair) <= 10**6 for pair in direct), direct
 
     def test_injected_other_side_is_a_running_product(self, monkeypatch):
         # each Horner step convolves once with the own law and extends the
