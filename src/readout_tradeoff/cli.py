@@ -22,7 +22,7 @@ import numpy as np
 
 from .decay import DecayModelParams, decaying_poisson
 from .dist import DiscreteDist, DomainError, RateParams, tv_distance
-from .gates import Compilation, GateNoise, cascade_dist, cascade_wiring, compiled_dist
+from .gates import Compilation, GateNoise, compiled_dist
 from .montecarlo import McConfig, sample_full_scheme, sample_gate_outcomes, sample_photon_counts
 from .scheme import (
     MeritPoint,
@@ -31,7 +31,6 @@ from .scheme import (
     mi_optimal,
     peak_snr,
     scheme_snr,
-    snr_direct,
     time_to_snr,
 )
 
@@ -47,7 +46,7 @@ OPTIONS = {
     "mu1": ("--mu1", float, 14.0, None),
     "lambda": ("--lambda", float, 0.0041, None),
     "p": ("--p", float, 0.01, None),
-    "compilation": ("--compilation", str, "cascade", ("flat", "cascade")),
+    "compilation": ("--compilation", str, "cascade", tuple(c.value for c in Compilation)),
     "nmin": ("--n-min", int, 1, None),
     "nmax": ("--n-max", int, 5, None),
     "tstart": ("--t-start", float, 0.1, None),
@@ -273,10 +272,10 @@ def run_validate(cfg: RunConfig):
     threshold = _VALIDATE_BASE_TV * math.sqrt(_VALIDATE_BASE_SHOTS / shots)
     checks = []
 
-    gate_noise = GateNoise(0.005, Compilation.CASCADE)
-    analytic = cascade_dist(10, gate_noise)
-    empirical = sample_gate_outcomes(cascade_wiring(10), 0.005, shots, seed)
-    checks.append(("gates-cascade-n10-p0.005", _tv_outcomes(analytic, empirical)))
+    compilation = cfg.noise.compilation
+    analytic = compiled_dist(10, GateNoise(0.005, compilation))
+    empirical = sample_gate_outcomes(compilation.wiring(10), 0.005, shots, seed)
+    checks.append((f"gates-{compilation.value}-n10-p0.005", _tv_outcomes(analytic, empirical)))
 
     w = decaying_poisson(DecayModelParams(cfg.rates, 3.0))
     emp_w = sample_photon_counts(cfg.rates, 1, 3.0, shots, seed + 1)

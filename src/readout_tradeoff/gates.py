@@ -10,7 +10,7 @@ entangling step, for a register whose root qubit started bright.
 from __future__ import annotations
 
 import enum
-import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +39,10 @@ class Compilation(enum.Enum):
     FLAT = "flat"
     CASCADE = "cascade"
 
+    def wiring(self, n: int) -> list[tuple[int, int]]:
+        """This layout's gates for an n-qubit register, in application order."""
+        return _WIRINGS[self](_positive_int(n))
+
 
 @dataclass(frozen=True)
 class GateNoise:
@@ -63,9 +67,7 @@ class OutcomeDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        if self.n_qubits != int(self.n_qubits) or self.n_qubits < 1:
-            raise DomainError(f"n_qubits must be a positive integer, got {self.n_qubits}")
-        self.n_qubits = int(self.n_qubits)
+        self.n_qubits = _positive_int(self.n_qubits, "n_qubits")
         arr = np.array(self.probs, dtype=np.float64)
         if arr.shape != (self.n_qubits + 1,):
             raise DomainError(
@@ -97,16 +99,7 @@ def flat_dist(n: int, noise: GateNoise) -> OutcomeDist:
     probability (1-p)^(n-1). q = n-1 is unreachable: a failure kills both
     the gate and its control. A single qubit needs no gates at all.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"register size must be a positive integer, got {n}")
-    n = int(n)
-    if n == 1:
-        return point_outcome(1, 1)
-    p = noise.p
-    probs = np.zeros(n + 1)
-    probs[: n - 1] = (1.0 - p) ** np.arange(n - 1) * p
-    probs[n] = (1.0 - p) ** (n - 1)
-    return OutcomeDist(n, probs)
+    return _wiring_dist(n, Compilation.FLAT.wiring(n), noise.p)
 
 
 def cascade_dist(n: int, noise: GateNoise) -> OutcomeDist:
@@ -117,23 +110,32 @@ def cascade_dist(n: int, noise: GateNoise) -> OutcomeDist:
     fails everything collapses to q = 0; otherwise the law is the
     convolution of the two chain laws, scaled by the split survival.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"register size must be a positive integer, got {n}")
-    n = int(n)
-    if n == 1:
-        return point_outcome(1, 1)
-    p = noise.p
-    half_a = flat_dist((n + 1) // 2, noise).probs
-    half_b = flat_dist(n // 2, noise).probs
-    probs = (1.0 - p) * np.convolve(half_a, half_b)
-    probs[0] += p
-    return OutcomeDist(n, probs)
+    return _wiring_dist(n, Compilation.CASCADE.wiring(n), noise.p)
 
 
 def compiled_dist(n: int, noise: GateNoise) -> OutcomeDist:
-    if noise.compilation is Compilation.FLAT:
-        return flat_dist(n, noise)
-    return cascade_dist(n, noise)
+    """Outcome law of the wiring that noise.compilation names."""
+    return _wiring_dist(n, noise.compilation.wiring(n), noise.p)
+
+
+def _wiring_dist(n: int, wiring, p: float) -> OutcomeDist:
+    """Exact bright-count law of any valid wiring, built from the leaves up.
+
+    A bright qubit with out-gates g_1..g_k stays bright with probability
+    (1-p)^k, or goes dark at its first failing gate g_j after activating
+    the targets of g_1..g_(j-1); activated subtrees evolve independently.
+    In z its law is p + (1-p) L(t_1) (p + (1-p) L(t_2) (... (p + (1-p) L(t_k) z))),
+    so walking the gates in reverse finishes each target's law before its
+    control's step needs it. Each law is an array sized to its subtree.
+    """
+    gates = validate_wiring(n, wiring)
+    laws = dict.fromkeys(range(int(n)), np.array([0.0, 1.0]))  # z: bright, no gates yet
+    for c, t in reversed(gates):
+        law = (1.0 - p) * np.convolve(laws[c], laws.pop(t))
+        law[0] += p
+        laws[c] = law
+    root = laws[0]
+    return OutcomeDist(n, np.pad(root, (0, int(n) + 1 - root.size)))
 
 
 def general_t_pair(n: int, t0, t1) -> tuple[OutcomeDist, OutcomeDist]:
@@ -185,18 +187,39 @@ def cascade_wiring(n: int) -> list[tuple[int, int]]:
     return gates
 
 
-def validate_wiring(n: int, wiring) -> None:
+_WIRINGS = {Compilation.FLAT: flat_wiring, Compilation.CASCADE: cascade_wiring}
+
+
+def _positive_int(n, name: str = "register size") -> int:
+    if n != int(n) or n < 1:
+        raise DomainError(f"{name} must be a positive integer, got {n}")
+    return int(n)
+
+
+def _gate_pairs(wiring) -> list[tuple[int, int]]:
+    """The gates as plain-int (control, target) pairs."""
+    gates = []
+    for idx, gate in enumerate(wiring):
+        try:
+            c, t = map(operator.index, gate)
+        except (TypeError, ValueError):
+            raise DomainError(f"gate {idx} must be a pair of qubit indices, got {gate!r}") from None
+        gates.append((c, t))
+    return gates
+
+
+def validate_wiring(n: int, wiring) -> list[tuple[int, int]]:
     """Reject wirings that are not a causally ordered entangling forest.
 
-    Each gate must target a fresh qubit (cyclic wirings would re-target an
-    active one, which the gate model is not defined on) and its control
-    must already be in play, i.e. the root or an earlier target.
+    Each gate is a pair of integer qubit indices. It must target a fresh
+    qubit (cyclic wirings would re-target an active one, which the gate
+    model is not defined on) and its control must already be in play, i.e.
+    the root or an earlier target. Returns the gates as plain-int pairs.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"register size must be a positive integer, got {n}")
+    n = _positive_int(n)
+    gates = _gate_pairs(wiring)
     in_play = {0}
-    for idx, gate in enumerate(wiring):
-        c, t = gate
+    for idx, (c, t) in enumerate(gates):
         if not (0 <= c < n and 0 <= t < n):
             raise DomainError(f"gate {idx} touches a qubit outside 0..{n - 1}")
         if c == t:
@@ -206,3 +229,4 @@ def validate_wiring(n: int, wiring) -> None:
         if c not in in_play:
             raise DomainError(f"gate {idx} is controlled by idle qubit {c}")
         in_play.add(t)
+    return gates

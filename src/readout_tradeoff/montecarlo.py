@@ -28,8 +28,7 @@ import numpy as np
 
 from .decay import _window_length
 from .dist import DiscreteDist, DomainError, RateParams
-from .gates import Compilation, GateNoise, OutcomeDist, validate_wiring
-from .gates import cascade_wiring, flat_wiring
+from .gates import GateNoise, OutcomeDist, _gate_pairs, validate_wiring
 from .scheme import SchemeConfig
 
 __all__ = [
@@ -126,7 +125,7 @@ def sample_gate_outcomes(wiring, p: float, shots: int, seed: int) -> OutcomeDist
     control before the gate acts. Draw order per batch: the full
     (shots, gates) uniform block, row per shot.
     """
-    wiring = list(wiring)
+    wiring = _gate_pairs(wiring)
     n = _wiring_size(wiring)
     validate_wiring(n, wiring)
     if not 0.0 <= p <= 1.0:
@@ -206,7 +205,7 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
         raise DomainError("trajectory sampling needs a physical gate and decay model")
     n = scheme.n_qubits
     rates = scheme.rates
-    wiring = flat_wiring(n) if scheme.noise.compilation is Compilation.FLAT else cascade_wiring(n)
+    wiring = scheme.noise.compilation.wiring(n)
     t = config.t
 
     def draw(rng, size):

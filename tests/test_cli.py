@@ -407,6 +407,13 @@ class TestValidate:
         for line in lines[1:]:
             assert line.split(",")[3] == "pass"
 
+    def test_flat_compilation_checks_flat_law(self, capsys):
+        code, out, _ = run(capsys, "validate", "--compilation", "flat",
+                           "--shots", "40000", "--seed", "7")
+        assert code == 0
+        name, _, _, status = out.splitlines()[1].split(",")
+        assert (name, status) == ("gates-flat-n10-p0.005", "pass")
+
     def test_tiny_run_inconclusive(self, capsys):
         # threshold scaled up to the trivial bound carries no information
         code, out, _ = run(capsys, "validate", "--shots", "25", "--seed", "7")

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from readout_tradeoff.gates import (
     Compilation,
     GateNoise,
     OutcomeDist,
+    _wiring_dist,
     cascade_dist,
     cascade_wiring,
     compiled_dist,
@@ -19,9 +21,13 @@ from readout_tradeoff.gates import (
     validate_wiring,
 )
 from readout_tradeoff.dist import DomainError
+from readout_tradeoff.montecarlo import sample_gate_outcomes
 from tests._reference import cascade_conv_ref, cascade_explicit, enumerate_gate_patterns, flat_ref
 
 P_GRID = [0.0, 0.001, 0.01, 0.25, 0.5, 0.9, 1.0]
+# Register sizes for the exact references: every small size, plus long
+# laws where rounding accumulates along the chains.
+N_GRID = [*range(1, 13), 16, 32, 64]
 
 
 def _max_diff(dist: OutcomeDist, ref) -> float:
@@ -29,7 +35,7 @@ def _max_diff(dist: OutcomeDist, ref) -> float:
 
 
 class TestFlat:
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", N_GRID)
     @pytest.mark.parametrize("p", P_GRID)
     def test_matches_exact_closed_form(self, n, p):
         ref = flat_ref(n, Fraction(p).limit_denominator(10**9))
@@ -44,6 +50,16 @@ class TestFlat:
     def test_one_short_of_full_is_impossible(self, n):
         assert flat_dist(n, GateNoise(0.3, Compilation.FLAT)).probs[n - 1] == 0.0
 
+    def test_long_chain_matches_closed_form(self):
+        # deeper than the interpreter's recursion limit
+        n, p = 2000, 1e-3
+        probs = flat_dist(n, GateNoise(p, Compilation.FLAT)).probs
+        q = np.arange(n + 1)
+        ref = np.where(q < n - 1, p * (1 - p) ** q, 0.0)
+        ref[n] = (1 - p) ** (n - 1)
+        assert probs[n - 1] == 0.0
+        np.testing.assert_allclose(probs, ref, rtol=1e-13, atol=0.0)
+
 
 class TestCascade:
     @pytest.mark.parametrize("n", range(2, 7))
@@ -53,7 +69,7 @@ class TestCascade:
         got = cascade_dist(n, GateNoise(p))
         assert _max_diff(got, ref) < 1e-15
 
-    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("n", N_GRID)
     @pytest.mark.parametrize("p", P_GRID)
     def test_matches_exact_split_reference(self, n, p):
         ref = cascade_conv_ref(n, Fraction(p).limit_denominator(10**9))
@@ -111,6 +127,17 @@ class TestEdgeCases:
         with pytest.raises(DomainError):
             GateNoise(-0.1)
 
+    @pytest.mark.parametrize("law", [flat_dist, cascade_dist, compiled_dist])
+    def test_integral_sizes_accepted(self, law):
+        np.testing.assert_array_equal(law(3.0, GateNoise(0.1)).probs, law(3, GateNoise(0.1)).probs)
+        np.testing.assert_array_equal(law(True, GateNoise(0.1)).probs, [0.0, 1.0])
+
+    @pytest.mark.parametrize("law", [flat_dist, cascade_dist, compiled_dist])
+    @pytest.mark.parametrize("n", [2.5, 0, -1, "3"])
+    def test_rejects_bad_size(self, law, n):
+        with pytest.raises(DomainError, match=f"^register size must be a positive integer, got {n}$"):
+            law(n, GateNoise(0.1))
+
 
 class TestEnumeration:
     """Brute force over each gate's fail/succeed pattern is ground truth."""
@@ -128,6 +155,21 @@ class TestEnumeration:
         got = enumerate_gate_patterns(n, cascade_wiring(n), p)
         ref = cascade_dist(n, GateNoise(p))
         assert 0.5 * np.abs(got.probs - ref.probs).sum() < 1e-14
+
+    def test_random_forests(self):
+        # causally ordered forests over up to 11 qubits, idle qubits included
+        rng = np.random.default_rng(20260)
+        for _ in range(100):
+            n = int(rng.integers(1, 12))
+            targets = rng.permutation(np.arange(1, n))[: rng.integers(0, n)].tolist()
+            wiring, in_play = [], [0]
+            for t in targets:
+                wiring.append((in_play[rng.integers(len(in_play))], t))
+                in_play.append(t)
+            for p in (0.0, 0.013, 0.3, 1.0, float(rng.random())):
+                got = _wiring_dist(n, wiring, p).probs
+                ref = enumerate_gate_patterns(n, wiring, p).probs
+                assert np.abs(got - ref).max() <= 1e-14, (n, wiring, p)
 
 
 class TestWiring:
@@ -159,6 +201,29 @@ class TestWiring:
         # qubit 2 acts as control before anything links it to the root
         with pytest.raises(DomainError):
             validate_wiring(3, [(2, 1), (0, 2)])
+
+    @pytest.mark.parametrize("wiring", [[(0,)], [(0, 1, 2)], [("0", "1")], [(0, 1.5)], [(0, 1.0)]])
+    def test_rejects_malformed_gate(self, wiring):
+        message = f"^gate 0 must be a pair of qubit indices, got {re.escape(repr(wiring[0]))}$"
+        for check in (
+            lambda: validate_wiring(3, wiring),
+            lambda: _wiring_dist(3, wiring, 0.1),
+            lambda: sample_gate_outcomes(wiring, 0.1, 10, 0),
+        ):
+            with pytest.raises(DomainError, match=message):
+                check()
+
+    def test_index_like_gates_become_plain_ints(self):
+        gates = validate_wiring(3, [(0, True), (np.int64(1), 2)])
+        assert gates == [(0, 1), (1, 2)]
+        assert all(type(q) is int for gate in gates for q in gate)
+        np.testing.assert_array_equal(
+            _wiring_dist(3, [(0, True)], 0.1).probs, _wiring_dist(3, [(0, 1)], 0.1).probs
+        )
+        np.testing.assert_array_equal(
+            sample_gate_outcomes([(0, True)], 0.1, 100, 0).probs,
+            sample_gate_outcomes([(0, 1)], 0.1, 100, 0).probs,
+        )
 
 
 class TestOutcomeHelpers:
