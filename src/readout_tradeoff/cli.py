@@ -94,7 +94,7 @@ def _read_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -240,7 +240,7 @@ def run_speedup(cfg: RunConfig):
 
 
 def run_peak_snr(cfg: RunConfig):
-    """Rows (n, s_max, t_max_ms); unbounded schemes report infinities."""
+    """Rows (n, s_max, t_max_ms); without decay t_max_ms is inf and s_max the supremum."""
     header = ("n", "s_max", "t_max_ms")
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
@@ -311,8 +311,6 @@ def _tv_outcomes(a, b) -> float:
 def _cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
@@ -321,8 +319,6 @@ def _cell(value) -> str:
 def _jsonable(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
-    if isinstance(value, np.integer):
-        return int(value)
     return value
 
 
@@ -340,8 +336,11 @@ def _emit(cfg: RunConfig, header, rows) -> None:
         }
         text = json.dumps(payload, indent=2) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {cfg.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

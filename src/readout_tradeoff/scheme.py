@@ -200,9 +200,10 @@ def _single_folds(config: SchemeConfig, t: float):
     """The dark and the bright law's convolution powers, q -> law^(*q), at t.
 
     Poisson laws add: q qubits emitting at rate mu count one Pois(q*mu*t).
-    That covers the dark law and an effectively ideal scheme's bright law.
-    Any other law is folded by convolution; the decayed law is built on
-    its first fold, so a scheme that never folds it never builds it.
+    That covers the dark law and, in a scheme without decay (_no_decay),
+    the bright law. Any other law is folded by convolution; the decayed law
+    is built on its first fold, so a scheme that never folds it never
+    builds it.
     """
     if not isinstance(config.noise, GateNoise):
         law0, law1 = config.single_laws(t)
@@ -212,7 +213,7 @@ def _single_folds(config: SchemeConfig, t: float):
         return lambda q: poisson_pmf(q * mu * t)
 
     rates = config.rates
-    if _is_effectively_ideal(config):
+    if _no_decay(config):
         return poisson(rates.mu0), poisson(rates.mu1)
     return poisson(rates.mu0), _powers(lambda: decaying_poisson(DecayModelParams(rates, t)))
 
@@ -427,13 +428,18 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
     return ThresholdAnalysis(alpha, beta, gamma0, gamma1, eta)
 
 
-def _is_effectively_ideal(config: SchemeConfig) -> bool:
-    # Perfect gates and no decay; a single qubit has no gates, so any p.
-    return (
-        isinstance(config.noise, GateNoise)
-        and config.rates.lam == 0.0
-        and config.outcomes[1].probs[config.n_qubits] == 1.0
-    )
+def _no_decay(config: SchemeConfig) -> bool:
+    # Both single-qubit laws are Poisson: the closed-form case of compose's
+    # folds, of peak_snr and of time_to_snr, whatever the gates do.
+    return isinstance(config.noise, GateNoise) and config.rates.lam == 0.0
+
+
+def _no_decay_supremum(config: SchemeConfig) -> float:
+    # SNR's limit as t -> inf without decay (see peak_snr), inf for perfect gates:
+    # the gap term outgrows the spread of Poisson counts, as if the single-qubit
+    # laws were the point masses 0 and 1.
+    with np.errstate(divide="ignore"):
+        return float(_moment_snr(config.q_moments, (0.0, 0.0), (1.0, 0.0), config.n_qubits, 0.0))
 
 
 def peak_snr(config: SchemeConfig) -> tuple[float, float]:
@@ -443,17 +449,22 @@ def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     array scheme_snr call), then refines between the grid argmax's
     neighbours with Brent's bounded maximiser to a window tolerance of 1e-6
     of the upper neighbour; the grid point is kept if the refined value
-    falls short of it. A scheme with perfect gates and no decay has no peak
-    (SNR grows as sqrt(t) without bound) and returns the (inf, inf)
-    sentinel. A scheme with no signal anywhere on the grid (every gate
-    failing, or equal emission rates) has no peak either and returns (0.0, nan).
+    falls short of it.
+
+    A scheme with no signal anywhere on the grid (every gate failing, or
+    equal emission rates) has no peak and returns (0.0, nan). A scheme
+    without decay has none either: with T0 keeping all n qubits dark, its
+    SNR 2*gap*E[Q1]*sqrt(t)/(sqrt(n*mu0) + sqrt(B + gap**2*Var[Q1]*t)), where
+    gap = mu1 - mu0 and B = E[Q1]*mu1 + (n - E[Q1])*mu0, rises monotonically
+    towards its supremum 2*E[Q1]/sqrt(Var[Q1]). It returns (sup, inf), and
+    sup is inf for perfect gates, as for any single qubit.
     """
     ts = _PEAK_GRID
     vals = scheme_snr(config, ts)
     if not vals.any():
         return 0.0, math.nan
-    if _is_effectively_ideal(config):
-        return math.inf, math.inf
+    if _no_decay(config):
+        return _no_decay_supremum(config), math.inf
     i = int(np.argmax(vals))
     a = ts[max(i - 1, 0)]
     b = ts[min(i + 1, ts.size - 1)]
@@ -472,32 +483,41 @@ def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
     """Smallest window length whose SNR reaches target_s, or None.
 
     The result t is the smallest float with scheme_snr(config, t) >=
-    target_s: the float just below it falls short of the target. An
-    effectively ideal scheme has SNR 2*sqrt(n*t)*(mu1-mu0)/(sqrt(mu0) +
-    sqrt(mu1)) and starts from its closed-form crossing. Any other scheme
-    rises from SNR 0 at t = 0 to its peak, so Brent's root finder on
+    target_s: the float just below it falls short of the target.
+
+    A scheme without decay starts from its closed-form crossing (its SNR
+    is in peak_snr): with k = 2*gap*E[Q1], c = (target_s*gap)**2 * Var[Q1]
+    and a = n*mu0, SNR = target_s is a quadratic in u = sqrt(t) whose one
+    positive root, for a target below the supremum (k*k > c), is
+    u = target_s*(k*sqrt(a) + sqrt(k*k*a + (k*k - c)*(B - a)))/(k*k - c).
+    B - a = E[Q1]*gap, so no term cancels; at Var[Q1] = 0 this is the ideal
+    t = target_s**2*(sqrt(mu0) + sqrt(mu1))**2/(4*n*gap**2). Any other
+    scheme rises from SNR 0 at t = 0 to its peak, so Brent's root finder on
     [0, t_peak] starts from a valid bracket. Either estimate is then
-    snapped onto the crossing by bisection over floats. Peaked schemes
-    whose maximum stays below the target return None.
+    snapped onto the crossing by bisection over floats.
+
+    None means no window reaches the target: it lies above the peak, or,
+    without decay, at or above the supremum, or so close below it that
+    k*k - c rounds to zero or less, or the crossing is past the largest float.
     """
     if not target_s > 0.0:
         raise DomainError(f"target SNR must be positive, got {target_s}")
 
-    def f(t: float) -> float:
-        return scheme_snr(config, t)
-
-    if _is_effectively_ideal(config):
-        gap = config.rates.mu1 - config.rates.mu0
-        spread = math.sqrt(config.rates.mu0) + math.sqrt(config.rates.mu1)
-        root = target_s * spread / (2.0 * gap) if gap > 0.0 else math.inf
-        t = root * root / config.n_qubits
-        if not math.isfinite(t):
-            return None
+    f = functools.partial(scheme_snr, config)
+    if _no_decay(config):
+        (eq1, vq1), gap = config.q_moments[1], config.rates.mu1 - config.rates.mu0
+        k = 2.0 * gap * eq1
+        ka = k * math.sqrt(config.n_qubits * config.rates.mu0)
+        d = k * k - (target_s * gap) * (target_s * gap) * vq1  # k*k - c; products overflow to inf
+        u = target_s * (ka + math.sqrt(ka * ka + d * eq1 * gap)) / d if d > 0.0 else math.inf
+        t = u * u if target_s < _no_decay_supremum(config) else math.inf
     else:
         s_max, t_peak = peak_snr(config)
         if not s_max >= target_s:
             return None
         t = optimize.brentq(lambda x: f(x) - target_s, 0.0, t_peak, xtol=1e-300)
+    if not math.isfinite(t):
+        return None
     # Snap onto the crossing in floats: widen [lo, hi] around t by doubling
     # steps until f(lo) < target <= f(hi), then halve it to adjacent floats.
     # Near its peak the SNR is flat over ~1e8 floats, so stepping one float

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from readout_tradeoff import SchemeConfig, scheme_snr
+from readout_tradeoff import SchemeConfig, cli, scheme_snr
 from readout_tradeoff.cli import COMMANDS, MAX_T_POINTS, main
 from readout_tradeoff.cli import _build_parser, _t_grid, build_run_config, run_snr_sweep
+from readout_tradeoff.gates import point_outcome
 
 
 def run(capsys, *argv):
@@ -154,6 +155,16 @@ class TestPeakSnr:
         rows = [line.split(",") for line in out.splitlines()[1:]]
         assert all(math.isfinite(float(r[1])) for r in rows)
 
+    def test_gate_noise_without_decay_reports_the_supremum(self, capsys):
+        code, out, _ = run(capsys, "peak-snr", "--lambda", "0", "--n-max", "4")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "1,inf,inf",
+            "2,19.8997487421,inf",
+            "3,16.5491076333,inf",
+            "4,16.2207920263,inf",
+        ]
+
 
 class TestSpeedup:
     def test_requires_target(self, capsys):
@@ -257,6 +268,24 @@ class TestConfigFile:
         code, _, err = run(capsys, "snr-sweep", "--config", str(tmp_path / "nope.cfg"))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("mu0 2.0\n", "run.cfg:1: expected key=value, got 'mu0 2.0'"),
+            ("nmax=1e3\n", "run.cfg:1: bad value for nmax"),
+            ("compilation=tree\n", "compilation must be flat or cascade, got 'tree'"),
+        ],
+        ids=["no-equals", "non-integer", "bad-choice"],
+    )
+    def test_bad_line_is_one_error(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "snr-sweep", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestOutFile:
     def test_written_file_matches_stdout(self, capsys, tmp_path):
@@ -268,6 +297,24 @@ class TestOutFile:
         assert silent == ""
         assert target.read_bytes().decode() == out
         assert b"\r" not in target.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag, name, message",
+        [
+            ("--out", "missing/rows.csv", "cannot write"),
+            ("--out", ".", "cannot write"),
+            ("--config", "latin1.cfg", "cannot read config file"),
+        ],
+        ids=["out-in-missing-directory", "out-is-a-directory", "config-not-utf8"],
+    )
+    def test_file_error_is_one_line(self, capsys, tmp_path, flag, name, message):
+        (tmp_path / "latin1.cfg").write_bytes(b"mu0=\xff\n")
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, "peak-snr", "--n-max", "1", flag, path)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {message} {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestUsageErrors:
@@ -286,6 +333,11 @@ class TestUsageErrors:
     def test_bad_qubit_range(self, capsys):
         code, _, err = run(capsys, "snr-sweep", "--n-min", "5", "--n-max", "2")
         assert code == 1
+
+    def test_linear_grid_needs_non_negative_start(self, capsys):
+        code, _, err = run(capsys, "snr-sweep", "--t-spacing", "linear", "--t-start", "-1")
+        assert code == 1
+        assert err == "error: need t-start >= 0\n"
 
     def test_domain_error_is_one_line(self, capsys):
         code, out, err = run(capsys, "snr-sweep", "--n-max", "65")
@@ -413,6 +465,16 @@ class TestValidate:
         assert code == 0
         name, _, _, status = out.splitlines()[1].split(",")
         assert (name, status) == ("gates-flat-n10-p0.005", "pass")
+
+    def test_failed_check_exits_two(self, capsys, monkeypatch):
+        # a sampler that never keeps a qubit bright fails the gate-law check
+        monkeypatch.setattr(
+            cli, "sample_gate_outcomes", lambda wiring, p, shots, seed: point_outcome(10, 0)
+        )
+        code, out, _ = run(capsys, "validate", "--shots", "40000", "--seed", "7")
+        assert code == 2
+        statuses = [line.split(",")[3] for line in out.splitlines()[1:]]
+        assert statuses == ["fail", "pass", "pass", "pass"]
 
     def test_tiny_run_inconclusive(self, capsys):
         # threshold scaled up to the trivial bound carries no information

@@ -99,6 +99,10 @@ class TestDiscreteDist:
         with pytest.raises(DomainError):
             DiscreteDist(0, np.array([0.5, 0.5]), 0.2)
 
+    def test_rejects_negative_loss(self):
+        with pytest.raises(DomainError, match="^truncation_loss must be non-negative$"):
+            DiscreteDist(0, np.array([0.5, 0.5]), -1e-3)
+
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
             DiscreteDist(0, np.array([]), 0.0)
@@ -309,3 +313,7 @@ class TestMixture:
     def test_rejects_unnormalized_weights(self):
         with pytest.raises(DomainError):
             mixture([point_mass(0), point_mass(1)], [0.5, 0.6])
+
+    def test_rejects_negative_weight(self):
+        with pytest.raises(DomainError, match="^mixture weights must be finite and non-negative$"):
+            mixture([point_mass(0), point_mass(1)], [1.5, -0.5])

@@ -127,6 +127,10 @@ class TestEdgeCases:
         with pytest.raises(DomainError):
             GateNoise(-0.1)
 
+    def test_rejects_compilation_by_name(self):
+        with pytest.raises(DomainError, match="^unknown compilation 'flat'$"):
+            GateNoise(0.1, "flat")
+
     @pytest.mark.parametrize("law", [flat_dist, cascade_dist, compiled_dist])
     def test_integral_sizes_accepted(self, law):
         np.testing.assert_array_equal(law(3.0, GateNoise(0.1)).probs, law(3, GateNoise(0.1)).probs)
@@ -248,3 +252,19 @@ class TestOutcomeHelpers:
     def test_outcome_dist_rejects_unnormalized(self):
         with pytest.raises(DomainError):
             OutcomeDist(1, np.array([0.7, 0.7]))
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: OutcomeDist(1, [1.5, -0.5]), "probs must be finite and non-negative"),
+            (lambda: point_outcome(3, 4), "outcome 4 outside 0..3"),
+            (
+                lambda: general_t_pair(3, point_outcome(3, 3), point_outcome(2, 2)),
+                "outcome law is for 2 qubits, expected 3",
+            ),
+        ],
+        ids=["negative-prob", "outcome-past-n", "law-for-other-n"],
+    )
+    def test_rejects_malformed_outcome(self, build, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            build()

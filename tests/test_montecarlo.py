@@ -146,6 +146,10 @@ class TestValidation:
         with pytest.raises(DomainError):
             sample_gate_outcomes(flat_wiring(2), 1.5, 100, 0)
 
+    def test_rejects_bad_initial_state(self):
+        with pytest.raises(DomainError, match="^initial state must be 0 or 1, got 2$"):
+            sample_photon_counts(RATES, 2, 1.0, 100, 0)
+
     @pytest.mark.parametrize("shots", [math.nan, math.inf, "100", 2.5])
     def test_rejects_non_integer_shots(self, shots):
         with pytest.raises(DomainError):

@@ -37,6 +37,7 @@ from readout_tradeoff.scheme import (
 from tests._reference import dense, golden_peak_snr, power_fold, term_by_term_mix
 
 RATES = RateParams(3.5, 14.0, 0.0041)
+NO_DECAY = RateParams(3.5, 14.0, 0.0)
 NOISE = GateNoise(0.01)
 
 
@@ -246,7 +247,12 @@ def _laws_by_term(cfg, t):
         def dark(q):
             return poisson_pmf(q * cfg.rates.mu0 * t)
 
-        bright = power_fold(decaying_poisson(DecayModelParams(cfg.rates, t)))
+        # Without decay the bright law is the plain Poisson law. A Horner step
+        # convolves by it, so its powers here are convolution powers as well.
+        if cfg.rates.lam == 0.0:
+            bright = power_fold(poisson_pmf(cfg.rates.mu1 * t))
+        else:
+            bright = power_fold(decaying_poisson(DecayModelParams(cfg.rates, t)))
         t0, t1 = point_outcome(n, n), compiled_dist(n, cfg.noise)
     return (
         term_by_term_mix(t0.probs, dark, bright, WEIGHT_FLOOR),
@@ -265,6 +271,7 @@ def _tiers(n):
         "injected": SchemeConfig.injected(
             n, (flat_dist(n, GateNoise(0.2)), cascade_dist(n, GateNoise(0.05))), _injected_laws
         ),
+        "no-decay": SchemeConfig.noisy(n, NO_DECAY, NOISE),
     }
 
 
@@ -291,7 +298,7 @@ def _horner_steps_and_convolutions(cfg, t, monkeypatch):
 class TestHornerCompose:
     """compose's Horner evaluation against the term-by-term mixture."""
 
-    @pytest.mark.parametrize("tier", ["cascade", "flat", "injected"])
+    @pytest.mark.parametrize("tier", ["cascade", "flat", "injected", "no-decay"])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10])
     @pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 20.0])
     def test_matches_term_by_term_mixture(self, tier, n, t, monkeypatch):
@@ -427,6 +434,15 @@ class TestHornerCompose:
         monkeypatch.setattr(scheme, "decaying_poisson", counted)
         compose(SchemeConfig.noisy(8, RATES, GateNoise(p)), 20.0)
         assert calls[0] == builds
+
+    def test_no_decay_never_builds_the_decayed_law(self, monkeypatch):
+        # at lam = 0 the bright law is Poisson, whatever the gates do
+        def unused(params):
+            raise AssertionError("a scheme without decay built the decayed law")
+
+        monkeypatch.setattr(scheme, "decaying_poisson", unused)
+        stats = compose(SchemeConfig.noisy(8, NO_DECAY, NOISE), 20.0)
+        assert stats.p1.k_max > 14.0 * 8 * 20.0
 
     def test_moment_route_at_envelope_edge(self):
         cfg = SchemeConfig.noisy(64, RATES, NOISE)
@@ -614,6 +630,11 @@ class TestThresholdAnalytic:
         with pytest.raises(DomainError):
             threshold_analytic(RateParams(7.0, 7.0), 1, 1.0)
 
+    @pytest.mark.parametrize("n", [0, 2.5])
+    def test_rejects_bad_register(self, n):
+        with pytest.raises(DomainError, match=f"^n must be a positive integer, got {n}$"):
+            threshold_analytic(RateParams(3.5, 14.0), n, 1.0)
+
 
 class TestPeakSnr:
     def test_ideal_grows_without_bound(self):
@@ -651,6 +672,21 @@ class TestPeakSnr:
                 np.testing.assert_array_equal(a.masses, b.masses)
         assert peak_snr(cfg) == (math.inf, math.inf)
         assert time_to_snr(cfg, 8.0) == time_to_snr(ref, 8.0)
+
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.3])
+    @pytest.mark.parametrize("comp", list(Compilation), ids=lambda c: c.value)
+    def test_gate_noise_without_decay_has_a_supremum(self, comp, p):
+        # SNR rises towards 2*E[Q1]/sqrt(Var[Q1]) and attains it at no finite t
+        ts = np.geomspace(1e-3, 1e12, 151)
+        for n in range(2, 65):
+            cfg = SchemeConfig.noisy(n, NO_DECAY, GateNoise(p, comp))
+            eq1, vq1 = outcome_moments(cfg.outcomes[1])
+            s_max, t_max = peak_snr(cfg)
+            assert t_max == math.inf
+            assert s_max == pytest.approx(2.0 * eq1 / math.sqrt(vq1), rel=1e-13)
+            curve = scheme_snr(cfg, ts)
+            assert np.all(np.diff(curve) > 0.0)
+            assert s_max * (1.0 - 1e-4) < curve[-1] < s_max
 
     def test_single_qubit_peak_location(self):
         s_max, t_max = peak_snr(SchemeConfig.noisy(1, RATES, NOISE))
@@ -741,6 +777,24 @@ class TestTimeToSnr:
             target = math.nextafter(target, 0.0)
         self.assert_smallest_float_reaching(cfg, target)
 
+    def test_gate_noise_without_decay_solves_past_the_peak_bracket(self):
+        cfg = SchemeConfig.noisy(4, NO_DECAY, NOISE)
+        assert time_to_snr(cfg, 16.0) == 3007.0997015514627
+
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.3])
+    @pytest.mark.parametrize("comp", list(Compilation), ids=lambda c: c.value)
+    def test_no_decay_is_smallest_float_reaching_target(self, comp, p):
+        for n in range(2, 65):
+            cfg = SchemeConfig.noisy(n, NO_DECAY, GateNoise(p, comp))
+            sup = peak_snr(cfg)[0]
+            for target in (1e-3 * sup, 0.5 * sup, 0.99 * sup, (1.0 - 1e-9) * sup):
+                t = time_to_snr(cfg, target)
+                assert scheme_snr(cfg, t) >= target
+                assert scheme_snr(cfg, math.nextafter(t, 0.0)) < target
+            # the supremum is approached, never reached
+            for target in (sup, math.nextafter(sup, math.inf), 2.0 * sup):
+                assert time_to_snr(cfg, target) is None
+
     def test_reaches_requested_level(self):
         cfg = SchemeConfig.noisy(3, RATES, NOISE)
         t = time_to_snr(cfg, 8.0)
@@ -771,12 +825,38 @@ class TestGaussianScheme:
         with pytest.raises(DomainError):
             gaussian_scheme_snr(-1.0, 1, 1.0)
 
+    @pytest.mark.parametrize(
+        "n, t, message",
+        [
+            (0, 1.0, "n must be a positive integer, got 0"),
+            (1.5, 1.0, "n must be a positive integer, got 1.5"),
+            (1, -1.0, "window length must be positive and finite, got -1.0"),
+            (1, math.inf, "window length must be positive and finite, got inf"),
+        ],
+    )
+    def test_rejects_bad_register_or_window(self, n, t, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            gaussian_scheme_snr(2.0, n, t)
+
 
 class TestTimeExponent:
     def test_ideal_snr_scales_like_square_root(self):
         ts = np.geomspace(0.5, 8.0, 12)
         snrs = [scheme_snr(SchemeConfig.ideal(2, RateParams(3.5, 14.0)), t) for t in ts]
         assert estimate_time_exponent(ts, snrs) == pytest.approx(0.5, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "ts, snrs, message",
+        [
+            ([1.0], [1.0], "need at least two matching"),
+            ([1.0, 2.0], [1.0, 2.0, 3.0], "need at least two matching"),
+            ([0.0, 1.0], [1.0, 2.0], "log-log fit needs positive samples"),
+            ([1.0, 2.0], [1.0, -2.0], "log-log fit needs positive samples"),
+        ],
+    )
+    def test_rejects_bad_samples(self, ts, snrs, message):
+        with pytest.raises(DomainError, match=f"^{message}"):
+            estimate_time_exponent(ts, snrs)
 
 
 class TestMeritPoint:
