@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .scheme import (
     time_to_snr,
 )
 
-__all__ = ["RunConfig", "main", "run_snr_sweep", "run_speedup", "run_validate"]
+__all__ = ["main", "run_snr_sweep", "run_speedup", "run_validate"]
 
 # Every option once, in --help order: config-file key (the long flag name
 # with the dashes stripped) -> (flag, type, default, choices). The defaults
@@ -115,31 +114,14 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved parameters of one command invocation.
+def build_run_config(ns: argparse.Namespace) -> argparse.Namespace:
+    """The resolved parameters of one invocation.
 
-    ``echo`` lists them under their config-file keys, for the JSON output.
+    The options are merged under their config-file keys (``cfg.nmin``,
+    ``cfg.tstart``, ...), except the model's five, which become ``rates``
+    and ``noise``. ``echo`` lists ``command`` and every option that has a
+    value, for the JSON output.
     """
-
-    command: str
-    rates: RateParams
-    noise: GateNoise
-    n_min: int
-    n_max: int
-    t_start: float
-    t_stop: float
-    t_points: int
-    t_spacing: str
-    target_snr: float | None
-    shots: int | None
-    seed: int | None
-    format: str
-    out: str | None
-    echo: dict
-
-
-def build_run_config(ns: argparse.Namespace) -> RunConfig:
     merged = {key: spec[2] for key, spec in OPTIONS.items()}
     if ns.config:
         merged.update(_read_config_file(ns.config))
@@ -150,41 +132,27 @@ def build_run_config(ns: argparse.Namespace) -> RunConfig:
     for key in ("tstart", "tstop", "targetsnr"):
         if merged[key] is not None and not math.isfinite(merged[key]):
             raise UsageError(f"{OPTIONS[key][0]} must be finite, got {merged[key]}")
+    echo = {"command": ns.command} | {
+        key: merged[key] for key in _ECHO_ORDER if merged[key] is not None
+    }
     try:
-        rates = RateParams(merged["mu0"], merged["mu1"], merged["lambda"])
-        noise = GateNoise(merged["p"], Compilation(merged["compilation"]))
+        rates = RateParams(merged.pop("mu0"), merged.pop("mu1"), merged.pop("lambda"))
+        noise = GateNoise(merged.pop("p"), Compilation(merged.pop("compilation")))
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
-    cfg = RunConfig(
-        command=ns.command,
-        rates=rates,
-        noise=noise,
-        n_min=merged["nmin"],
-        n_max=merged["nmax"],
-        t_start=merged["tstart"],
-        t_stop=merged["tstop"],
-        t_points=merged["tpoints"],
-        t_spacing=merged["tspacing"],
-        target_snr=merged["targetsnr"],
-        shots=merged["shots"],
-        seed=merged["seed"],
-        format=merged["format"],
-        out=merged["out"],
-        echo={"command": ns.command}
-        | {key: merged[key] for key in _ECHO_ORDER if merged[key] is not None},
-    )
-    if not 1 <= cfg.n_min <= cfg.n_max:
-        raise UsageError(f"need 1 <= n-min <= n-max, got {cfg.n_min}..{cfg.n_max}")
+    cfg = argparse.Namespace(command=ns.command, rates=rates, noise=noise, echo=echo, **merged)
+    if not 1 <= cfg.nmin <= cfg.nmax:
+        raise UsageError(f"need 1 <= n-min <= n-max, got {cfg.nmin}..{cfg.nmax}")
     if cfg.command in ("snr-sweep", "mi-sweep"):
-        if not 2 <= cfg.t_points <= MAX_T_POINTS:
-            raise UsageError(f"sweeps need 2 <= --t-points <= {MAX_T_POINTS}, got {cfg.t_points}")
-        if not cfg.t_start < cfg.t_stop:
+        if not 2 <= cfg.tpoints <= MAX_T_POINTS:
+            raise UsageError(f"sweeps need 2 <= --t-points <= {MAX_T_POINTS}, got {cfg.tpoints}")
+        if not cfg.tstart < cfg.tstop:
             raise UsageError("need t-start < t-stop")
-        if cfg.t_spacing == "log" and cfg.t_start <= 0.0:
+        if cfg.tspacing == "log" and cfg.tstart <= 0.0:
             raise UsageError("log spacing needs t-start > 0")
-        if cfg.t_start < 0.0:
+        if cfg.tstart < 0.0:
             raise UsageError("need t-start >= 0")
-    if cfg.command == "speedup" and cfg.target_snr is None:
+    if cfg.command == "speedup" and cfg.targetsnr is None:
         raise UsageError("speedup needs --target-snr")
     if cfg.command == "validate" and (cfg.shots is None or cfg.seed is None):
         raise UsageError("validate needs --shots and --seed")
@@ -193,18 +161,18 @@ def build_run_config(ns: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _t_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.t_spacing == "log":
-        return np.geomspace(cfg.t_start, cfg.t_stop, cfg.t_points)
-    return np.linspace(cfg.t_start, cfg.t_stop, cfg.t_points)
+def _t_grid(cfg: argparse.Namespace) -> np.ndarray:
+    if cfg.tspacing == "log":
+        return np.geomspace(cfg.tstart, cfg.tstop, cfg.tpoints)
+    return np.linspace(cfg.tstart, cfg.tstop, cfg.tpoints)
 
 
-def run_snr_sweep(cfg: RunConfig):
+def run_snr_sweep(cfg: argparse.Namespace):
     """Rows (n, t_ms, snr) over the qubit range and window grid."""
     header = ("n", "t_ms", "snr")
     rows = []
     ts = _t_grid(cfg)
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n in range(cfg.nmin, cfg.nmax + 1):
         snrs = scheme_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise), ts)
         for t, snr in zip(ts.tolist(), snrs.tolist()):
             point = MeritPoint(n, t, snr=snr)
@@ -212,11 +180,11 @@ def run_snr_sweep(cfg: RunConfig):
     return header, rows
 
 
-def run_mi_sweep(cfg: RunConfig):
+def run_mi_sweep(cfg: argparse.Namespace):
     """Rows (n, t_ms, mi, eta_opt) with thresholds optimised exhaustively."""
     header = ("n", "t_ms", "mi", "eta_opt")
     rows = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n in range(cfg.nmin, cfg.nmax + 1):
         scheme = SchemeConfig.noisy(n, cfg.rates, cfg.noise)
         for t in _t_grid(cfg):
             mi, eta = mi_optimal(compose(scheme, float(t)))
@@ -225,13 +193,13 @@ def run_mi_sweep(cfg: RunConfig):
     return header, rows
 
 
-def run_speedup(cfg: RunConfig):
+def run_speedup(cfg: argparse.Namespace):
     """Rows (n, t_ms, ratio, reachable) against the single-qubit solve."""
     header = ("n", "t_ms", "ratio", "reachable")
-    t1 = time_to_snr(SchemeConfig.noisy(1, cfg.rates, cfg.noise), cfg.target_snr)
+    t1 = time_to_snr(SchemeConfig.noisy(1, cfg.rates, cfg.noise), cfg.targetsnr)
     rows = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
-        tn = time_to_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise), cfg.target_snr)
+    for n in range(cfg.nmin, cfg.nmax + 1):
+        tn = time_to_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise), cfg.targetsnr)
         if t1 is None or tn is None:
             rows.append((n, math.nan, math.nan, False))
         else:
@@ -239,28 +207,28 @@ def run_speedup(cfg: RunConfig):
     return header, rows
 
 
-def run_peak_snr(cfg: RunConfig):
+def run_peak_snr(cfg: argparse.Namespace):
     """Rows (n, s_max, t_max_ms); without decay t_max_ms is inf and s_max the supremum."""
     header = ("n", "s_max", "t_max_ms")
     rows = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n in range(cfg.nmin, cfg.nmax + 1):
         s_max, t_max = peak_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise))
         rows.append((n, s_max, t_max))
     return header, rows
 
 
-def run_compilation_dist(cfg: RunConfig):
+def run_compilation_dist(cfg: argparse.Namespace):
     """Rows (compilation, n, q, prob) of the entangling outcome laws."""
     header = ("compilation", "n", "q", "prob")
     rows = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    for n in range(cfg.nmin, cfg.nmax + 1):
         dist = compiled_dist(n, cfg.noise)
         for q, prob in enumerate(dist.probs):
             rows.append((cfg.noise.compilation.value, n, q, float(prob)))
     return header, rows
 
 
-def run_validate(cfg: RunConfig):
+def run_validate(cfg: argparse.Namespace):
     """Monte Carlo cross-checks of the analytic laws, as TV distances.
 
     The acceptance threshold is calibrated for 1e6 shots and scaled with
@@ -322,7 +290,7 @@ def _jsonable(value):
     return value
 
 
-def _emit(cfg: RunConfig, header, rows) -> None:
+def _emit(cfg: argparse.Namespace, header, rows) -> None:
     if cfg.format == "csv":
         lines = [",".join(header)]
         lines += [",".join(_cell(v) for v in row) for row in rows]

@@ -50,6 +50,19 @@ class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
 
 
+def _integer(x, message: str, lo: int = 0, hi: float = math.inf) -> int:
+    """int(x) for an integral x in lo..hi, else DomainError(message.format(x)).
+
+    True and 3.0 pass; 2.5, inf, nan and values int() rejects do not.
+    """
+    try:
+        if x == int(x) and lo <= x <= hi:
+            return int(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(message.format(x))
+
+
 @dataclass(frozen=True)
 class RateParams:
     """Emission and decay rates, all in 1/ms.
@@ -96,9 +109,7 @@ class DiscreteDist:
     truncation_loss: float | None = None
 
     def __post_init__(self):
-        if self.offset != int(self.offset) or self.offset < 0:
-            raise DomainError(f"offset must be a non-negative integer, got {self.offset}")
-        self.offset = int(self.offset)
+        self.offset = _integer(self.offset, "offset must be a non-negative integer, got {}")
         arr = np.array(self.masses, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("masses must be a non-empty 1-d array")
@@ -140,7 +151,7 @@ class DiscreteDist:
 
 def point_mass(k: int) -> DiscreteDist:
     """Deterministic count k."""
-    return DiscreteDist(int(k), np.ones(1), 0.0)
+    return DiscreteDist(k, np.ones(1), 0.0)
 
 
 def _poisson_quantile(q: float, omega: float) -> float:
@@ -243,9 +254,7 @@ def n_fold_convolve(d: DiscreteDist, n: int) -> DiscreteDist:
 
     n = 0 yields the empty convolution, a point mass at zero.
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"fold count must be a non-negative integer, got {n}")
-    n = int(n)
+    n = _integer(n, "fold count must be a non-negative integer, got {}")
     if n == 0:
         return point_mass(0)
     return _fold(d, n, convolve)
@@ -277,14 +286,16 @@ def tail_ge(d: DiscreteDist, eta: float) -> float:
     """Probability of a count at or above the threshold eta.
 
     A non-integer threshold rounds up, so the sum runs over k >= ceil(eta);
-    an integer threshold keeps k >= eta itself.
+    an integer threshold keeps k >= eta itself. A threshold of -inf keeps
+    all the stored mass, +inf none of it.
     """
-    i0 = math.ceil(eta) - d.offset
-    if i0 <= 0:
+    if eta != eta:
+        raise DomainError("threshold must be a number, got nan")
+    if eta <= d.offset:
         return float(d.masses.sum())
-    if i0 >= d.masses.size:
+    if eta > d.k_max:
         return 0.0
-    return float(d.masses[i0:].sum())
+    return float(d.masses[math.ceil(eta) - d.offset :].sum())
 
 
 def _window(d: DiscreteDist, lo: int, hi: int) -> np.ndarray:

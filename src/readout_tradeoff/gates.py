@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DomainError
+from .dist import DomainError, _integer
 
 __all__ = [
     "Compilation",
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+_REGISTER_SIZE = "register size must be a positive integer, got {}"
 
 
 class Compilation(enum.Enum):
@@ -41,7 +42,7 @@ class Compilation(enum.Enum):
 
     def wiring(self, n: int) -> list[tuple[int, int]]:
         """This layout's gates for an n-qubit register, in application order."""
-        return _WIRINGS[self](_positive_int(n))
+        return _WIRINGS[self](_integer(n, _REGISTER_SIZE, 1))
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class OutcomeDist:
     probs: np.ndarray
 
     def __post_init__(self):
-        self.n_qubits = _positive_int(self.n_qubits, "n_qubits")
+        self.n_qubits = _integer(self.n_qubits, "n_qubits must be a positive integer, got {}", 1)
         arr = np.array(self.probs, dtype=np.float64)
         if arr.shape != (self.n_qubits + 1,):
             raise DomainError(
@@ -84,8 +85,8 @@ class OutcomeDist:
 
 def point_outcome(n: int, q: int) -> OutcomeDist:
     """All mass on the single outcome q."""
-    if not 0 <= q <= n:
-        raise DomainError(f"outcome {q} outside 0..{n}")
+    n = _integer(n, _REGISTER_SIZE, 1)
+    q = _integer(q, f"outcome {{}} outside 0..{n}", 0, n)
     probs = np.zeros(n + 1)
     probs[q] = 1.0
     return OutcomeDist(n, probs)
@@ -190,12 +191,6 @@ def cascade_wiring(n: int) -> list[tuple[int, int]]:
 _WIRINGS = {Compilation.FLAT: flat_wiring, Compilation.CASCADE: cascade_wiring}
 
 
-def _positive_int(n, name: str = "register size") -> int:
-    if n != int(n) or n < 1:
-        raise DomainError(f"{name} must be a positive integer, got {n}")
-    return int(n)
-
-
 def _gate_pairs(wiring) -> list[tuple[int, int]]:
     """The gates as plain-int (control, target) pairs."""
     gates = []
@@ -216,7 +211,7 @@ def validate_wiring(n: int, wiring) -> list[tuple[int, int]]:
     model is not defined on) and its control must already be in play, i.e.
     the root or an earlier target. Returns the gates as plain-int pairs.
     """
-    n = _positive_int(n)
+    n = _integer(n, _REGISTER_SIZE, 1)
     gates = _gate_pairs(wiring)
     in_play = {0}
     for idx, (c, t) in enumerate(gates):

@@ -27,12 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import _window_length
-from .dist import DiscreteDist, DomainError, RateParams
+from .dist import DiscreteDist, DomainError, RateParams, _integer
 from .gates import GateNoise, OutcomeDist, _gate_pairs, validate_wiring
 from .scheme import SchemeConfig
 
 __all__ = [
-    "BATCH_SHOTS",
     "McConfig",
     "sample_full_scheme",
     "sample_gate_outcomes",
@@ -40,6 +39,7 @@ __all__ = [
 ]
 
 BATCH_SHOTS = 1 << 16
+_SHOTS = "shots must be a positive integer, got {!r}"
 
 
 @dataclass(frozen=True)
@@ -52,19 +52,9 @@ class McConfig:
     t: float
 
     def __post_init__(self):
-        object.__setattr__(self, "shots", _check_shots(self.shots))
+        object.__setattr__(self, "shots", _integer(self.shots, _SHOTS, 1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "t", _window_length(float(self.t)))
-
-
-def _check_shots(shots) -> int:
-    try:
-        ok = shots == int(shots) and shots >= 1
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        raise DomainError(f"shots must be a positive integer, got {shots!r}")
-    return int(shots)
 
 
 def _check_seed(seed) -> int:
@@ -130,7 +120,7 @@ def sample_gate_outcomes(wiring, p: float, shots: int, seed: int) -> OutcomeDist
     validate_wiring(n, wiring)
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"gate failure probability must lie in [0, 1], got {p}")
-    shots = _check_shots(shots)
+    shots = _integer(shots, _SHOTS, 1)
 
     def draw(rng, size):
         return np.bincount(_run_gates(rng, wiring, n, p, size).sum(axis=1), minlength=n + 1)
@@ -179,7 +169,7 @@ def sample_photon_counts(
     if initial_state not in (0, 1):
         raise DomainError(f"initial state must be 0 or 1, got {initial_state}")
     t = _window_length(float(t))
-    shots = _check_shots(shots)
+    shots = _integer(shots, _SHOTS, 1)
 
     def draw(rng, size):
         if initial_state == 1:

@@ -30,6 +30,7 @@ from .dist import (
     _convolve_by_cost,
     _convolve_masses,
     _fold,
+    _integer,
     _window,
     convolve,
     moments,
@@ -71,6 +72,9 @@ PEAK_GRID_POINTS = 64
 _PEAK_GRID = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
 _PEAK_GRID.setflags(write=False)
 
+_N_QUBITS = f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {{}}"
+_POSITIVE_N = "n must be a positive integer, got {}"
+
 
 @dataclass(frozen=True)
 class SchemeConfig:
@@ -93,11 +97,7 @@ class SchemeConfig:
     single_laws: Callable[[float], tuple[DiscreteDist, DiscreteDist]] | None = None
 
     def __post_init__(self):
-        if self.n_qubits != int(self.n_qubits) or not 1 <= self.n_qubits <= MAX_QUBITS:
-            raise DomainError(
-                f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {self.n_qubits}"
-            )
-        object.__setattr__(self, "n_qubits", int(self.n_qubits))
+        object.__setattr__(self, "n_qubits", _integer(self.n_qubits, _N_QUBITS, 1, MAX_QUBITS))
         if isinstance(self.noise, GateNoise):
             if self.rates is None:
                 raise DomainError("a GateNoise scheme needs emission rates")
@@ -350,6 +350,7 @@ def _moment_snr(q_moments, single0, single1, n: int, t):
     # Composite SNR from (E[Q], Var[Q]) of T0 and T1 and the single-qubit
     # (mean, variance) pairs at t, over floats or arrays, by the mixture moment
     # identities: the mean gap is the single-qubit gap times |E[Q0] + E[Q1] - n|,
+    # summed as (E[Q0] - n) + E[Q1], exactly E[Q1] where T0 keeps all n dark,
     # and each variance is the mean count of qubits carrying either law times
     # that law's variance, plus the gap squared times the outcome variance.
     # A NaN or overflowed moment (the gap squared can overflow where the single
@@ -363,7 +364,7 @@ def _moment_snr(q_moments, single0, single1, n: int, t):
     if not _all(ok):
         bad = np.min(np.where(ok, np.inf, t))
         raise DomainError(f"count moments are not finite at window length t={bad} ms")
-    return _snr_from_moments(gap * (eq0 + eq1 - n), var0n, var1n)
+    return _snr_from_moments(gap * ((eq0 - n) + eq1), var0n, var1n)
 
 
 def scheme_snr(config: SchemeConfig, t):
@@ -417,8 +418,7 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
     """
     if rates.mu0 <= 0.0 or rates.mu0 >= rates.mu1:
         raise DomainError("analytic threshold needs 0 < mu0 < mu1")
-    if n != int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    n = _integer(n, _POSITIVE_N, 1)
     t = _window_length(float(t))
     alpha = rates.mu0 / rates.mu1
     beta = (1.0 / alpha - 1.0) / math.log(1.0 / alpha)
@@ -544,8 +544,7 @@ def gaussian_scheme_snr(drift_rate: float, n: int, t: float) -> float:
     composite SNR is 2*sqrt(n*drift_rate*t). Doubling time and doubling
     qubits are exactly interchangeable here.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"n must be a positive integer, got {n}")
+    n = _integer(n, _POSITIVE_N, 1)
     drift_rate = float(drift_rate)
     t = float(t)
     if not (math.isfinite(drift_rate) and drift_rate > 0.0):
@@ -561,6 +560,8 @@ def estimate_time_exponent(ts, snrs) -> float:
     snrs = np.asarray(snrs, dtype=np.float64)
     if ts.size < 2 or ts.shape != snrs.shape:
         raise DomainError("need at least two matching (t, snr) samples")
+    if not (np.isfinite(ts).all() and np.isfinite(snrs).all()):
+        raise DomainError("log-log fit needs finite samples")
     if np.any(ts <= 0.0) or np.any(snrs <= 0.0):
         raise DomainError("log-log fit needs positive samples")
     return float(np.polyfit(np.log(ts), np.log(snrs), 1)[0])

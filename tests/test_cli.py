@@ -126,6 +126,37 @@ class TestJson:
         assert len(doc["rows"]) == 2
         assert set(doc["rows"][0]) == {"n", "t_ms", "snr"}
 
+    def test_echo_of_every_option(self, capsys, tmp_path):
+        out = tmp_path / "dist.json"
+        argv = [
+            "compilation-dist", "--mu0", "2.5", "--mu1", "12", "--lambda", "0.003",
+            "--p", "0.02", "--compilation", "flat", "--n-min", "2", "--n-max", "3",
+            "--t-start", "0.5", "--t-stop", "4", "--t-points", "3", "--t-spacing", "linear",
+            "--target-snr", "5", "--shots", "100", "--seed", "7", "--format", "json",
+            "--out", str(out),
+        ]
+        assert run(capsys, *argv)[0] == 0
+        # the command, then the options with a default, then the rest, in --help order
+        assert list(json.loads(out.read_text())["config_echo"].items()) == [
+            ("command", "compilation-dist"),
+            ("mu0", 2.5),
+            ("mu1", 12.0),
+            ("lambda", 0.003),
+            ("p", 0.02),
+            ("compilation", "flat"),
+            ("nmin", 2),
+            ("nmax", 3),
+            ("tstart", 0.5),
+            ("tstop", 4.0),
+            ("tpoints", 3),
+            ("tspacing", "linear"),
+            ("format", "json"),
+            ("targetsnr", 5.0),
+            ("shots", 100),
+            ("seed", 7),
+            ("out", str(out)),
+        ]
+
     def test_infinite_values_become_null(self, capsys):
         code, out, _ = run(
             capsys,

@@ -20,6 +20,9 @@ from readout_tradeoff.dist import (
     tail_ge,
     tv_distance,
 )
+from readout_tradeoff.gates import Compilation, OutcomeDist, point_outcome, validate_wiring
+from readout_tradeoff.montecarlo import McConfig, sample_gate_outcomes, sample_photon_counts
+from readout_tradeoff.scheme import SchemeConfig, gaussian_scheme_snr, threshold_analytic
 from tests._reference import max_abs_diff
 from tests.test_cli import run_python
 
@@ -272,10 +275,56 @@ class TestTailGe:
         assert tail_ge(d, 5.0) == pytest.approx(0.4)
         assert tail_ge(d, 6.0) == 0.0
 
+    def test_infinite_thresholds(self):
+        d = DiscreteDist(2, np.array([0.1, 0.2, 0.3]))
+        assert tail_ge(d, math.inf) == 0.0
+        assert tail_ge(d, -math.inf) == float(d.masses.sum())
+
+    def test_rejects_nan_threshold(self):
+        with pytest.raises(DomainError, match="^threshold must be a number, got nan$"):
+            tail_ge(point_mass(2), math.nan)
+
     @pytest.mark.parametrize("omega,eta", [(7.0, 10.0), (42.0, 30.0)])
     def test_matches_scipy_survival(self, omega, eta):
         got = tail_ge(poisson_pmf(omega), eta)
         assert got == pytest.approx(ss.poisson.sf(eta - 1, omega), rel=1e-10)
+
+
+_RATES = RateParams(3.5, 14.0, 0.0041)
+# every argument that counts something, as a call on the bad value x
+_COUNT_ARGUMENTS = {
+    "DiscreteDist.offset": lambda x: DiscreteDist(x, np.ones(1)),
+    "point_mass": point_mass,
+    "n_fold_convolve": lambda x: n_fold_convolve(point_mass(1), x),
+    "Compilation.wiring": Compilation.FLAT.wiring,
+    "OutcomeDist.n_qubits": lambda x: OutcomeDist(x, [0.0, 1.0]),
+    "validate_wiring": lambda x: validate_wiring(x, []),
+    "point_outcome.n": lambda x: point_outcome(x, 0),
+    "point_outcome.q": lambda x: point_outcome(3, x),
+    "SchemeConfig.n_qubits": lambda x: SchemeConfig.ideal(x, _RATES),
+    "threshold_analytic": lambda x: threshold_analytic(_RATES, x, 1.0),
+    "gaussian_scheme_snr": lambda x: gaussian_scheme_snr(1.0, x, 1.0),
+    "McConfig.shots": lambda x: McConfig(x, 1, SchemeConfig.ideal(1, _RATES), 1.0),
+    "sample_gate_outcomes": lambda x: sample_gate_outcomes([(0, 1)], 0.1, x, 1),
+    "sample_photon_counts": lambda x: sample_photon_counts(_RATES, 1, 1.0, x, 1),
+}
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1.5, "2", None])
+    @pytest.mark.parametrize("call", _COUNT_ARGUMENTS.values(), ids=_COUNT_ARGUMENTS)
+    def test_non_integers_raise_domain_error(self, call, x):
+        with pytest.raises(DomainError):
+            call(x)
+
+    @pytest.mark.parametrize("x", [True, 1.0, np.int64(1), np.float64(1.0)])
+    @pytest.mark.parametrize("call", _COUNT_ARGUMENTS.values(), ids=_COUNT_ARGUMENTS)
+    def test_integral_values_are_accepted(self, call, x):
+        call(x)
+
+    def test_point_outcome_keeps_its_range_message(self):
+        with pytest.raises(DomainError, match=r"^outcome 1\.5 outside 0\.\.3$"):
+            point_outcome(3, 1.5)
 
 
 class TestTvDistance:

@@ -1,10 +1,12 @@
 import math
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.fft
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
 from scipy import stats as ss
 
 from readout_tradeoff import dist, scheme
@@ -34,7 +36,13 @@ from readout_tradeoff.scheme import (
     threshold_analytic,
     time_to_snr,
 )
-from tests._reference import dense, golden_peak_snr, power_fold, term_by_term_mix
+from tests._reference import (
+    cascade_explicit,
+    dense,
+    golden_peak_snr,
+    power_fold,
+    term_by_term_mix,
+)
 
 RATES = RateParams(3.5, 14.0, 0.0041)
 NO_DECAY = RateParams(3.5, 14.0, 0.0)
@@ -688,6 +696,15 @@ class TestPeakSnr:
             assert np.all(np.diff(curve) > 0.0)
             assert s_max * (1.0 - 1e-4) < curve[-1] < s_max
 
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.1, 0.3, 0.6])
+    @pytest.mark.parametrize("comp", list(Compilation), ids=lambda c: c.value)
+    def test_no_decay_supremum_has_no_cancellation(self, comp, p):
+        # E[Q0] = n exactly, so the mean gap is E[Q1] itself, not E[Q0] + E[Q1] - n
+        for n in range(2, 65):
+            cfg = SchemeConfig.noisy(n, NO_DECAY, GateNoise(p, comp))
+            eq1, vq1 = cfg.q_moments[1]
+            assert peak_snr(cfg)[0] == 2.0 * eq1 / math.sqrt(vq1)
+
     def test_single_qubit_peak_location(self):
         s_max, t_max = peak_snr(SchemeConfig.noisy(1, RATES, NOISE))
         # frozen regression values, cross-checked against a dense scan
@@ -779,7 +796,26 @@ class TestTimeToSnr:
 
     def test_gate_noise_without_decay_solves_past_the_peak_bracket(self):
         cfg = SchemeConfig.noisy(4, NO_DECAY, NOISE)
-        assert time_to_snr(cfg, 16.0) == 3007.0997015514627
+        t = time_to_snr(cfg, 16.0)
+        assert t == 3007.099701551377
+        # The crossing at 50 digits, from the exact outcome law of the float p.
+        # Near the supremum d(ln SNR)/d(ln t) is ~0.007, so one ulp of the SNR
+        # moves t by ~3e-14 relative: the solve must land within that.
+        with mp.workdps(50):
+            probs = [mp.mpf(w.numerator) / w.denominator
+                     for w in cascade_explicit(4, Fraction(NOISE.p))]
+            eq1 = sum(q * w for q, w in enumerate(probs))
+            vq1 = sum(q * q * w for q, w in enumerate(probs)) - eq1**2
+            mu0, mu1 = mp.mpf(NO_DECAY.mu0), mp.mpf(NO_DECAY.mu1)
+            bright = eq1 * mu1 + (4 - eq1) * mu0
+
+            def snr(x):
+                spread = mp.sqrt(4 * mu0 * x) + mp.sqrt(bright * x + ((mu1 - mu0) * x) ** 2 * vq1)
+                return 2 * (mu1 - mu0) * eq1 * x / spread
+
+            crossing = mp.findroot(lambda x: snr(x) - 16, 3007)
+            slope = mp.diff(snr, crossing) * crossing / 16
+            assert abs(t - crossing) / crossing < (math.ulp(16.0) / 16.0) / slope
 
     @pytest.mark.parametrize("p", [0.001, 0.01, 0.3])
     @pytest.mark.parametrize("comp", list(Compilation), ids=lambda c: c.value)
@@ -852,6 +888,10 @@ class TestTimeExponent:
             ([1.0, 2.0], [1.0, 2.0, 3.0], "need at least two matching"),
             ([0.0, 1.0], [1.0, 2.0], "log-log fit needs positive samples"),
             ([1.0, 2.0], [1.0, -2.0], "log-log fit needs positive samples"),
+            ([1.0, math.nan], [1.0, 2.0], "log-log fit needs finite samples"),
+            ([1.0, math.inf], [1.0, 2.0], "log-log fit needs finite samples"),
+            ([1.0, 2.0], [math.nan, 2.0], "log-log fit needs finite samples"),
+            ([1.0, 2.0], [1.0, math.inf], "log-log fit needs finite samples"),
         ],
     )
     def test_rejects_bad_samples(self, ts, snrs, message):
