@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .dist import DiscreteDist, DomainError, RateParams, point_mass
-from .dist import _poisson_terms, _poisson_window
+from .dist import _poisson_terms, _poisson_window, _real
 
 __all__ = ["DecayModelParams", "decaying_poisson", "decaying_poisson_moments"]
 
@@ -43,14 +43,18 @@ class DecayModelParams:
 
 def _window_length(t) -> float | np.ndarray:
     """t as a float or a float64 ndarray, each entry finite and non-negative."""
+    if isinstance(t, float) or np.ndim(t) == 0:  # np.ndim would dominate a float call
+        return _scalar_window_length(t)
     t = np.asarray(t, dtype=np.float64)
-    t = float(t) if t.ndim == 0 else t
     u = _where(t == t, t, -1.0)  # NaN reaches no ordered comparison, which can warn
     ok = (u >= 0.0) & (u < math.inf)
     if not _all(ok):
-        bad = np.extract(np.logical_not(ok), t)[0]
-        raise DomainError(f"window length must be finite and non-negative, got {float(bad)}")
+        _scalar_window_length(np.extract(np.logical_not(ok), t)[0])  # raises
     return t
+
+
+def _scalar_window_length(t) -> float:
+    return _real(t, "window length must be finite and non-negative, got {}", 0.0)
 
 
 # _where, _all and _libm keep a float t in Python floats, where numpy's calls are slow

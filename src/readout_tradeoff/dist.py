@@ -9,6 +9,7 @@ long convolution pipelines instead of silently eroding.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,7 @@ _FFT_S = 23e-6
 _FFT_POINT_S = 1.5e-9
 
 _NORM_TOL = 1e-9
+_MAX_FLOAT = sys.float_info.max
 
 
 class DomainError(ValueError):
@@ -63,6 +65,22 @@ def _integer(x, message: str, lo: int = 0, hi: float = math.inf) -> int:
     raise DomainError(message.format(x))
 
 
+def _real(x, message: str, lo: float = -_MAX_FLOAT, hi: float = _MAX_FLOAT) -> float:
+    """float(x) for a real number x in [lo, hi], else DomainError(message.format(x)).
+
+    [lo, hi] defaults to the finite floats; a site that takes inf says so.
+    True, ints and numpy scalars pass; str, bytes, None, sequences, arrays
+    of more than one element, nan and ints past the largest float do not.
+    A string shows by its repr, '0.5'.
+    """
+    try:
+        if not isinstance(x, (str, bytes)) and lo <= (x := float(x)) <= hi:
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise DomainError(message.format(x if isinstance(x, float) else repr(x)))
+
+
 @dataclass(frozen=True)
 class RateParams:
     """Emission and decay rates, all in 1/ms.
@@ -76,12 +94,9 @@ class RateParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "mu0", float(self.mu0))
-        object.__setattr__(self, "mu1", float(self.mu1))
-        object.__setattr__(self, "lam", float(self.lam))
         for name in ("mu0", "mu1", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+            message = f"{name} must be a finite number, got {{}}"
+            object.__setattr__(self, name, _real(getattr(self, name), message))
         if not 0.0 <= self.mu0 <= self.mu1:
             raise DomainError(
                 f"rates must satisfy 0 <= mu0 <= mu1, got mu0={self.mu0}, mu1={self.mu1}"
@@ -121,11 +136,8 @@ class DiscreteDist:
                 raise DomainError("masses must be finite")
             if np.any(arr < 0.0):
                 raise DomainError("masses must be non-negative")
-        if self.truncation_loss is None:
-            self.truncation_loss = max(0.0, 1.0 - total)
-        self.truncation_loss = float(self.truncation_loss)
-        if self.truncation_loss < 0.0:
-            raise DomainError("truncation_loss must be non-negative")
+        loss = max(0.0, 1.0 - total) if self.truncation_loss is None else self.truncation_loss
+        self.truncation_loss = _real(loss, "truncation_loss must be non-negative", 0.0, math.inf)
         if abs(total + self.truncation_loss - 1.0) > _NORM_TOL:
             raise DomainError(
                 f"masses plus truncation_loss must sum to one, got {total + self.truncation_loss}"
@@ -141,11 +153,11 @@ class DiscreteDist:
     def support(self) -> np.ndarray:
         return np.arange(self.offset, self.offset + self.masses.size)
 
-    def pmf(self, k: int) -> float:
-        """Probability of the exact count k (zero outside the stored window)."""
-        i = int(k) - self.offset
-        if 0 <= i < self.masses.size:
-            return float(self.masses[i])
+    def pmf(self, k: float) -> float:
+        """Probability of the exact count k (zero outside the window and for a non-integral k)."""
+        k = _real(k, "count must be a number, got {}", -math.inf, math.inf)
+        if k.is_integer() and self.offset <= k <= self.k_max:
+            return float(self.masses[int(k) - self.offset])
         return 0.0
 
 
@@ -190,9 +202,7 @@ def poisson_pmf(omega: float) -> DiscreteDist:
     no more than about 1e-12 of the mass. Values are evaluated in log
     space and exponentiated, which keeps far-tail bins accurate.
     """
-    omega = float(omega)
-    if not math.isfinite(omega) or omega < 0.0:
-        raise DomainError(f"poisson mean must be finite and non-negative, got {omega}")
+    omega = _real(omega, "poisson mean must be finite and non-negative, got {}", 0.0)
     if omega == 0.0:
         return point_mass(0)
     lo, hi = _poisson_window(omega)
@@ -289,8 +299,7 @@ def tail_ge(d: DiscreteDist, eta: float) -> float:
     an integer threshold keeps k >= eta itself. A threshold of -inf keeps
     all the stored mass, +inf none of it.
     """
-    if eta != eta:
-        raise DomainError("threshold must be a number, got nan")
+    eta = _real(eta, "threshold must be a number, got {}", -math.inf, math.inf)
     if eta <= d.offset:
         return float(d.masses.sum())
     if eta > d.k_max:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DomainError, _integer
+from .dist import DomainError, _integer, _real
 
 __all__ = [
     "Compilation",
@@ -53,9 +53,8 @@ class GateNoise:
     compilation: Compilation = Compilation.CASCADE
 
     def __post_init__(self):
-        object.__setattr__(self, "p", float(self.p))
-        if not 0.0 <= self.p <= 1.0:
-            raise DomainError(f"gate failure probability must lie in [0, 1], got {self.p}")
+        p = _real(self.p, "gate failure probability must lie in [0, 1], got {}", 0.0, 1.0)
+        object.__setattr__(self, "p", p)
         if not isinstance(self.compilation, Compilation):
             raise DomainError(f"unknown compilation {self.compilation!r}")
 

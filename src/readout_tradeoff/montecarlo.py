@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import _window_length
+from .decay import _scalar_window_length
 from .dist import DiscreteDist, DomainError, RateParams, _integer
 from .gates import GateNoise, OutcomeDist, _gate_pairs, validate_wiring
 from .scheme import SchemeConfig
@@ -54,7 +54,7 @@ class McConfig:
     def __post_init__(self):
         object.__setattr__(self, "shots", _integer(self.shots, _SHOTS, 1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "t", _window_length(float(self.t)))
+        object.__setattr__(self, "t", _scalar_window_length(self.t))
 
 
 def _check_seed(seed) -> int:
@@ -118,8 +118,7 @@ def sample_gate_outcomes(wiring, p: float, shots: int, seed: int) -> OutcomeDist
     wiring = _gate_pairs(wiring)
     n = _wiring_size(wiring)
     validate_wiring(n, wiring)
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"gate failure probability must lie in [0, 1], got {p}")
+    p = GateNoise(p).p
     shots = _integer(shots, _SHOTS, 1)
 
     def draw(rng, size):
@@ -168,7 +167,9 @@ def sample_photon_counts(
     """
     if initial_state not in (0, 1):
         raise DomainError(f"initial state must be 0 or 1, got {initial_state}")
-    t = _window_length(float(t))
+    if not isinstance(rates, RateParams):
+        raise DomainError("rates must be a RateParams instance")
+    t = _scalar_window_length(t)
     shots = _integer(shots, _SHOTS, 1)
 
     def draw(rng, size):

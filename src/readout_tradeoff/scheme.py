@@ -21,7 +21,7 @@ import numpy as np
 from scipy import fft, optimize
 
 from . import dist as _dist
-from .decay import DecayModelParams, _all, _where, _window_length
+from .decay import DecayModelParams, _all, _scalar_window_length, _where, _window_length
 from .decay import decaying_poisson, decaying_poisson_moments
 from .dist import (
     DiscreteDist,
@@ -31,6 +31,7 @@ from .dist import (
     _convolve_masses,
     _fold,
     _integer,
+    _real,
     _window,
     convolve,
     moments,
@@ -72,6 +73,7 @@ PEAK_GRID_POINTS = 64
 _PEAK_GRID = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
 _PEAK_GRID.setflags(write=False)
 
+_MIN_POSITIVE = math.ulp(0.0)  # _real's lo for an argument that must be positive
 _N_QUBITS = f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {{}}"
 _POSITIVE_N = "n must be a positive integer, got {}"
 
@@ -99,8 +101,8 @@ class SchemeConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _integer(self.n_qubits, _N_QUBITS, 1, MAX_QUBITS))
         if isinstance(self.noise, GateNoise):
-            if self.rates is None:
-                raise DomainError("a GateNoise scheme needs emission rates")
+            if not isinstance(self.rates, RateParams):
+                raise DomainError("rates must be a RateParams instance")
             return
         try:
             t0, t1 = self.noise
@@ -127,7 +129,7 @@ class SchemeConfig:
     @classmethod
     def ideal(cls, n_qubits: int, rates: RateParams) -> "SchemeConfig":
         """Perfect gates and no decay: the noisy model at p = 0, lam = 0."""
-        clean = None if rates is None else RateParams(rates.mu0, rates.mu1, 0.0)
+        clean = RateParams(rates.mu0, rates.mu1, 0.0) if isinstance(rates, RateParams) else rates
         return cls.noisy(n_qubits, clean, GateNoise(0.0))
 
     @classmethod
@@ -141,21 +143,11 @@ class SchemeConfig:
 
 @dataclass
 class CompositeStats:
-    """Composite count laws for the two preparations with cached moments."""
+    """Composite count laws for the two preparations at window length t."""
 
     p0: DiscreteDist
     p1: DiscreteDist
     t: float
-    mean0: float
-    var0: float
-    mean1: float
-    var1: float
-
-    @classmethod
-    def from_dists(cls, p0: DiscreteDist, p1: DiscreteDist, t: float) -> "CompositeStats":
-        m0, v0 = moments(p0)
-        m1, v1 = moments(p1)
-        return cls(p0, p1, t, m0, v0, m1, v1)
 
 
 @dataclass(frozen=True)
@@ -169,10 +161,10 @@ class MeritPoint:
     eta_opt: float | None = None
 
     def __post_init__(self):
-        if self.mi is not None and not 0.0 <= self.mi <= 0.5 + 1e-12:
-            raise DomainError(f"mi must lie in [0, 0.5], got {self.mi}")
-        if self.snr is not None and self.snr < 0.0:
-            raise DomainError(f"snr must be non-negative, got {self.snr}")
+        if self.mi is not None:
+            _real(self.mi, "mi must lie in [0, 0.5], got {}", 0.0, 0.5 + 1e-12)
+        if self.snr is not None:
+            _real(self.snr, "snr must be non-negative, got {}", 0.0, math.inf)
 
 
 @dataclass(frozen=True)
@@ -252,12 +244,10 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
     path. Mixture terms whose weight falls below WEIGHT_FLOOR are dropped
     and accounted for in the truncation loss of the result.
     """
-    t = _window_length(float(t))
+    t = _scalar_window_length(t)
     dark, bright = _single_folds(config, t)
     t0, t1 = config.outcomes
-    return CompositeStats.from_dists(
-        _two_sided_mix(t0, dark, bright), _two_sided_mix(t1, bright, dark), t
-    )
+    return CompositeStats(_two_sided_mix(t0, dark, bright), _two_sided_mix(t1, bright, dark), t)
 
 
 def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
@@ -342,8 +332,9 @@ def snr_direct(stats: CompositeStats) -> float:
     means give zero; distinct means with both variances zero return the
     +inf sentinel for a perfectly resolvable pair.
     """
+    (mean0, var0), (mean1, var1) = moments(stats.p0), moments(stats.p1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_snr_from_moments(stats.mean1 - stats.mean0, stats.var0, stats.var1))
+        return float(_snr_from_moments(mean1 - mean0, var0, var1))
 
 
 def _moment_snr(q_moments, single0, single1, n: int, t):
@@ -419,7 +410,7 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
     if rates.mu0 <= 0.0 or rates.mu0 >= rates.mu1:
         raise DomainError("analytic threshold needs 0 < mu0 < mu1")
     n = _integer(n, _POSITIVE_N, 1)
-    t = _window_length(float(t))
+    t = _scalar_window_length(t)
     alpha = rates.mu0 / rates.mu1
     beta = (1.0 / alpha - 1.0) / math.log(1.0 / alpha)
     gamma0 = beta * math.log(beta) + 1.0 - beta
@@ -500,8 +491,7 @@ def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
     without decay, at or above the supremum, or so close below it that
     k*k - c rounds to zero or less, or the crossing is past the largest float.
     """
-    if not target_s > 0.0:
-        raise DomainError(f"target SNR must be positive, got {target_s}")
+    target_s = _real(target_s, "target SNR must be positive, got {}", _MIN_POSITIVE, math.inf)
 
     f = functools.partial(scheme_snr, config)
     if _no_decay(config):
@@ -545,12 +535,8 @@ def gaussian_scheme_snr(drift_rate: float, n: int, t: float) -> float:
     qubits are exactly interchangeable here.
     """
     n = _integer(n, _POSITIVE_N, 1)
-    drift_rate = float(drift_rate)
-    t = float(t)
-    if not (math.isfinite(drift_rate) and drift_rate > 0.0):
-        raise DomainError(f"drift rate must be positive and finite, got {drift_rate}")
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"window length must be positive and finite, got {t}")
+    drift_rate = _real(drift_rate, "drift rate must be positive and finite, got {}", _MIN_POSITIVE)
+    t = _real(t, "window length must be positive and finite, got {}", _MIN_POSITIVE)
     return 2.0 * math.sqrt(n * drift_rate * t)
 
 

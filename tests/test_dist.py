@@ -20,9 +20,24 @@ from readout_tradeoff.dist import (
     tail_ge,
     tv_distance,
 )
-from readout_tradeoff.gates import Compilation, OutcomeDist, point_outcome, validate_wiring
+from readout_tradeoff.decay import DecayModelParams
+from readout_tradeoff.gates import (
+    Compilation,
+    GateNoise,
+    OutcomeDist,
+    point_outcome,
+    validate_wiring,
+)
 from readout_tradeoff.montecarlo import McConfig, sample_gate_outcomes, sample_photon_counts
-from readout_tradeoff.scheme import SchemeConfig, gaussian_scheme_snr, threshold_analytic
+from readout_tradeoff.scheme import (
+    MeritPoint,
+    SchemeConfig,
+    compose,
+    gaussian_scheme_snr,
+    scheme_snr,
+    threshold_analytic,
+    time_to_snr,
+)
 from tests._reference import max_abs_diff
 from tests.test_cli import run_python
 
@@ -73,6 +88,17 @@ class TestDiscreteDist:
         assert list(d.support) == [2, 3]
         assert d.pmf(2) == 0.5
         assert d.pmf(1) == 0.0 and d.pmf(4) == 0.0
+
+    def test_pmf_of_a_count_that_cannot_occur_is_zero(self):
+        d = DiscreteDist(2, np.array([0.5, 0.5]), 0.0)
+        assert d.pmf(3.0) == d.pmf(np.int64(3)) == d.pmf(True + 2) == 0.5
+        for k in (2.5, 3.0000000000000004, math.inf, -math.inf, 1e300):
+            assert d.pmf(k) == 0.0
+
+    @pytest.mark.parametrize("k", ["3", math.nan, None])
+    def test_pmf_rejects_what_is_no_number(self, k):
+        with pytest.raises(DomainError, match="^count must be a number, got "):
+            DiscreteDist(2, np.array([0.5, 0.5]), 0.0).pmf(k)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(DomainError):
@@ -325,6 +351,79 @@ class TestCountArguments:
     def test_point_outcome_keeps_its_range_message(self):
         with pytest.raises(DomainError, match=r"^outcome 1\.5 outside 0\.\.3$"):
             point_outcome(3, 1.5)
+
+
+# What scalar real arguments refuse: a string and nan always, None where it
+# is no default, a list where no array of t is taken, inf and an int past
+# the largest float where the value must be finite.
+_FINITE = ["0.5", None, math.nan, [1.0, 2.0], math.inf, 10**400]
+_EXTENDED = ["0.5", None, math.nan, [1.0, 2.0]]
+_OPTIONAL = ["0.5", math.nan, [1.0, 2.0], math.inf, 10**400]
+_ARRAYS = ["0.5", None, math.nan, math.inf, 10**400]
+_ONES = [1, True, np.int64(1)]
+_HALVES = [np.float32(0.5), np.float64(0.5)]
+_IDEAL = SchemeConfig.ideal(1, _RATES)
+# every scalar real argument, as (call on x, the values it refuses, the values it takes)
+_REAL_ARGUMENTS = {
+    "RateParams.mu0": (lambda x: RateParams(x, 14.0), _FINITE, _ONES + _HALVES),
+    "RateParams.mu1": (lambda x: RateParams(0.0, x), _FINITE, _ONES + _HALVES),
+    "RateParams.lam": (lambda x: RateParams(3.5, 14.0, x), _FINITE, _ONES + _HALVES),
+    "DiscreteDist.truncation_loss": (
+        lambda x: DiscreteDist(0, np.full(2, 0.25), x), _OPTIONAL, _HALVES
+    ),
+    "DiscreteDist.pmf": (point_mass(1).pmf, _EXTENDED, _ONES + _HALVES),
+    "poisson_pmf": (poisson_pmf, _FINITE, _ONES + _HALVES),
+    "tail_ge": (lambda x: tail_ge(point_mass(1), x), _EXTENDED, _ONES + _HALVES),
+    "GateNoise.p": (GateNoise, _FINITE, _ONES + _HALVES),
+    "sample_gate_outcomes": (
+        lambda x: sample_gate_outcomes([(0, 1)], x, 10, 1), _FINITE, _ONES + _HALVES
+    ),
+    "time_to_snr": (lambda x: time_to_snr(_IDEAL, x), _EXTENDED, _ONES + _HALVES),
+    "gaussian_scheme_snr.drift_rate": (
+        lambda x: gaussian_scheme_snr(x, 1, 1.0), _FINITE, _ONES + _HALVES
+    ),
+    "gaussian_scheme_snr.t": (lambda x: gaussian_scheme_snr(1.0, 1, x), _FINITE, _ONES + _HALVES),
+    "MeritPoint.mi": (lambda x: MeritPoint(1, 1.0, mi=x), _OPTIONAL, _HALVES),
+    "MeritPoint.snr": (
+        lambda x: MeritPoint(1, 1.0, snr=x), ["0.5", math.nan, [1.0, 2.0]], _ONES + _HALVES
+    ),
+    "compose": (lambda x: compose(_IDEAL, x), _FINITE, _ONES + _HALVES),
+    "threshold_analytic": (lambda x: threshold_analytic(_RATES, 1, x), _FINITE, _ONES + _HALVES),
+    "McConfig.t": (lambda x: McConfig(1, 1, _IDEAL, x), _FINITE, _ONES + _HALVES),
+    "sample_photon_counts": (
+        lambda x: sample_photon_counts(_RATES, 1, x, 1, 1), _FINITE, _ONES + _HALVES
+    ),
+    "scheme_snr": (lambda x: scheme_snr(_IDEAL, x), _ARRAYS, _ONES + _HALVES),
+    "DecayModelParams.t": (lambda x: DecayModelParams(_RATES, x), _ARRAYS, _ONES + _HALVES),
+}
+
+
+def _real_cases(column: int):
+    return [
+        pytest.param(row[0], x, id=f"{name}-{x!r:.16}")
+        for name, row in _REAL_ARGUMENTS.items()
+        for x in row[column]
+    ]
+
+
+class TestRealArguments:
+    @pytest.mark.parametrize("call, x", _real_cases(1))
+    def test_non_reals_raise_domain_error(self, call, x):
+        with pytest.raises(DomainError):
+            call(x)
+
+    @pytest.mark.parametrize("call, x", _real_cases(2))
+    def test_reals_in_range_are_accepted(self, call, x):
+        call(x)
+
+    def test_infinities_keep_their_meaning(self):
+        assert time_to_snr(_IDEAL, math.inf) is None
+        assert MeritPoint(1, 1.0, snr=math.inf).snr == math.inf
+        assert tail_ge(point_mass(1), -math.inf) == 1.0 and tail_ge(point_mass(1), math.inf) == 0.0
+
+    def test_a_rejected_string_reads_as_a_string(self):
+        with pytest.raises(DomainError, match=r"^gate failure probability .*, got '0\.1'$"):
+            GateNoise("0.1")
 
 
 class TestTvDistance:

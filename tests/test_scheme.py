@@ -21,6 +21,7 @@ from readout_tradeoff.gates import (
     outcome_moments,
     point_outcome,
 )
+from readout_tradeoff.montecarlo import sample_photon_counts
 from readout_tradeoff.scheme import (
     WEIGHT_FLOOR,
     CompositeStats,
@@ -68,6 +69,19 @@ class TestConfig:
     def test_ideal_requires_rates(self):
         with pytest.raises(DomainError):
             SchemeConfig.ideal(2, None)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: SchemeConfig.noisy(2, (3.5, 14.0), NOISE),
+            lambda: SchemeConfig.ideal(2, (3.5, 14.0)),
+            lambda: sample_photon_counts((3.5, 14.0), 1, 1.0, 10, 1),
+        ],
+        ids=["noisy", "ideal", "sample_photon_counts"],
+    )
+    def test_rates_of_the_wrong_type(self, call):
+        with pytest.raises(DomainError, match="^rates must be a RateParams instance$"):
+            call()
 
     def test_fields_are_frozen(self):
         cfg = SchemeConfig.noisy(2, RATES, NOISE)
@@ -459,11 +473,11 @@ class TestHornerCompose:
 
 class TestSnr:
     def test_identical_laws_give_zero(self):
-        stats = CompositeStats.from_dists(poisson_pmf(5.0), poisson_pmf(5.0), 1.0)
+        stats = CompositeStats(poisson_pmf(5.0), poisson_pmf(5.0), 1.0)
         assert snr_direct(stats) == 0.0
 
     def test_distinct_point_masses_give_infinity(self):
-        stats = CompositeStats.from_dists(point_mass(0), point_mass(5), 1.0)
+        stats = CompositeStats(point_mass(0), point_mass(5), 1.0)
         assert snr_direct(stats) == math.inf
 
     def test_moment_formula_collapses_for_trivial_gates(self):
@@ -572,14 +586,14 @@ class TestArrayRoute:
 
 class TestMiOptimal:
     def test_separated_point_masses(self):
-        stats = CompositeStats.from_dists(point_mass(0), point_mass(5), 1.0)
+        stats = CompositeStats(point_mass(0), point_mass(5), 1.0)
         mi, eta = mi_optimal(stats)
         assert mi == 0.0
         assert eta == 1.0  # smallest threshold among the ties
 
     def test_identical_laws_give_half(self):
         d = poisson_pmf(5.0)
-        mi, _ = mi_optimal(CompositeStats.from_dists(d, d, 1.0))
+        mi, _ = mi_optimal(CompositeStats(d, d, 1.0))
         assert mi == pytest.approx(0.5, abs=1e-12)
 
     def test_matches_exhaustive_scipy_scan(self):
