@@ -23,7 +23,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .dist import DiscreteDist, DomainError, RateParams, point_mass
-from .dist import _poisson_terms, _poisson_window, _real
+from .dist import _poisson_terms, _poisson_window, _real, _real_array
 
 __all__ = ["DecayModelParams", "decaying_poisson", "decaying_poisson_moments"]
 
@@ -43,9 +43,10 @@ class DecayModelParams:
 
 def _window_length(t) -> float | np.ndarray:
     """t as a float or a float64 ndarray, each entry finite and non-negative."""
-    if isinstance(t, float) or np.ndim(t) == 0:  # np.ndim would dominate a float call
+    # np.ndim would dominate a float call, and raises ValueError for a ragged list
+    if isinstance(t, float) or (not isinstance(t, (list, tuple)) and np.ndim(t) == 0):
         return _scalar_window_length(t)
-    t = np.asarray(t, dtype=np.float64)
+    t = _real_array(t, "window lengths must be real numbers")
     u = _where(t == t, t, -1.0)  # NaN reaches no ordered comparison, which can warn
     ok = (u >= 0.0) & (u < math.inf)
     if not _all(ok):

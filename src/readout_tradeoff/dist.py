@@ -81,6 +81,22 @@ def _real(x, message: str, lo: float = -_MAX_FLOAT, hi: float = _MAX_FLOAT) -> f
     raise DomainError(message.format(x if isinstance(x, float) else repr(x)))
 
 
+def _real_array(x, message: str) -> np.ndarray:
+    """np.asarray(x, dtype=np.float64) if x holds only bools, ints and floats.
+
+    Anything else raises DomainError(message): strings, which a float64
+    conversion would parse ('0.5' -> 0.5) where _real refuses them, objects,
+    complex numbers and ragged nestings. The array's dtype tells them apart.
+    """
+    try:
+        arr = np.asarray(x)
+    except ValueError:  # a ragged nesting
+        raise DomainError(message) from None
+    if arr.dtype.kind not in ("b", "i", "u", "f"):
+        raise DomainError(message)
+    return arr.astype(np.float64, copy=False)
+
+
 @dataclass(frozen=True)
 class RateParams:
     """Emission and decay rates, all in 1/ms.
@@ -125,7 +141,7 @@ class DiscreteDist:
 
     def __post_init__(self):
         self.offset = _integer(self.offset, "offset must be a non-negative integer, got {}")
-        arr = np.array(self.masses, dtype=np.float64)
+        arr = np.array(_real_array(self.masses, "masses must be real numbers"))  # frozen below
         if arr.ndim != 1 or arr.size == 0:
             raise DomainError("masses must be a non-empty 1-d array")
         # A NaN or negative mass fails the minimum, which also keeps -inf out of
@@ -330,7 +346,7 @@ def mixture(dists: list[DiscreteDist] | tuple[DiscreteDist, ...], weights) -> Di
     result.
     """
     dists = list(dists)
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = _real_array(weights, "mixture weights must be real numbers")
     if len(dists) == 0 or weights.shape != (len(dists),):
         raise DomainError("mixture needs one weight per component")
     if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DomainError, _integer, _real
+from .dist import DomainError, _integer, _real, _real_array
 
 __all__ = [
     "Compilation",
@@ -68,7 +68,7 @@ class OutcomeDist:
 
     def __post_init__(self):
         self.n_qubits = _integer(self.n_qubits, "n_qubits must be a positive integer, got {}", 1)
-        arr = np.array(self.probs, dtype=np.float64)
+        arr = np.array(_real_array(self.probs, "probs must be real numbers"))  # frozen below
         if arr.shape != (self.n_qubits + 1,):
             raise DomainError(
                 f"probs must have length n_qubits + 1 = {self.n_qubits + 1}, got {arr.shape}"

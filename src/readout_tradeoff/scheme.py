@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import fft, optimize
+from scipy import fft
 
 from . import dist as _dist
 from .decay import DecayModelParams, _all, _scalar_window_length, _where, _window_length
@@ -32,6 +32,7 @@ from .dist import (
     _fold,
     _integer,
     _real,
+    _real_array,
     _window,
     convolve,
     moments,
@@ -161,10 +162,13 @@ class MeritPoint:
     eta_opt: float | None = None
 
     def __post_init__(self):
+        put = functools.partial(object.__setattr__, self)
+        put("n_qubits", _integer(self.n_qubits, "n_qubits must be a positive integer, got {}", 1))
+        put("t", _scalar_window_length(self.t))
         if self.mi is not None:
-            _real(self.mi, "mi must lie in [0, 0.5], got {}", 0.0, 0.5 + 1e-12)
+            put("mi", _real(self.mi, "mi must lie in [0, 0.5], got {}", 0.0, 0.5 + 1e-12))
         if self.snr is not None:
-            _real(self.snr, "snr must be non-negative, got {}", 0.0, math.inf)
+            put("snr", _real(self.snr, "snr must be non-negative, got {}", 0.0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -456,6 +460,8 @@ def peak_snr(config: SchemeConfig) -> tuple[float, float]:
         return 0.0, math.nan
     if _no_decay(config):
         return _no_decay_supremum(config), math.inf
+    from scipy import optimize  # only the two solvers need it: a third of the import time
+
     i = int(np.argmax(vals))
     a = ts[max(i - 1, 0)]
     b = ts[min(i + 1, ts.size - 1)]
@@ -505,6 +511,8 @@ def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
         s_max, t_peak = peak_snr(config)
         if not s_max >= target_s:
             return None
+        from scipy import optimize
+
         t = optimize.brentq(lambda x: f(x) - target_s, 0.0, t_peak, xtol=1e-300)
     if not math.isfinite(t):
         return None
@@ -542,8 +550,8 @@ def gaussian_scheme_snr(drift_rate: float, n: int, t: float) -> float:
 
 def estimate_time_exponent(ts, snrs) -> float:
     """Exponent a in SNR ~ t**a over the given window, by log-log fit."""
-    ts = np.asarray(ts, dtype=np.float64)
-    snrs = np.asarray(snrs, dtype=np.float64)
+    ts = _real_array(ts, "log-log fit needs real samples")
+    snrs = _real_array(snrs, "log-log fit needs real samples")
     if ts.size < 2 or ts.shape != snrs.shape:
         raise DomainError("need at least two matching (t, snr) samples")
     if not (np.isfinite(ts).all() and np.isfinite(snrs).all()):

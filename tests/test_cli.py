@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from readout_tradeoff import SchemeConfig, cli, scheme_snr
+from readout_tradeoff import (
+    GateNoise,
+    RateParams,
+    SchemeConfig,
+    cli,
+    peak_snr,
+    scheme_snr,
+    time_to_snr,
+)
 from readout_tradeoff.cli import COMMANDS, MAX_T_POINTS, main
 from readout_tradeoff.cli import _build_parser, _t_grid, build_run_config, run_snr_sweep
 from readout_tradeoff.gates import point_outcome
@@ -35,14 +43,50 @@ def run_python(*args, check=True, env=None):
 
 
 class TestImportGraph:
-    def test_cli_import_loads_no_stats_or_signal(self):
-        # both are slow to import and the library needs neither
+    """What importing the package costs: scipy's slow modules load only where used."""
+
+    def test_cli_import_loads_no_stats_signal_or_optimize(self):
+        # the library needs neither stats nor signal, and optimize only to solve
         code = (
-            "import sys, readout_tradeoff.cli; "
-            "print(sorted(m for m in ('scipy.stats', 'scipy.signal') if m in sys.modules))"
+            "import sys, readout_tradeoff.cli; print([m for m in "
+            "('scipy.stats', 'scipy.signal', 'scipy.optimize') if m in sys.modules])"
         )
         out = run_python("-c", code)
         assert out.stdout.strip() == "[]"
+
+    def test_commands_that_solve_nothing_never_load_optimize(self):
+        commands = [
+            "snr-sweep --n-max 2 --t-points 3",
+            "mi-sweep --n-max 2 --t-points 2",
+            "compilation-dist --n-max 3",
+            "validate",
+        ]
+        code = (
+            "import contextlib, io, sys\n"
+            "from readout_tradeoff.cli import main\n"
+            "for command in sys.argv[1:]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        code = main(command.split() + ['--shots', '1000', '--seed', '3'])\n"
+            "    print(command.split()[0], code, 'scipy.optimize' in sys.modules)\n"
+        )
+        out = run_python("-c", code, *commands)
+        assert out.stdout.splitlines() == [f"{c.split()[0]} 0 False" for c in commands]
+
+    def test_solvers_load_optimize_on_first_use(self):
+        # a fresh interpreter, whose solvers import scipy.optimize on their first
+        # call, gets this process's results to the bit
+        config = SchemeConfig.noisy(4, RateParams(3.5, 14.0, 0.02), GateNoise(0.01))
+        expected = repr((peak_snr(config), time_to_snr(config, 5.0)))
+        code = (
+            "import sys\n"
+            "from readout_tradeoff import *\n"
+            "config = SchemeConfig.noisy(4, RateParams(3.5, 14.0, 0.02), GateNoise(0.01))\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "print(repr((peak_snr(config), time_to_snr(config, 5.0))))\n"
+            "print('scipy.optimize' in sys.modules)\n"
+        )
+        out = run_python("-c", code)
+        assert out.stdout.splitlines() == ["False", expected, "True"]
 
 
 class TestModuleEntry:

@@ -33,6 +33,7 @@ from readout_tradeoff.scheme import (
     MeritPoint,
     SchemeConfig,
     compose,
+    estimate_time_exponent,
     gaussian_scheme_snr,
     scheme_snr,
     threshold_analytic,
@@ -328,6 +329,7 @@ _COUNT_ARGUMENTS = {
     "point_outcome.n": lambda x: point_outcome(x, 0),
     "point_outcome.q": lambda x: point_outcome(3, x),
     "SchemeConfig.n_qubits": lambda x: SchemeConfig.ideal(x, _RATES),
+    "MeritPoint.n_qubits": lambda x: MeritPoint(x, 1.0),
     "threshold_analytic": lambda x: threshold_analytic(_RATES, x, 1.0),
     "gaussian_scheme_snr": lambda x: gaussian_scheme_snr(1.0, x, 1.0),
     "McConfig.shots": lambda x: McConfig(x, 1, SchemeConfig.ideal(1, _RATES), 1.0),
@@ -387,6 +389,7 @@ _REAL_ARGUMENTS = {
     "MeritPoint.snr": (
         lambda x: MeritPoint(1, 1.0, snr=x), ["0.5", math.nan, [1.0, 2.0]], _ONES + _HALVES
     ),
+    "MeritPoint.t": (lambda x: MeritPoint(1, x), _FINITE, _ONES + _HALVES),
     "compose": (lambda x: compose(_IDEAL, x), _FINITE, _ONES + _HALVES),
     "threshold_analytic": (lambda x: threshold_analytic(_RATES, 1, x), _FINITE, _ONES + _HALVES),
     "McConfig.t": (lambda x: McConfig(1, 1, _IDEAL, x), _FINITE, _ONES + _HALVES),
@@ -424,6 +427,59 @@ class TestRealArguments:
     def test_a_rejected_string_reads_as_a_string(self):
         with pytest.raises(DomainError, match=r"^gate failure probability .*, got '0\.1'$"):
             GateNoise("0.1")
+
+
+# every array argument, as (call on a sequence x, lists of floats, of ints and
+# with bools that it takes); a float64 conversion would parse the strings
+# that _real refuses
+_ARRAY_ARGUMENTS = {
+    "scheme_snr": (lambda x: scheme_snr(_IDEAL, x), [0.5, 1.0], [0, 2], [False, True]),
+    "DiscreteDist.masses": (lambda x: DiscreteDist(0, x), [0.5, 0.5], [0, 1], [True, False]),
+    "OutcomeDist.probs": (lambda x: OutcomeDist(1, x), [0.5, 0.5], [0, 1], [True, False]),
+    "mixture": (
+        lambda x: mixture([point_mass(0), point_mass(1)], x), [0.5, 0.5], [0, 1], [True, False]
+    ),
+    "estimate_time_exponent.ts": (
+        lambda x: estimate_time_exponent(x, [1.0, 2.0]), [1.0, 4.0], [1, 4], [True, 4]
+    ),
+    "estimate_time_exponent.snrs": (
+        lambda x: estimate_time_exponent([1.0, 4.0], x), [1.0, 2.0], [1, 2], [True, 2]
+    ),
+}
+
+
+def _array_cases(make):
+    return [
+        pytest.param(row[0], x, id=f"{name}-{x!r:.24}")
+        for name, row in _ARRAY_ARGUMENTS.items()
+        for x in make(*row[1:])
+    ]
+
+
+def _non_reals(floats, ints, bools):
+    # strings numpy parses, a string it does not, objects, complex numbers, a ragged nesting
+    return [
+        [str(v) for v in floats],
+        [floats[0], "x"],
+        np.array(floats, dtype=object),
+        np.array(floats) + 0j,
+        [[floats[0]], floats],
+    ]
+
+
+def _reals(floats, ints, bools):
+    return [floats, ints, bools, np.array(floats, np.float32), np.array(ints, np.uint8)]
+
+
+class TestRealArrays:
+    @pytest.mark.parametrize("call, x", _array_cases(_non_reals))
+    def test_non_reals_raise_domain_error(self, call, x):
+        with pytest.raises(DomainError, match="real"):
+            call(x)
+
+    @pytest.mark.parametrize("call, x", _array_cases(_reals))
+    def test_reals_are_accepted(self, call, x):
+        call(x)
 
 
 class TestTvDistance:

@@ -921,3 +921,10 @@ class TestMeritPoint:
     def test_rejects_negative_snr(self):
         with pytest.raises(DomainError):
             MeritPoint(1, 1.0, snr=-2.0)
+
+    def test_stores_python_numbers(self):
+        point = MeritPoint(np.int64(2), np.float32(0.5), snr=np.float64(3.0), mi=np.float64(0.25))
+        assert (point.n_qubits, point.t, point.snr, point.mi) == (2, 0.5, 3.0, 0.25)
+        assert [type(v) for v in (point.n_qubits, point.t, point.snr, point.mi)] == [
+            int, float, float, float
+        ]
