@@ -24,7 +24,6 @@ from .dist import DiscreteDist, DomainError, RateParams, tv_distance
 from .gates import Compilation, GateNoise, compiled_dist
 from .montecarlo import McConfig, sample_full_scheme, sample_gate_outcomes, sample_photon_counts
 from .scheme import (
-    MeritPoint,
     SchemeConfig,
     compose,
     mi_optimal,
@@ -174,9 +173,7 @@ def run_snr_sweep(cfg: argparse.Namespace):
     ts = _t_grid(cfg)
     for n in range(cfg.nmin, cfg.nmax + 1):
         snrs = scheme_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise), ts)
-        for t, snr in zip(ts.tolist(), snrs.tolist()):
-            point = MeritPoint(n, t, snr=snr)
-            rows.append((n, point.t, point.snr))
+        rows += [(n, t, snr) for t, snr in zip(ts.tolist(), snrs.tolist())]
     return header, rows
 
 
@@ -186,10 +183,7 @@ def run_mi_sweep(cfg: argparse.Namespace):
     rows = []
     for n in range(cfg.nmin, cfg.nmax + 1):
         scheme = SchemeConfig.noisy(n, cfg.rates, cfg.noise)
-        for t in _t_grid(cfg):
-            mi, eta = mi_optimal(compose(scheme, float(t)))
-            point = MeritPoint(n, float(t), mi=mi, eta_opt=eta)
-            rows.append((n, point.t, point.mi, point.eta_opt))
+        rows += [(n, t, *mi_optimal(compose(scheme, t))) for t in _t_grid(cfg).tolist()]
     return header, rows
 
 

@@ -46,6 +46,10 @@ _FFT_POINT_S = 1.5e-9
 
 _NORM_TOL = 1e-9
 _MAX_FLOAT = sys.float_info.max
+# the dtype kinds of real numbers (bool, int, uint, float): the one test
+# _real and _real_array apply to numpy arrays and scalars
+_REAL_KINDS = ("b", "i", "u", "f")
+_NUMPY_VALUES = (np.ndarray, np.generic)
 
 
 class DomainError(ValueError):
@@ -69,12 +73,16 @@ def _real(x, message: str, lo: float = -_MAX_FLOAT, hi: float = _MAX_FLOAT) -> f
     """float(x) for a real number x in [lo, hi], else DomainError(message.format(x)).
 
     [lo, hi] defaults to the finite floats; a site that takes inf says so.
-    True, ints and numpy scalars pass; str, bytes, None, sequences, arrays
-    of more than one element, nan and ints past the largest float do not.
-    A string shows by its repr, '0.5'.
+    True, ints, and numpy scalars and one-element arrays whose dtype kind is
+    in _REAL_KINDS pass; str, bytes, None, sequences, other arrays, nan and
+    ints past the largest float do not. A string shows by its repr, '0.5'.
     """
     try:
-        if not isinstance(x, (str, bytes)) and lo <= (x := float(x)) <= hi:
+        if isinstance(x, _NUMPY_VALUES):
+            real = x.dtype.kind in _REAL_KINDS  # float() would parse np.array('0.5')
+        else:
+            real = not isinstance(x, (str, bytes))
+        if real and lo <= (x := float(x)) <= hi:
             return x
     except (TypeError, ValueError, OverflowError):
         pass
@@ -92,7 +100,7 @@ def _real_array(x, message: str) -> np.ndarray:
         arr = np.asarray(x)
     except ValueError:  # a ragged nesting
         raise DomainError(message) from None
-    if arr.dtype.kind not in ("b", "i", "u", "f"):
+    if arr.dtype.kind not in _REAL_KINDS:
         raise DomainError(message)
     return arr.astype(np.float64, copy=False)
 

@@ -99,7 +99,7 @@ def flat_dist(n: int, noise: GateNoise) -> OutcomeDist:
     probability (1-p)^(n-1). q = n-1 is unreachable: a failure kills both
     the gate and its control. A single qubit needs no gates at all.
     """
-    return _wiring_dist(n, Compilation.FLAT.wiring(n), noise.p)
+    return _wiring_dist(n, Compilation.FLAT.wiring(n), _failure_p(noise))
 
 
 def cascade_dist(n: int, noise: GateNoise) -> OutcomeDist:
@@ -110,12 +110,19 @@ def cascade_dist(n: int, noise: GateNoise) -> OutcomeDist:
     fails everything collapses to q = 0; otherwise the law is the
     convolution of the two chain laws, scaled by the split survival.
     """
-    return _wiring_dist(n, Compilation.CASCADE.wiring(n), noise.p)
+    return _wiring_dist(n, Compilation.CASCADE.wiring(n), _failure_p(noise))
 
 
 def compiled_dist(n: int, noise: GateNoise) -> OutcomeDist:
     """Outcome law of the wiring that noise.compilation names."""
-    return _wiring_dist(n, noise.compilation.wiring(n), noise.p)
+    p = _failure_p(noise)
+    return _wiring_dist(n, noise.compilation.wiring(n), p)
+
+
+def _failure_p(noise: GateNoise) -> float:
+    if not isinstance(noise, GateNoise):
+        raise DomainError("noise must be a GateNoise instance")
+    return noise.p
 
 
 def _wiring_dist(n: int, wiring, p: float) -> OutcomeDist:
@@ -192,8 +199,12 @@ _WIRINGS = {Compilation.FLAT: flat_wiring, Compilation.CASCADE: cascade_wiring}
 
 def _gate_pairs(wiring) -> list[tuple[int, int]]:
     """The gates as plain-int (control, target) pairs."""
+    try:
+        numbered = enumerate(wiring)
+    except TypeError:
+        raise DomainError(f"wiring must be a sequence of gates, got {wiring!r}") from None
     gates = []
-    for idx, gate in enumerate(wiring):
+    for idx, gate in numbered:
         try:
             c, t = map(operator.index, gate)
         except (TypeError, ValueError):

@@ -55,6 +55,8 @@ class McConfig:
         object.__setattr__(self, "shots", _integer(self.shots, _SHOTS, 1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "t", _scalar_window_length(self.t))
+        if not isinstance(self.scheme, SchemeConfig):
+            raise DomainError("scheme must be a SchemeConfig instance")
 
 
 def _check_seed(seed) -> int:

@@ -50,7 +50,6 @@ from .gates import (
 
 __all__ = [
     "CompositeStats",
-    "MeritPoint",
     "SchemeConfig",
     "ThresholdAnalysis",
     "compose",
@@ -149,26 +148,6 @@ class CompositeStats:
     p0: DiscreteDist
     p1: DiscreteDist
     t: float
-
-
-@dataclass(frozen=True)
-class MeritPoint:
-    """One row of a sweep: merit figures of a scheme at one window length."""
-
-    n_qubits: int
-    t: float
-    snr: float | None = None
-    mi: float | None = None
-    eta_opt: float | None = None
-
-    def __post_init__(self):
-        put = functools.partial(object.__setattr__, self)
-        put("n_qubits", _integer(self.n_qubits, "n_qubits must be a positive integer, got {}", 1))
-        put("t", _scalar_window_length(self.t))
-        if self.mi is not None:
-            put("mi", _real(self.mi, "mi must lie in [0, 0.5], got {}", 0.0, 0.5 + 1e-12))
-        if self.snr is not None:
-            put("snr", _real(self.snr, "snr must be non-negative, got {}", 0.0, math.inf))
 
 
 @dataclass(frozen=True)
@@ -552,7 +531,7 @@ def estimate_time_exponent(ts, snrs) -> float:
     """Exponent a in SNR ~ t**a over the given window, by log-log fit."""
     ts = _real_array(ts, "log-log fit needs real samples")
     snrs = _real_array(snrs, "log-log fit needs real samples")
-    if ts.size < 2 or ts.shape != snrs.shape:
+    if ts.ndim != 1 or ts.size < 2 or ts.shape != snrs.shape:
         raise DomainError("need at least two matching (t, snr) samples")
     if not (np.isfinite(ts).all() and np.isfinite(snrs).all()):
         raise DomainError("log-log fit needs finite samples")

@@ -11,7 +11,6 @@ PUBLIC = [
     "DomainError",
     "GateNoise",
     "McConfig",
-    "MeritPoint",
     "OutcomeDist",
     "RateParams",
     "SchemeConfig",

@@ -30,7 +30,6 @@ from readout_tradeoff.gates import (
 )
 from readout_tradeoff.montecarlo import McConfig, sample_gate_outcomes, sample_photon_counts
 from readout_tradeoff.scheme import (
-    MeritPoint,
     SchemeConfig,
     compose,
     estimate_time_exponent,
@@ -329,7 +328,6 @@ _COUNT_ARGUMENTS = {
     "point_outcome.n": lambda x: point_outcome(x, 0),
     "point_outcome.q": lambda x: point_outcome(3, x),
     "SchemeConfig.n_qubits": lambda x: SchemeConfig.ideal(x, _RATES),
-    "MeritPoint.n_qubits": lambda x: MeritPoint(x, 1.0),
     "threshold_analytic": lambda x: threshold_analytic(_RATES, x, 1.0),
     "gaussian_scheme_snr": lambda x: gaussian_scheme_snr(1.0, x, 1.0),
     "McConfig.shots": lambda x: McConfig(x, 1, SchemeConfig.ideal(1, _RATES), 1.0),
@@ -355,13 +353,15 @@ class TestCountArguments:
             point_outcome(3, 1.5)
 
 
-# What scalar real arguments refuse: a string and nan always, None where it
-# is no default, a list where no array of t is taken, inf and an int past
-# the largest float where the value must be finite.
-_FINITE = ["0.5", None, math.nan, [1.0, 2.0], math.inf, 10**400]
-_EXTENDED = ["0.5", None, math.nan, [1.0, 2.0]]
-_OPTIONAL = ["0.5", math.nan, [1.0, 2.0], math.inf, 10**400]
-_ARRAYS = ["0.5", None, math.nan, math.inf, 10**400]
+# What scalar real arguments refuse: a string, 0-d string and object arrays
+# (all of which float() converts) and nan always, None where it is no default,
+# a list where no array of t is taken, inf and an int past the largest float
+# where the value must be finite.
+_NON_NUMERIC = ["0.5", np.array("0.5"), np.array(0.5, dtype=object)]
+_FINITE = [*_NON_NUMERIC, None, math.nan, [1.0, 2.0], math.inf, 10**400]
+_EXTENDED = [*_NON_NUMERIC, None, math.nan, [1.0, 2.0]]
+_OPTIONAL = [*_NON_NUMERIC, math.nan, [1.0, 2.0], math.inf, 10**400]
+_ARRAYS = [*_NON_NUMERIC, None, math.nan, math.inf, 10**400]
 _ONES = [1, True, np.int64(1)]
 _HALVES = [np.float32(0.5), np.float64(0.5)]
 _IDEAL = SchemeConfig.ideal(1, _RATES)
@@ -385,11 +385,6 @@ _REAL_ARGUMENTS = {
         lambda x: gaussian_scheme_snr(x, 1, 1.0), _FINITE, _ONES + _HALVES
     ),
     "gaussian_scheme_snr.t": (lambda x: gaussian_scheme_snr(1.0, 1, x), _FINITE, _ONES + _HALVES),
-    "MeritPoint.mi": (lambda x: MeritPoint(1, 1.0, mi=x), _OPTIONAL, _HALVES),
-    "MeritPoint.snr": (
-        lambda x: MeritPoint(1, 1.0, snr=x), ["0.5", math.nan, [1.0, 2.0]], _ONES + _HALVES
-    ),
-    "MeritPoint.t": (lambda x: MeritPoint(1, x), _FINITE, _ONES + _HALVES),
     "compose": (lambda x: compose(_IDEAL, x), _FINITE, _ONES + _HALVES),
     "threshold_analytic": (lambda x: threshold_analytic(_RATES, 1, x), _FINITE, _ONES + _HALVES),
     "McConfig.t": (lambda x: McConfig(1, 1, _IDEAL, x), _FINITE, _ONES + _HALVES),
@@ -421,7 +416,6 @@ class TestRealArguments:
 
     def test_infinities_keep_their_meaning(self):
         assert time_to_snr(_IDEAL, math.inf) is None
-        assert MeritPoint(1, 1.0, snr=math.inf).snr == math.inf
         assert tail_ge(point_mass(1), -math.inf) == 1.0 and tail_ge(point_mass(1), math.inf) == 0.0
 
     def test_a_rejected_string_reads_as_a_string(self):

@@ -217,6 +217,17 @@ class TestWiring:
             with pytest.raises(DomainError, match=message):
                 check()
 
+    @pytest.mark.parametrize("wiring", [None, 5])
+    def test_rejects_non_iterable_wiring(self, wiring):
+        message = f"^wiring must be a sequence of gates, got {wiring}$"
+        for check in (
+            lambda: validate_wiring(3, wiring),
+            lambda: _wiring_dist(3, wiring, 0.1),
+            lambda: sample_gate_outcomes(wiring, 0.1, 10, 0),
+        ):
+            with pytest.raises(DomainError, match=message):
+                check()
+
     def test_index_like_gates_become_plain_ints(self):
         gates = validate_wiring(3, [(0, True), (np.int64(1), 2)])
         assert gates == [(0, 1), (1, 2)]

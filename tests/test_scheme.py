@@ -21,11 +21,10 @@ from readout_tradeoff.gates import (
     outcome_moments,
     point_outcome,
 )
-from readout_tradeoff.montecarlo import sample_photon_counts
+from readout_tradeoff.montecarlo import McConfig, sample_photon_counts
 from readout_tradeoff.scheme import (
     WEIGHT_FLOOR,
     CompositeStats,
-    MeritPoint,
     SchemeConfig,
     compose,
     estimate_time_exponent,
@@ -70,17 +69,33 @@ class TestConfig:
         with pytest.raises(DomainError):
             SchemeConfig.ideal(2, None)
 
+    # every parameter object (rates, noise, scheme), given as something else
     @pytest.mark.parametrize(
-        "call",
+        "call, message",
         [
-            lambda: SchemeConfig.noisy(2, (3.5, 14.0), NOISE),
-            lambda: SchemeConfig.ideal(2, (3.5, 14.0)),
-            lambda: sample_photon_counts((3.5, 14.0), 1, 1.0, 10, 1),
+            (lambda: SchemeConfig.noisy(2, (3.5, 14.0), NOISE), "rates must be a RateParams"),
+            (lambda: SchemeConfig.ideal(2, (3.5, 14.0)), "rates must be a RateParams"),
+            (
+                lambda: sample_photon_counts((3.5, 14.0), 1, 1.0, 10, 1),
+                "rates must be a RateParams",
+            ),
+            (lambda: compiled_dist(3, 0.1), "noise must be a GateNoise"),
+            (lambda: flat_dist(3, 0.1), "noise must be a GateNoise"),
+            (lambda: cascade_dist(3, 0.1), "noise must be a GateNoise"),
+            (lambda: McConfig(10, 1, "x", 1.0), "scheme must be a SchemeConfig"),
         ],
-        ids=["noisy", "ideal", "sample_photon_counts"],
+        ids=[
+            "noisy",
+            "ideal",
+            "sample_photon_counts",
+            "compiled_dist",
+            "flat_dist",
+            "cascade_dist",
+            "McConfig",
+        ],
     )
-    def test_rates_of_the_wrong_type(self, call):
-        with pytest.raises(DomainError, match="^rates must be a RateParams instance$"):
+    def test_rates_of_the_wrong_type(self, call, message):
+        with pytest.raises(DomainError, match=f"^{message} instance$"):
             call()
 
     def test_fields_are_frozen(self):
@@ -906,25 +921,10 @@ class TestTimeExponent:
             ([1.0, math.inf], [1.0, 2.0], "log-log fit needs finite samples"),
             ([1.0, 2.0], [math.nan, 2.0], "log-log fit needs finite samples"),
             ([1.0, 2.0], [1.0, math.inf], "log-log fit needs finite samples"),
+            ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "need at least two matching"),
         ],
     )
     def test_rejects_bad_samples(self, ts, snrs, message):
         with pytest.raises(DomainError, match=f"^{message}"):
             estimate_time_exponent(ts, snrs)
 
-
-class TestMeritPoint:
-    def test_rejects_out_of_range_mi(self):
-        with pytest.raises(DomainError):
-            MeritPoint(1, 1.0, mi=0.7)
-
-    def test_rejects_negative_snr(self):
-        with pytest.raises(DomainError):
-            MeritPoint(1, 1.0, snr=-2.0)
-
-    def test_stores_python_numbers(self):
-        point = MeritPoint(np.int64(2), np.float32(0.5), snr=np.float64(3.0), mi=np.float64(0.25))
-        assert (point.n_qubits, point.t, point.snr, point.mi) == (2, 0.5, 3.0, 0.25)
-        assert [type(v) for v in (point.n_qubits, point.t, point.snr, point.mi)] == [
-            int, float, float, float
-        ]
