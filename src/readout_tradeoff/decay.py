@@ -20,10 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .dist import DiscreteDist, DomainError, RateParams, point_mass
-from .dist import _poisson_terms, _poisson_window, _real, _real_array
+from .dist import _instance, _poisson_terms, _poisson_window, _real, _real_array
 
 __all__ = ["DecayModelParams", "decaying_poisson", "decaying_poisson_moments"]
 
@@ -37,8 +36,15 @@ class DecayModelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "t", _window_length(self.t))
-        if not isinstance(self.rates, RateParams):
-            raise DomainError("rates must be a RateParams instance")
+        _instance(self.rates, RateParams, "rates")
+
+    @classmethod
+    def _checked(cls, rates: RateParams, t) -> "DecayModelParams":
+        """The params of rates and a t that _window_length returned, not checked again."""
+        params = object.__new__(cls)
+        object.__setattr__(params, "rates", rates)
+        object.__setattr__(params, "t", t)
+        return params
 
 
 def _window_length(t) -> float | np.ndarray:
@@ -95,7 +101,7 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     Above b the bracket is P(k+1, b) - P(k+1, a), a difference of two
     small tails.
     """
-    rates, t = params.rates, params.t
+    rates, t = _instance(params, DecayModelParams, "params").rates, params.t
     if isinstance(t, np.ndarray):
         raise DomainError("decaying_poisson builds the law at one window length")
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
@@ -119,8 +125,10 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
         filtered = itertools.accumulate((gain * drive).tolist(), lambda y, gx: gx + pole * y)
         masses[:split] += np.fromiter(filtered, np.float64, split)
         if split < k.size:
+            import scipy.special as special  # imported where called, as in dist
+
             kt = k[split:] + 1.0
-            gap = gammainc(kt, b) - gammainc(kt, (1.0 + c) * m0)
+            gap = special.gammainc(kt, b) - special.gammainc(kt, (1.0 + c) * m0)
             masses[split:] += c * np.exp(c * m0 - kt * math.log1p(c)) * gap
     return DiscreteDist(lo, masses[lo - start :])
 
@@ -153,7 +161,7 @@ def decaying_poisson_moments(params: DecayModelParams):
     t^2*(1 - 2x e^-x - e^-2x)/x^2: closed forms, floats for a float t and
     arrays for an ndarray of t. A window so long that either moment
     overflows raises DomainError naming the smallest such t."""
-    rates, t = params.rates, params.t
+    rates, t = _instance(params, DecayModelParams, "params").rates, params.t
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
     x = lam * t
     plain = x == 0.0

@@ -13,8 +13,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft
-from scipy.special import gammaln, pdtr, pdtrik, xlogy
 
 __all__ = [
     "DiscreteDist",
@@ -56,17 +54,32 @@ class DomainError(ValueError):
     """An argument lies outside the domain an operation is defined on."""
 
 
-def _integer(x, message: str, lo: int = 0, hi: float = math.inf) -> int:
-    """int(x) for an integral x in lo..hi, else DomainError(message.format(x)).
+def _numeric(x) -> bool:
+    """False for what int() and float() would parse as text: str, bytes, and
+    numpy scalars and arrays whose dtype kind is not in _REAL_KINDS. (_integer
+    and _real test the type first, sparing a plain int or float the call.)"""
+    if isinstance(x, _NUMPY_VALUES):
+        return x.dtype.kind in _REAL_KINDS  # float() would parse np.array('0.5')
+    return not isinstance(x, (str, bytes))
 
-    True and 3.0 pass; 2.5, inf, nan and values int() rejects do not.
+
+def _refused(x, message: str) -> DomainError:
+    # a rejected float shows as itself, anything else by its repr: '2', not 2
+    return DomainError(message.format(x if isinstance(x, float) else repr(x)))
+
+
+def _integer(x, message: str, lo: int = 0, hi: float = math.inf) -> int:
+    """int(x) for an integral number x in lo..hi, else DomainError(message.format(x)).
+
+    True and 3.0 pass; 2.5, inf, nan, what _numeric refuses and values int()
+    rejects do not.
     """
     try:
-        if x == int(x) and lo <= x <= hi:
+        if (type(x) is int or _numeric(x)) and x == int(x) and lo <= x <= hi:
             return int(x)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(message.format(x))
+    raise _refused(x, message)
 
 
 def _real(x, message: str, lo: float = -_MAX_FLOAT, hi: float = _MAX_FLOAT) -> float:
@@ -78,15 +91,19 @@ def _real(x, message: str, lo: float = -_MAX_FLOAT, hi: float = _MAX_FLOAT) -> f
     ints past the largest float do not. A string shows by its repr, '0.5'.
     """
     try:
-        if isinstance(x, _NUMPY_VALUES):
-            real = x.dtype.kind in _REAL_KINDS  # float() would parse np.array('0.5')
-        else:
-            real = not isinstance(x, (str, bytes))
-        if real and lo <= (x := float(x)) <= hi:
+        if (type(x) is float or _numeric(x)) and lo <= (x := float(x)) <= hi:
             return x
     except (TypeError, ValueError, OverflowError):
         pass
-    raise DomainError(message.format(x if isinstance(x, float) else repr(x)))
+    raise _refused(x, message)
+
+
+def _instance(x, cls: type, name: str):
+    """x if it is a cls, else DomainError("<name> must be a <cls> instance")."""
+    if not isinstance(x, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise DomainError(f"{name} must be {article} {cls.__name__} instance")
+    return x
 
 
 def _real_array(x, message: str) -> np.ndarray:
@@ -190,24 +207,30 @@ def point_mass(k: int) -> DiscreteDist:
     return DiscreteDist(k, np.ones(1), 0.0)
 
 
-def _poisson_quantile(q: float, omega: float) -> float:
-    # The kernel of scipy.stats.poisson.ppf: the continuous inverse of the
-    # cdf rounded up, or one count less where the cdf already reaches q.
-    # NaN where pdtrik gives up.
-    k = np.ceil(pdtrik(q, omega))
+def _poisson_quantiles(q: np.ndarray, omega: float) -> np.ndarray:
+    # The kernel of scipy.stats.poisson.ppf at each q: the continuous inverse
+    # of the cdf rounded up, or one count less where the cdf already reaches
+    # q. NaN where pdtrik gives up.
+    import scipy.special as special  # loaded by the first law, not by the package
+
+    k = np.ceil(special.pdtrik(q, omega))
     below = np.maximum(k - 1.0, 0.0)
-    return below if pdtr(below, omega) >= q else k
+    return np.where(special.pdtr(below, omega) >= q, below, k)
+
+
+# the tails a support window drops, TRUNCATION_EPS/4 each
+_WINDOW_Q = np.array([TRUNCATION_EPS / 4.0, 1.0 - TRUNCATION_EPS / 4.0])
+_WINDOW_Q.setflags(write=False)
 
 
 def _poisson_window(omega: float) -> tuple[int, int]:
     """Smallest integer window holding all but ~TRUNCATION_EPS of a Poisson law.
 
-    Its edges are the TRUNCATION_EPS/4 quantiles that scipy.stats.poisson's
-    ppf and isf return, computed by the same scipy.special kernels without
+    Its edges are the _WINDOW_Q quantiles that scipy.stats.poisson's ppf
+    and isf return, computed by the same scipy.special kernels without
     the wrappers' argument handling, which costs several times the kernel.
     """
-    tail = TRUNCATION_EPS / 4.0
-    lo_q, hi_q = _poisson_quantile(tail, omega), _poisson_quantile(1.0 - tail, omega)
+    lo_q, hi_q = _poisson_quantiles(_WINDOW_Q, omega).tolist()
     if math.isnan(lo_q) or math.isnan(hi_q):
         # the quantile kernel gives up for means from about 1e11 on
         raise DomainError(f"poisson mean {omega} is too large for a support window")
@@ -234,7 +257,9 @@ def poisson_pmf(omega: float) -> DiscreteDist:
 
 
 def _poisson_terms(k: np.ndarray, omega: float) -> np.ndarray:
-    return np.exp(xlogy(k, omega) - omega - gammaln(k + 1.0))
+    import scipy.special as special
+
+    return np.exp(special.xlogy(k, omega) - omega - special.gammaln(k + 1.0))
 
 
 def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -255,6 +280,8 @@ def _convolve_by_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     L the real FFT length of the product. An FFT bin is accurate only in
     absolute terms, so this is for laws that already pass through one.
     """
+    import scipy.fft as fft  # loaded by the first blocked law, not by the package
+
     length = fft.next_fast_len(a.size + b.size - 1, True)
     if _DIRECT_S * a.size * b.size <= _FFT_S + _FFT_POINT_S * length * math.log2(length):
         return np.convolve(a, b)
@@ -267,6 +294,8 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # any other pair is multiplied in the frequency domain.
     if min(a.size, b.size) == 1:
         return a * b
+    import scipy.fft as fft
+
     size = a.size + b.size - 1
     n = fft.next_fast_len(size, True)
     return fft.irfft(fft.rfft(a, n) * fft.rfft(b, n), n)[:size]
@@ -278,6 +307,7 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     FFT rounding noise is clipped at zero; the direct and FFT paths agree
     to better than 1e-12 per bin.
     """
+    a, b = _instance(a, DiscreteDist, "law"), _instance(b, DiscreteDist, "law")
     out = _convolve_masses(a.masses, b.masses)
     np.maximum(out, 0.0, out=out)
     return DiscreteDist(a.offset + b.offset, out)
@@ -288,6 +318,7 @@ def n_fold_convolve(d: DiscreteDist, n: int) -> DiscreteDist:
 
     n = 0 yields the empty convolution, a point mass at zero.
     """
+    _instance(d, DiscreteDist, "law")
     n = _integer(n, "fold count must be a non-negative integer, got {}")
     if n == 0:
         return point_mass(0)
@@ -310,7 +341,7 @@ def moments(d: DiscreteDist) -> tuple[float, float]:
     """Mean and variance as exact weighted sums over the stored support."""
     # einsum, unlike @, never hands the sums to a threaded BLAS, whose
     # partial sums would move the last bits with the thread count
-    k = d.support.astype(np.float64)
+    k = _instance(d, DiscreteDist, "law").support.astype(np.float64)
     mean = float(np.einsum("i,i", k, d.masses))
     var = float(np.einsum("i,i", (k - mean) ** 2, d.masses))
     return mean, var
@@ -323,6 +354,7 @@ def tail_ge(d: DiscreteDist, eta: float) -> float:
     an integer threshold keeps k >= eta itself. A threshold of -inf keeps
     all the stored mass, +inf none of it.
     """
+    _instance(d, DiscreteDist, "law")
     eta = _real(eta, "threshold must be a number, got {}", -math.inf, math.inf)
     if eta <= d.offset:
         return float(d.masses.sum())
@@ -340,6 +372,7 @@ def _window(d: DiscreteDist, lo: int, hi: int) -> np.ndarray:
 
 def tv_distance(a: DiscreteDist, b: DiscreteDist) -> float:
     """Total variation distance, half the L1 gap on the union support."""
+    a, b = _instance(a, DiscreteDist, "law"), _instance(b, DiscreteDist, "law")
     lo = min(a.offset, b.offset)
     hi = max(a.k_max, b.k_max)
     diff = _window(a, lo, hi) - _window(b, lo, hi)

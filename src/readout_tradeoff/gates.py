@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dist import DomainError, _integer, _real, _real_array
+from .dist import DomainError, _instance, _integer, _real, _real_array
 
 __all__ = [
     "Compilation",
@@ -99,7 +99,7 @@ def flat_dist(n: int, noise: GateNoise) -> OutcomeDist:
     probability (1-p)^(n-1). q = n-1 is unreachable: a failure kills both
     the gate and its control. A single qubit needs no gates at all.
     """
-    return _wiring_dist(n, Compilation.FLAT.wiring(n), _failure_p(noise))
+    return _wiring_dist(n, Compilation.FLAT.wiring(n), _instance(noise, GateNoise, "noise").p)
 
 
 def cascade_dist(n: int, noise: GateNoise) -> OutcomeDist:
@@ -110,19 +110,13 @@ def cascade_dist(n: int, noise: GateNoise) -> OutcomeDist:
     fails everything collapses to q = 0; otherwise the law is the
     convolution of the two chain laws, scaled by the split survival.
     """
-    return _wiring_dist(n, Compilation.CASCADE.wiring(n), _failure_p(noise))
+    return _wiring_dist(n, Compilation.CASCADE.wiring(n), _instance(noise, GateNoise, "noise").p)
 
 
 def compiled_dist(n: int, noise: GateNoise) -> OutcomeDist:
     """Outcome law of the wiring that noise.compilation names."""
-    p = _failure_p(noise)
+    p = _instance(noise, GateNoise, "noise").p
     return _wiring_dist(n, noise.compilation.wiring(n), p)
-
-
-def _failure_p(noise: GateNoise) -> float:
-    if not isinstance(noise, GateNoise):
-        raise DomainError("noise must be a GateNoise instance")
-    return noise.p
 
 
 def _wiring_dist(n: int, wiring, p: float) -> OutcomeDist:
@@ -167,6 +161,7 @@ def general_t_pair(n: int, t0, t1) -> tuple[OutcomeDist, OutcomeDist]:
 
 def outcome_moments(t: OutcomeDist) -> tuple[float, float]:
     """Mean and variance of the bright-qubit count."""
+    _instance(t, OutcomeDist, "outcome law")
     q = np.arange(t.n_qubits + 1, dtype=np.float64)
     mean = float(q @ t.probs)
     var = float(((q - mean) ** 2) @ t.probs)

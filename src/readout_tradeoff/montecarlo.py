@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import _scalar_window_length
-from .dist import DiscreteDist, DomainError, RateParams, _integer
+from .dist import DiscreteDist, DomainError, RateParams, _instance, _integer
 from .gates import GateNoise, OutcomeDist, _gate_pairs, validate_wiring
 from .scheme import SchemeConfig
 
@@ -55,8 +55,7 @@ class McConfig:
         object.__setattr__(self, "shots", _integer(self.shots, _SHOTS, 1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
         object.__setattr__(self, "t", _scalar_window_length(self.t))
-        if not isinstance(self.scheme, SchemeConfig):
-            raise DomainError("scheme must be a SchemeConfig instance")
+        _instance(self.scheme, SchemeConfig, "scheme")
 
 
 def _check_seed(seed) -> int:
@@ -169,8 +168,7 @@ def sample_photon_counts(
     """
     if initial_state not in (0, 1):
         raise DomainError(f"initial state must be 0 or 1, got {initial_state}")
-    if not isinstance(rates, RateParams):
-        raise DomainError("rates must be a RateParams instance")
+    _instance(rates, RateParams, "rates")
     t = _scalar_window_length(t)
     shots = _integer(shots, _SHOTS, 1)
 
@@ -193,7 +191,7 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
     per batch: dark-preparation counts, then gate uniforms, decay times
     and counts for the bright preparation.
     """
-    scheme = config.scheme
+    scheme = _instance(config, McConfig, "config").scheme
     if not isinstance(scheme.noise, GateNoise):
         raise DomainError("trajectory sampling needs a physical gate and decay model")
     n = scheme.n_qubits

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import fft
 
 from . import dist as _dist
 from .decay import DecayModelParams, _all, _scalar_window_length, _where, _window_length
@@ -30,6 +29,7 @@ from .dist import (
     _convolve_by_cost,
     _convolve_masses,
     _fold,
+    _instance,
     _integer,
     _real,
     _real_array,
@@ -101,8 +101,7 @@ class SchemeConfig:
     def __post_init__(self):
         object.__setattr__(self, "n_qubits", _integer(self.n_qubits, _N_QUBITS, 1, MAX_QUBITS))
         if isinstance(self.noise, GateNoise):
-            if not isinstance(self.rates, RateParams):
-                raise DomainError("rates must be a RateParams instance")
+            _instance(self.rates, RateParams, "rates")
             return
         try:
             t0, t1 = self.noise
@@ -168,7 +167,7 @@ def _single_moments(config: SchemeConfig, t):
         return np.reshape(rows, (-1, 4)).T.reshape((2, 2) + np.shape(t))
     dark = config.rates.mu0 * t  # an overflow fails in _moment_snr
     # at lam = 0 this is exactly (mu1*t, mu1*t), the ideal bright moments
-    return (dark, dark), decaying_poisson_moments(DecayModelParams(config.rates, t))
+    return (dark, dark), decaying_poisson_moments(DecayModelParams._checked(config.rates, t))
 
 
 def _single_folds(config: SchemeConfig, t: float):
@@ -227,6 +226,7 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
     path. Mixture terms whose weight falls below WEIGHT_FLOOR are dropped
     and accounted for in the truncation loss of the result.
     """
+    _instance(config, SchemeConfig, "config")
     t = _scalar_window_length(t)
     dark, bright = _single_folds(config, t)
     t0, t1 = config.outcomes
@@ -289,6 +289,8 @@ def _spectral_horner(blocks, own: DiscreteDist, size: int):
     power is built in the time domain, by squaring with the kernel
     _convolve_by_cost prices lower; FFT(own)**size rounds once per factor.
     """
+    import scipy.fft as fft  # loaded by the first blocked law, not by the package
+
     lo = min(s + b * own.offset for b, s, a in blocks if a is not None)
     hi = max(s + a.size - 1 + b * own.k_max for b, s, a in blocks if a is not None)
     length = fft.next_fast_len(hi - lo + 1, True)
@@ -315,6 +317,7 @@ def snr_direct(stats: CompositeStats) -> float:
     means give zero; distinct means with both variances zero return the
     +inf sentinel for a perfectly resolvable pair.
     """
+    _instance(stats, CompositeStats, "stats")
     (mean0, var0), (mean1, var1) = moments(stats.p0), moments(stats.p1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return float(_snr_from_moments(mean1 - mean0, var0, var1))
@@ -348,6 +351,7 @@ def scheme_snr(config: SchemeConfig, t):
     results in one pass. A window so long that a count moment overflows
     raises the float call's DomainError at the smallest such t.
     """
+    _instance(config, SchemeConfig, "config")
     t = _window_length(t)
     try:
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # _moment_snr raises
@@ -371,6 +375,7 @@ def mi_optimal(stats: CompositeStats) -> tuple[float, float]:
     minimum is between the result and the result plus (p0.truncation_loss +
     p1.truncation_loss)/2: a result below about that is not resolved.
     """
+    _instance(stats, CompositeStats, "stats")
     lo = min(stats.p0.offset, stats.p1.offset)
     hi = max(stats.p0.k_max, stats.p1.k_max)
     e0 = _window(stats.p0, lo, hi)
@@ -476,6 +481,7 @@ def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
     without decay, at or above the supremum, or so close below it that
     k*k - c rounds to zero or less, or the crossing is past the largest float.
     """
+    _instance(config, SchemeConfig, "config")
     target_s = _real(target_s, "target SNR must be positive, got {}", _MIN_POSITIVE, math.inf)
 
     f = functools.partial(scheme_snr, config)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import math
@@ -42,17 +43,71 @@ def run_python(*args, check=True, env=None):
     )
 
 
-class TestImportGraph:
-    """What importing the package costs: scipy's slow modules load only where used."""
+# run in a fresh interpreter: the names of the scipy modules loaded so far
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
-    def test_cli_import_loads_no_stats_signal_or_optimize(self):
-        # the library needs neither stats nor signal, and optimize only to solve
+
+class TestImportGraph:
+    """What importing the package costs: scipy loads only in the functions that call it."""
+
+    def test_cli_import_loads_no_scipy(self):
+        # special loads with the first law, fft with the first blocked law or
+        # FFT-side convolution, optimize with the first solve
+        out = run_python("-c", f"import sys, readout_tradeoff.cli; print({_SCIPY_LOADED})")
+        assert out.stdout.strip() == "[]"
+
+    def test_moment_route_and_sampler_load_no_scipy(self):
         code = (
-            "import sys, readout_tradeoff.cli; print([m for m in "
-            "('scipy.stats', 'scipy.signal', 'scipy.optimize') if m in sys.modules])"
+            "import contextlib, io, sys\n"
+            "from readout_tradeoff import *\n"
+            "from readout_tradeoff.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [main(['snr-sweep']), main(['compilation-dist'])]\n"
+            "rates = RateParams(3.5, 14.0, 0.02)\n"
+            "scheme = SchemeConfig.noisy(4, rates, GateNoise(0.01))\n"
+            "sample_full_scheme(McConfig(1000, 3, scheme, 2.0))\n"
+            "sample_gate_outcomes(cascade_wiring(4), 0.01, 1000, 3)\n"
+            "sample_photon_counts(rates, 1, 2.0, 1000, 3)\n"
+            f"print(codes, {_SCIPY_LOADED})\n"
+        )
+        assert run_python("-c", code).stdout.strip() == "[0, 0] []"
+
+    def test_laws_load_special_and_blocked_laws_fft(self):
+        # mi-sweep's laws at its defaults all take the direct path; a law of
+        # 64 decayed qubits over 20 ms outgrows it and is composed in blocks
+        code = (
+            "import contextlib, io, sys\n"
+            "from readout_tradeoff import *\n"
+            "from readout_tradeoff.cli import main\n"
+            "loaded = lambda: [m in sys.modules for m in ('scipy.special', 'scipy.fft')]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['mi-sweep'])\n"
+            "print(code, loaded())\n"
+            "compose(SchemeConfig.noisy(64, RateParams(3.5, 14.0, 0.02), GateNoise(0.01)), 20.0)\n"
+            "print(loaded())\n"
         )
         out = run_python("-c", code)
-        assert out.stdout.strip() == "[]"
+        assert out.stdout.splitlines() == ["0 [True, False]", "[True, True]"]
+
+    def test_laws_built_on_first_import_match_this_process(self):
+        # a fresh interpreter, whose first laws import scipy.special and
+        # scipy.fft, gets this process's laws to the bit: a direct-path and a
+        # blocked compose, and a decayed single-qubit law
+        code = (
+            "import hashlib\n"
+            "from readout_tradeoff import *\n"
+            "rates = RateParams(3.5, 14.0, 0.02)\n"
+            "laws = [decaying_poisson(DecayModelParams(rates, 3.0))]\n"
+            "for n, t in ((5, 2.0), (64, 20.0)):\n"
+            "    stats = compose(SchemeConfig.noisy(n, rates, GateNoise(0.01)), t)\n"
+            "    laws += [stats.p0, stats.p1]\n"
+            "for d in laws:\n"
+            "    print(d.offset, repr(d.truncation_loss), hashlib.sha256(d.masses).hexdigest())\n"
+        )
+        fresh = run_python("-c", code).stdout
+        here = io.StringIO()
+        exec(code, {"print": functools.partial(print, file=here)})
+        assert fresh == here.getvalue()
 
     def test_commands_that_solve_nothing_never_load_optimize(self):
         commands = [

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -337,7 +338,10 @@ _COUNT_ARGUMENTS = {
 
 
 class TestCountArguments:
-    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 1.5, "2", None])
+    # a 0-d string or object array is no count, though int() converts both
+    @pytest.mark.parametrize(
+        "x", [math.inf, -math.inf, math.nan, 1.5, "2", None, np.array("2"), np.array(2, dtype=object)]
+    )
     @pytest.mark.parametrize("call", _COUNT_ARGUMENTS.values(), ids=_COUNT_ARGUMENTS)
     def test_non_integers_raise_domain_error(self, call, x):
         with pytest.raises(DomainError):
@@ -347,6 +351,16 @@ class TestCountArguments:
     @pytest.mark.parametrize("call", _COUNT_ARGUMENTS.values(), ids=_COUNT_ARGUMENTS)
     def test_integral_values_are_accepted(self, call, x):
         call(x)
+
+    @pytest.mark.parametrize(
+        "x, shown",
+        [("2", "'2'"), (np.array(2, dtype=object), "array(2, dtype=object)"), (2.5, "2.5"), (-1, "-1")],
+    )
+    def test_a_refused_value_shows_by_its_repr(self, x, shown):
+        # a float shows as itself and anything else by its repr, so '2' cannot read as a count
+        message = f"^offset must be a non-negative integer, got {re.escape(shown)}$"
+        with pytest.raises(DomainError, match=message):
+            point_mass(x)
 
     def test_point_outcome_keeps_its_range_message(self):
         with pytest.raises(DomainError, match=r"^outcome 1\.5 outside 0\.\.3$"):

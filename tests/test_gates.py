@@ -139,7 +139,9 @@ class TestEdgeCases:
     @pytest.mark.parametrize("law", [flat_dist, cascade_dist, compiled_dist])
     @pytest.mark.parametrize("n", [2.5, 0, -1, "3"])
     def test_rejects_bad_size(self, law, n):
-        with pytest.raises(DomainError, match=f"^register size must be a positive integer, got {n}$"):
+        # a rejected string shows by its repr, '3', so it cannot read as a count
+        message = f"^register size must be a positive integer, got {n!r}$"
+        with pytest.raises(DomainError, match=message):
             law(n, GateNoise(0.1))
 
 

@@ -9,9 +9,19 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from scipy import stats as ss
 
-from readout_tradeoff import dist, scheme
-from readout_tradeoff.decay import DecayModelParams, decaying_poisson
-from readout_tradeoff.dist import DomainError, RateParams, point_mass, poisson_pmf, tv_distance
+from readout_tradeoff import decay, dist, scheme
+from readout_tradeoff.decay import DecayModelParams, decaying_poisson, decaying_poisson_moments
+from readout_tradeoff.dist import (
+    DomainError,
+    RateParams,
+    convolve,
+    moments,
+    n_fold_convolve,
+    point_mass,
+    poisson_pmf,
+    tail_ge,
+    tv_distance,
+)
 from readout_tradeoff.gates import (
     Compilation,
     GateNoise,
@@ -21,7 +31,7 @@ from readout_tradeoff.gates import (
     outcome_moments,
     point_outcome,
 )
-from readout_tradeoff.montecarlo import McConfig, sample_photon_counts
+from readout_tradeoff.montecarlo import McConfig, sample_full_scheme, sample_photon_counts
 from readout_tradeoff.scheme import (
     WEIGHT_FLOOR,
     CompositeStats,
@@ -53,6 +63,42 @@ def ideal_snr(n, t, mu0=3.5, mu1=14.0):
     return 2.0 * (mu1 - mu0) * n * t / (math.sqrt(n * mu0 * t) + math.sqrt(n * mu1 * t))
 
 
+_LAW = point_mass(1)
+_CONFIG = SchemeConfig.noisy(2, RATES, NOISE)
+# every library object an argument takes, given as something else, and the
+# start of the message that names it: id -> (call, message)
+_WRONG_TYPES = {
+    "noisy": (lambda: SchemeConfig.noisy(2, (3.5, 14.0), NOISE), "rates must be a RateParams"),
+    "ideal": (lambda: SchemeConfig.ideal(2, (3.5, 14.0)), "rates must be a RateParams"),
+    "sample_photon_counts": (
+        lambda: sample_photon_counts((3.5, 14.0), 1, 1.0, 10, 1),
+        "rates must be a RateParams",
+    ),
+    "compiled_dist": (lambda: compiled_dist(3, 0.1), "noise must be a GateNoise"),
+    "flat_dist": (lambda: flat_dist(3, 0.1), "noise must be a GateNoise"),
+    "cascade_dist": (lambda: cascade_dist(3, 0.1), "noise must be a GateNoise"),
+    "McConfig": (lambda: McConfig(10, 1, "x", 1.0), "scheme must be a SchemeConfig"),
+    "tv_distance": (lambda: tv_distance(None, _LAW), "law must be a DiscreteDist"),
+    "moments": (lambda: moments(None), "law must be a DiscreteDist"),
+    "convolve": (lambda: convolve(_LAW, None), "law must be a DiscreteDist"),
+    "n_fold_convolve": (lambda: n_fold_convolve(None, 2), "law must be a DiscreteDist"),
+    "tail_ge": (lambda: tail_ge(None, 1.0), "law must be a DiscreteDist"),
+    "mi_optimal": (lambda: mi_optimal(None), "stats must be a CompositeStats"),
+    "snr_direct": (lambda: snr_direct(None), "stats must be a CompositeStats"),
+    "compose": (lambda: compose(None, 1.0), "config must be a SchemeConfig"),
+    "scheme_snr": (lambda: scheme_snr(None, 1.0), "config must be a SchemeConfig"),
+    "peak_snr": (lambda: peak_snr("x"), "config must be a SchemeConfig"),
+    "time_to_snr": (lambda: time_to_snr("x", 8), "config must be a SchemeConfig"),
+    "decaying_poisson": (lambda: decaying_poisson(None), "params must be a DecayModelParams"),
+    "decaying_poisson_moments": (
+        lambda: decaying_poisson_moments(None),
+        "params must be a DecayModelParams",
+    ),
+    "outcome_moments": (lambda: outcome_moments(None), "outcome law must be an OutcomeDist"),
+    "sample_full_scheme": (lambda: sample_full_scheme(_CONFIG), "config must be a McConfig"),
+}
+
+
 class TestConfig:
     def test_noisy_requires_gate_noise(self):
         with pytest.raises(DomainError):
@@ -69,31 +115,7 @@ class TestConfig:
         with pytest.raises(DomainError):
             SchemeConfig.ideal(2, None)
 
-    # every parameter object (rates, noise, scheme), given as something else
-    @pytest.mark.parametrize(
-        "call, message",
-        [
-            (lambda: SchemeConfig.noisy(2, (3.5, 14.0), NOISE), "rates must be a RateParams"),
-            (lambda: SchemeConfig.ideal(2, (3.5, 14.0)), "rates must be a RateParams"),
-            (
-                lambda: sample_photon_counts((3.5, 14.0), 1, 1.0, 10, 1),
-                "rates must be a RateParams",
-            ),
-            (lambda: compiled_dist(3, 0.1), "noise must be a GateNoise"),
-            (lambda: flat_dist(3, 0.1), "noise must be a GateNoise"),
-            (lambda: cascade_dist(3, 0.1), "noise must be a GateNoise"),
-            (lambda: McConfig(10, 1, "x", 1.0), "scheme must be a SchemeConfig"),
-        ],
-        ids=[
-            "noisy",
-            "ideal",
-            "sample_photon_counts",
-            "compiled_dist",
-            "flat_dist",
-            "cascade_dist",
-            "McConfig",
-        ],
-    )
+    @pytest.mark.parametrize("call, message", _WRONG_TYPES.values(), ids=_WRONG_TYPES)
     def test_rates_of_the_wrong_type(self, call, message):
         with pytest.raises(DomainError, match=f"^{message} instance$"):
             call()
@@ -583,6 +605,22 @@ class TestArrayRoute:
         peak_snr(SchemeConfig.noisy(5, RATES, NOISE))
         assert calls[0] == (scheme.PEAK_GRID_POINTS,)
         assert all(shape == () for shape in calls[1:])
+
+    def test_window_lengths_are_checked_once(self, monkeypatch):
+        # scheme_snr checks them; the decay moments it asks for take them as checked
+        checked = []
+
+        def counted(t):
+            checked.append(np.shape(t))
+            return window_length(t)
+
+        window_length = decay._window_length
+        monkeypatch.setattr(scheme, "_window_length", counted)
+        monkeypatch.setattr(decay, "_window_length", counted)
+        scheme_snr(SchemeConfig.noisy(3, RATES, NOISE), ARRAY_TS)
+        assert checked == [ARRAY_TS.shape]
+        DecayModelParams(RATES, ARRAY_TS)  # a public caller's are still checked
+        assert checked == [ARRAY_TS.shape] * 2
 
     def test_peak_grid_is_built_once(self, monkeypatch):
         grids = []
