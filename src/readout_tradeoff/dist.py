@@ -386,7 +386,7 @@ def mixture(dists: list[DiscreteDist] | tuple[DiscreteDist, ...], weights) -> Di
     terms, component truncation) shows up in the truncation_loss of the
     result.
     """
-    dists = list(dists)
+    dists = [_instance(d, DiscreteDist, "law") for d in dists]
     weights = _real_array(weights, "mixture weights must be real numbers")
     if len(dists) == 0 or weights.shape != (len(dists),):
         raise DomainError("mixture needs one weight per component")

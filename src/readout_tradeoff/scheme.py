@@ -148,6 +148,10 @@ class CompositeStats:
     p1: DiscreteDist
     t: float
 
+    def __post_init__(self):
+        _instance(self.p0, DiscreteDist, "p0")
+        _instance(self.p1, DiscreteDist, "p1")
+
 
 @dataclass(frozen=True)
 class ThresholdAnalysis:
@@ -421,6 +425,128 @@ def _no_decay_supremum(config: SchemeConfig) -> float:
         return float(_moment_snr(config.q_moments, (0.0, 0.0), (1.0, 0.0), config.n_qubits, 0.0))
 
 
+# Ports of scipy.optimize's minimize_scalar(method="bounded") and brentq that
+# take scipy's floating-point steps in scipy's order, so that their results
+# equal scipy's to the bit (tests/test_scheme.py checks both against scipy).
+# Over Python floats they need no scipy module and no numpy scalar arithmetic.
+_SQRT_EPS = math.sqrt(2.2e-16)  # scipy's constant, not the root of math.ulp(1.0)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MAX_EVALS = 500
+_ROOT_RTOL = 4.0 * math.ulp(1.0)  # scipy's default rtol, 4*eps
+_ROOT_ITERATIONS = 100
+
+
+def _bounded_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """(x, f(x)) at the least f that Brent's bounded method finds on [a, b].
+
+    Golden-section steps, or parabolic ones where a parabola through the three
+    best points is trusted, until x is known to xatol + sqrt(eps)*|x| (R. P.
+    Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5). Like
+    scipy's, it returns its best point after _MAX_EVALS evaluations.
+    """
+    fulc = nfc = xf = a + _GOLDEN * (b - a)
+    rat = e = 0.0
+    fx = f(xf)
+    evals = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = _GOLDEN * e
+        x = xf + (max(abs(rat), tol1) if rat >= 0.0 else -max(abs(rat), tol1))
+        fu = f(x)
+        evals += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if evals >= _MAX_EVALS:
+            break
+    return xf, fx
+
+
+def _brent_root(f, a: float, b: float, xtol: float) -> float:
+    """A root of f on [a, b], where f(a) and f(b) differ in sign, by Brent's zeroin.
+
+    Secant and inverse quadratic steps, or bisection where they would not
+    shrink the bracket fast enough, until it is narrower than xtol +
+    4*eps*|x| (Brent 1973, ch. 4; scipy's brentq.c at its default rtol).
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise DomainError(f"no sign change of f between {a} and {b}")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_ITERATIONS):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = False
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
+        if short:
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise DomainError(f"root search on [{a}, {b}] did not converge in {_ROOT_ITERATIONS} steps")
+
+
 def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     """Largest attainable SNR and the window length attaining it.
 
@@ -444,20 +570,13 @@ def peak_snr(config: SchemeConfig) -> tuple[float, float]:
         return 0.0, math.nan
     if _no_decay(config):
         return _no_decay_supremum(config), math.inf
-    from scipy import optimize  # only the two solvers need it: a third of the import time
-
     i = int(np.argmax(vals))
-    a = ts[max(i - 1, 0)]
-    b = ts[min(i + 1, ts.size - 1)]
-    best = optimize.minimize_scalar(
-        lambda t: -scheme_snr(config, t),
-        bounds=(a, b),
-        method="bounded",
-        options={"xatol": 1e-6 * b},
-    )
-    if vals[i] > -best.fun:
+    a = float(ts[max(i - 1, 0)])
+    b = float(ts[min(i + 1, ts.size - 1)])
+    x, fx = _bounded_minimum(lambda t: -scheme_snr(config, t), a, b, 1e-6 * b)
+    if vals[i] > -fx:
         return float(vals[i]), float(ts[i])
-    return float(-best.fun), float(best.x)
+    return -fx, x
 
 
 def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
@@ -496,9 +615,7 @@ def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
         s_max, t_peak = peak_snr(config)
         if not s_max >= target_s:
             return None
-        from scipy import optimize
-
-        t = optimize.brentq(lambda x: f(x) - target_s, 0.0, t_peak, xtol=1e-300)
+        t = _brent_root(lambda x: f(x) - target_s, 0.0, t_peak, 1e-300)
     if not math.isfinite(t):
         return None
     # Snap onto the crossing in floats: widen [lo, hi] around t by doubling

@@ -7,8 +7,9 @@ integrals for the decayed-count moments, dense-array helpers that do not
 share code with the DiscreteDist machinery, the term-by-term mixture
 that composite laws were evaluated with before Horner's rule, the
 golden-section peak search that peak_snr refined with before Brent's
-bounded maximiser, and one-batch-after-another replays of the trajectory
-samplers that follow their documented per-batch draw order.
+bounded maximiser, the scipy.optimize calls that the package's two solvers
+port, and one-batch-after-another replays of the trajectory samplers that
+follow their documented per-batch draw order.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 from mpmath import mp
+from scipy import optimize
 
 from readout_tradeoff.dist import DomainError, convolve, mixture, n_fold_convolve
 from readout_tradeoff.gates import OutcomeDist, validate_wiring
@@ -233,6 +235,18 @@ def golden_peak_snr(config) -> tuple[float, float]:
     if vals[i] > s_best:
         return float(vals[i]), float(ts[i])
     return float(s_best), float(t_best)
+
+
+def scipy_bounded_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:
+    """(x, f(x)) from scipy.optimize.minimize_scalar(method="bounded"), the call
+    that scheme._bounded_minimum ports."""
+    best = optimize.minimize_scalar(f, bounds=(a, b), method="bounded", options={"xatol": xatol})
+    return float(best.x), float(best.fun)
+
+
+def scipy_brent_root(f, a: float, b: float, xtol: float) -> float:
+    """The root from scipy.optimize.brentq, the call that scheme._brent_root ports."""
+    return optimize.brentq(f, a, b, xtol=xtol)
 
 
 def _sequential_batches(seed: int, shots: int, batch_shots: int):

@@ -52,17 +52,24 @@ class TestImportGraph:
 
     def test_cli_import_loads_no_scipy(self):
         # special loads with the first law, fft with the first blocked law or
-        # FFT-side convolution, optimize with the first solve
+        # FFT-side convolution; the solvers load none
         out = run_python("-c", f"import sys, readout_tradeoff.cli; print({_SCIPY_LOADED})")
         assert out.stdout.strip() == "[]"
 
     def test_moment_route_and_sampler_load_no_scipy(self):
+        # peak-snr and speedup solve on the moment route alone
+        commands = [
+            "snr-sweep",
+            "compilation-dist",
+            "peak-snr --n-max 2",
+            "speedup --n-max 2 --target-snr 8",
+        ]
         code = (
             "import contextlib, io, sys\n"
             "from readout_tradeoff import *\n"
             "from readout_tradeoff.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [main(['snr-sweep']), main(['compilation-dist'])]\n"
+            "    codes = [main(command.split()) for command in sys.argv[1:]]\n"
             "rates = RateParams(3.5, 14.0, 0.02)\n"
             "scheme = SchemeConfig.noisy(4, rates, GateNoise(0.01))\n"
             "sample_full_scheme(McConfig(1000, 3, scheme, 2.0))\n"
@@ -70,7 +77,7 @@ class TestImportGraph:
             "sample_photon_counts(rates, 1, 2.0, 1000, 3)\n"
             f"print(codes, {_SCIPY_LOADED})\n"
         )
-        assert run_python("-c", code).stdout.strip() == "[0, 0] []"
+        assert run_python("-c", code, *commands).stdout.strip() == "[0, 0, 0, 0] []"
 
     def test_laws_load_special_and_blocked_laws_fft(self):
         # mi-sweep's laws at its defaults all take the direct path; a law of
@@ -127,21 +134,20 @@ class TestImportGraph:
         out = run_python("-c", code, *commands)
         assert out.stdout.splitlines() == [f"{c.split()[0]} 0 False" for c in commands]
 
-    def test_solvers_load_optimize_on_first_use(self):
-        # a fresh interpreter, whose solvers import scipy.optimize on their first
-        # call, gets this process's results to the bit
+    def test_solvers_load_no_scipy(self):
+        # a fresh interpreter, which loads no scipy module to solve, gets this
+        # process's results to the bit
         config = SchemeConfig.noisy(4, RateParams(3.5, 14.0, 0.02), GateNoise(0.01))
         expected = repr((peak_snr(config), time_to_snr(config, 5.0)))
         code = (
             "import sys\n"
             "from readout_tradeoff import *\n"
             "config = SchemeConfig.noisy(4, RateParams(3.5, 14.0, 0.02), GateNoise(0.01))\n"
-            "print('scipy.optimize' in sys.modules)\n"
             "print(repr((peak_snr(config), time_to_snr(config, 5.0))))\n"
-            "print('scipy.optimize' in sys.modules)\n"
+            f"print({_SCIPY_LOADED})\n"
         )
         out = run_python("-c", code)
-        assert out.stdout.splitlines() == ["False", expected, "True"]
+        assert out.stdout.splitlines() == [expected, "[]"]
 
 
 class TestModuleEntry:

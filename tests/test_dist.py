@@ -529,3 +529,10 @@ class TestMixture:
     def test_rejects_negative_weight(self):
         with pytest.raises(DomainError, match="^mixture weights must be finite and non-negative$"):
             mixture([point_mass(0), point_mass(1)], [1.5, -0.5])
+
+    @pytest.mark.parametrize("component", [None, 1.0, np.array([1.0])])
+    def test_rejects_a_component_of_the_wrong_type(self, component):
+        with pytest.raises(DomainError, match="^law must be a DiscreteDist instance$"):
+            mixture([point_mass(0), component], [0.5, 0.5])
+        with pytest.raises(DomainError, match="^law must be a DiscreteDist instance$"):
+            mixture([component], [1.0])

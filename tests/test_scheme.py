@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -51,6 +52,8 @@ from tests._reference import (
     dense,
     golden_peak_snr,
     power_fold,
+    scipy_bounded_minimum,
+    scipy_brent_root,
     term_by_term_mix,
 )
 
@@ -84,6 +87,11 @@ _WRONG_TYPES = {
     "n_fold_convolve": (lambda: n_fold_convolve(None, 2), "law must be a DiscreteDist"),
     "tail_ge": (lambda: tail_ge(None, 1.0), "law must be a DiscreteDist"),
     "mi_optimal": (lambda: mi_optimal(None), "stats must be a CompositeStats"),
+    "CompositeStats.p0": (
+        lambda: mi_optimal(CompositeStats(None, None, 1.0)),
+        "p0 must be a DiscreteDist",
+    ),
+    "CompositeStats.p1": (lambda: CompositeStats(_LAW, None, 1.0), "p1 must be a DiscreteDist"),
     "snr_direct": (lambda: snr_direct(None), "stats must be a CompositeStats"),
     "compose": (lambda: compose(None, 1.0), "config must be a SchemeConfig"),
     "scheme_snr": (lambda: scheme_snr(None, 1.0), "config must be a SchemeConfig"),
@@ -909,6 +917,89 @@ class TestTimeToSnr:
     def test_rejects_non_positive_target(self):
         with pytest.raises(DomainError):
             time_to_snr(SchemeConfig.ideal(1, RATES), 0.0)
+
+
+def _counted(f, calls: list):
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g
+
+
+class TestSolverPorts:
+    """The two solvers give scipy.optimize's results to the bit, in as many evaluations."""
+
+    @pytest.mark.parametrize(
+        "f, a, b, xatol",
+        [
+            (lambda x: (x - 0.3) ** 2, -1.0, 2.0, 1e-5),
+            (math.cos, 1.0, 5.0, 1e-9),
+            (lambda x: x**3 - 2.0 * x - 5.0, 0.0, 3.0, 1e-6),
+            (lambda x: 1.0, -1.0, 1.0, 1e-5),
+            # the minimum at 0 pulls the tolerance to 0: all 500 evaluations run
+            (abs, -1.0, 2.0, 0.0),
+        ],
+        ids=["parabola", "cos", "cubic", "flat", "exhausted"],
+    )
+    def test_bounded_minimum_matches_scipy(self, f, a, b, xatol):
+        ours, theirs = [], []
+        got = scheme._bounded_minimum(_counted(f, ours), a, b, xatol)
+        assert got == scipy_bounded_minimum(_counted(f, theirs), a, b, xatol)
+        assert ours == theirs
+        assert (len(ours) == 500) == (f is abs)
+
+    @pytest.mark.parametrize(
+        "f, a, b",
+        [
+            (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+            (math.cos, 1.0, 2.0),
+            (lambda x: math.atan(x - 0.7), -3.0, 4.0),
+            (lambda x: math.exp(x) - 2.0, -3.0, 5.0),
+            (lambda x: x - 1.0, 1.0, 2.0),
+            (lambda x: x - 2.0, 1.0, 2.0),
+        ],
+        ids=["cubic", "cos", "atan", "exp", "root-at-a", "root-at-b"],
+    )
+    def test_brent_root_matches_scipy(self, f, a, b):
+        ours, theirs = [], []
+        got = scheme._brent_root(_counted(f, ours), a, b, 1e-300)
+        assert got == scipy_brent_root(_counted(f, theirs), a, b, 1e-300)
+        assert ours == theirs
+
+    def test_brent_root_needs_a_sign_change(self):
+        with pytest.raises(DomainError, match="^no sign change of f between 1.0 and 2.0$"):
+            scheme._brent_root(lambda x: x, 1.0, 2.0, 1e-300)
+
+    def test_public_solvers_match_scipy_driven(self, monkeypatch):
+        # a seeded third of a grid of configs with decay, each solved by the
+        # ports and then again with scipy's calls in their place, as peak_snr
+        # and time_to_snr were before the ports. The snap onto the crossing
+        # can land on another float when the root moves by one ulp.
+        grid = list(
+            itertools.product(
+                Compilation,
+                [0.0, 0.001, 0.01, 0.1, 0.5],
+                [0.0041, 0.02, 0.5],
+                [1, 2, 3, 5, 8, 13, 21, 32, 48, 64],
+            )
+        )
+        picks = np.random.default_rng(21).choice(len(grid), 100, replace=False)
+        configs = [
+            SchemeConfig.noisy(n, RateParams(3.5, 14.0, lam), GateNoise(p, comp))
+            for comp, p, lam, n in (grid[i] for i in picks)
+        ]
+
+        def solve(cfg):
+            s_max, t_max = peak_snr(cfg)
+            targets = (2.0, 4.0, 8.0, 12.0, 0.999 * s_max)
+            return s_max, t_max, [time_to_snr(cfg, target) for target in targets]
+
+        ported = [solve(cfg) for cfg in configs]
+        monkeypatch.setattr(scheme, "_bounded_minimum", scipy_bounded_minimum)
+        monkeypatch.setattr(scheme, "_brent_root", scipy_brent_root)
+        assert [solve(cfg) for cfg in configs] == ported
+        assert any(t is not None for *_, times in ported for t in times[:4])
 
 
 class TestGaussianScheme:
