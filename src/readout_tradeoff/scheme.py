@@ -420,8 +420,8 @@ def _no_decay(config: SchemeConfig) -> bool:
 def _no_decay_supremum(config: SchemeConfig) -> float:
     # SNR's limit as t -> inf without decay (see peak_snr), inf for perfect gates:
     # the gap term outgrows the spread of Poisson counts, as if the single-qubit
-    # laws were the point masses 0 and 1.
-    with np.errstate(divide="ignore"):
+    # laws were the point masses 0 and 1. 0 where every gate fails: no signal.
+    with np.errstate(divide="ignore", invalid="ignore"):
         return float(_moment_snr(config.q_moments, (0.0, 0.0), (1.0, 0.0), config.n_qubits, 0.0))
 
 

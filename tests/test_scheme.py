@@ -731,10 +731,11 @@ class TestPeakSnr:
         "cfg",
         [
             SchemeConfig.noisy(3, RATES, GateNoise(1.0)),
+            SchemeConfig.noisy(2, NO_DECAY, GateNoise(1.0)),
             SchemeConfig.noisy(2, RateParams(5.0, 5.0, 0.0041), NOISE),
             SchemeConfig.ideal(2, RateParams(5.0, 5.0)),
         ],
-        ids=["all-gates-fail", "equal-rates", "ideal-equal-rates"],
+        ids=["all-gates-fail", "all-gates-fail-no-decay", "equal-rates", "ideal-equal-rates"],
     )
     def test_no_signal_sentinel(self, cfg):
         s_max, t_max = peak_snr(cfg)
