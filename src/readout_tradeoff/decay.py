@@ -38,14 +38,6 @@ class DecayModelParams:
         object.__setattr__(self, "t", _window_length(self.t))
         _instance(self.rates, RateParams, "rates")
 
-    @classmethod
-    def _checked(cls, rates: RateParams, t) -> "DecayModelParams":
-        """The params of rates and a t that _window_length returned, not checked again."""
-        params = object.__new__(cls)
-        object.__setattr__(params, "rates", rates)
-        object.__setattr__(params, "t", t)
-        return params
-
 
 def _window_length(t) -> float | np.ndarray:
     """t as a float or a float64 ndarray, each entry finite and non-negative."""
@@ -53,9 +45,9 @@ def _window_length(t) -> float | np.ndarray:
     if isinstance(t, float) or (not isinstance(t, (list, tuple)) and np.ndim(t) == 0):
         return _scalar_window_length(t)
     t = _real_array(t, "window lengths must be real numbers")
-    u = _where(t == t, t, -1.0)  # NaN reaches no ordered comparison, which can warn
+    u = np.where(t == t, t, -1.0)  # NaN reaches no ordered comparison, which can warn
     ok = (u >= 0.0) & (u < math.inf)
-    if not _all(ok):
+    if not ok.all():
         _scalar_window_length(np.extract(np.logical_not(ok), t)[0])  # raises
     return t
 
@@ -64,23 +56,23 @@ def _scalar_window_length(t) -> float:
     return _real(t, "window length must be finite and non-negative, got {}", 0.0)
 
 
-# _where, _all and _libm keep a float t in Python floats, where numpy's calls are slow
-def _where(cond, a, b):
-    """np.where(cond, a, b), or a if cond else b for a single flag."""
-    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+def _each_window(f, t, shape=()):
+    """f(t) at a checked float t; at an ndarray of t, f at each entry as a float.
 
-
-def _all(ok) -> bool:
-    """ok.all() for an array of flags, bool(ok) for a single one."""
-    return bool(ok.all()) if isinstance(ok, np.ndarray) else bool(ok)
-
-
-def _libm(f, x):
-    """math.exp or .expm1 at x or at each entry of an array x (numpy's SIMD exp
-    rounds differently on some CPUs, and _var_shape's closed form cancels)."""
-    if isinstance(x, np.ndarray):
-        return np.fromiter(map(f, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
-    return f(x)
+    The array holds the results in shape + t.shape, the entries of a tuple
+    that f returns along the leading axis. A DomainError is the one f
+    raises at the smallest t where it raises one, as the float call would.
+    """
+    if not isinstance(t, np.ndarray):
+        return f(t)
+    ts = t.ravel().tolist()
+    try:
+        values = list(map(f, ts))
+    except DomainError:
+        for x in sorted(ts):
+            f(x)
+        raise
+    return np.reshape(np.transpose(values), shape + t.shape)
 
 
 def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
@@ -136,43 +128,45 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
 _SERIES = tuple(1.0 / math.factorial(2 * m + 1) for m in range(8, 0, -1))
 
 
-def _var_shape(x):
+def _var_shape(x: float) -> float:
     """(1 - 2x e^-x - e^-2x)/x^2, the decay-time variance over (mu1-mu0)^2 t^2.
 
     Below x = 1/2 it is 2 e^-x (sinh x - x)/x^2 summed as a positive series,
-    which neither cancels nor divides by a possibly subnormal x^2. Each
-    branch sees x clamped to its own side of 1/2."""
-    above = x >= 0.5
-    big, small = _where(above, x, 0.5), _where(above, 0.5, x)
-    closed = (-_libm(math.expm1, -2.0 * big) - 2.0 * big * _libm(math.exp, -big)) / (big * big)
-    s2, series = small * small, 0.0
+    which neither cancels nor divides by a possibly subnormal x^2."""
+    if x >= 0.5:
+        return (-math.expm1(-2.0 * x) - 2.0 * x * math.exp(-x)) / (x * x)
+    s2, series = x * x, 0.0
     for c in _SERIES:
         series = series * s2 + c
-    return _where(above, closed, 2.0 * _libm(math.exp, -small) * (series * small))
+    return 2.0 * math.exp(-x) * (series * x)
 
 
-@np.errstate(over="ignore", invalid="ignore")
+def _moments(rates: RateParams, t: float) -> tuple[float, float]:
+    """decaying_poisson_moments at one float t, in Python floats."""
+    mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
+    x = lam * t
+    if x == 0.0:
+        mean = var = mu1 * t
+    else:
+        delta_t = (mu1 - mu0) * t
+        mean = mu0 * t + delta_t * (-math.expm1(-x) / x)
+        var = mean + delta_t * delta_t * _var_shape(x)
+    if not (abs(mean) < math.inf and abs(var) < math.inf):
+        raise DomainError(
+            f"count moments overflow at window length t={t} ms (mu0={mu0}, mu1={mu1} per ms)"
+        )
+    return mean, var
+
+
 def decaying_poisson_moments(params: DecayModelParams):
     """Mean and variance of the count law without building the pmf.
 
     The decay time acts as a mixing variable over Poisson means M, so
     mean = E[M] and var = E[M] + Var[M]. With x = lam*t the decay time
     capped at t has mean t*(1 - e^-x)/x and variance
-    t^2*(1 - 2x e^-x - e^-2x)/x^2: closed forms, floats for a float t and
-    arrays for an ndarray of t. A window so long that either moment
-    overflows raises DomainError naming the smallest such t."""
-    rates, t = _instance(params, DecayModelParams, "params").rates, params.t
-    mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
-    x = lam * t
-    plain = x == 0.0
-    x = x + plain  # 1 where x = 0: those take the plain moments, and nothing divides by 0
-    delta_t = (mu1 - mu0) * t
-    mean = _where(plain, mu1 * t, mu0 * t + delta_t * (-_libm(math.expm1, -x) / x))
-    var = _where(plain, mean, mean + delta_t * delta_t * _var_shape(x))
-    ok = (abs(mean) < math.inf) & (abs(var) < math.inf)
-    if not _all(ok):
-        bad = float(np.min(np.where(ok, np.inf, t)))
-        raise DomainError(
-            f"count moments overflow at window length t={bad} ms (mu0={mu0}, mu1={mu1} per ms)"
-        )
-    return mean, var
+    t^2*(1 - 2x e^-x - e^-2x)/x^2: closed forms in Python floats. For an
+    ndarray of t the mean and the variance are arrays in t's shape, each
+    entry the float call's. A window so long that either moment overflows
+    raises DomainError naming the smallest such t."""
+    rates = _instance(params, DecayModelParams, "params").rates
+    return tuple(_each_window(lambda t: _moments(rates, t), params.t, (2,)))

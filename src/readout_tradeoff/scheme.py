@@ -20,8 +20,8 @@ from typing import Callable
 import numpy as np
 
 from . import dist as _dist
-from .decay import DecayModelParams, _all, _scalar_window_length, _where, _window_length
-from .decay import decaying_poisson, decaying_poisson_moments
+from .decay import DecayModelParams, _each_window, _moments, _scalar_window_length, _window_length
+from .decay import decaying_poisson
 from .dist import (
     DiscreteDist,
     DomainError,
@@ -164,16 +164,6 @@ class ThresholdAnalysis:
     eta_analytic: float
 
 
-def _single_moments(config: SchemeConfig, t):
-    """(mean, variance) of the dark and of the bright single-qubit law at t (or each t)."""
-    if not isinstance(config.noise, GateNoise):  # single_laws takes one t at a time
-        rows = [moments(a) + moments(b) for a, b in map(config.single_laws, np.ravel(t).tolist())]
-        return np.reshape(rows, (-1, 4)).T.reshape((2, 2) + np.shape(t))
-    dark = config.rates.mu0 * t  # an overflow fails in _moment_snr
-    # at lam = 0 this is exactly (mu1*t, mu1*t), the ideal bright moments
-    return (dark, dark), decaying_poisson_moments(DecayModelParams._checked(config.rates, t))
-
-
 def _single_folds(config: SchemeConfig, t: float):
     """The dark and the bright law's convolution powers, q -> law^(*q), at t.
 
@@ -308,10 +298,13 @@ def _spectral_horner(blocks, own: DiscreteDist, size: int):
     return lo, fft.irfft(g, length)[: hi - lo + 1]
 
 
-def _snr_from_moments(mean_gap, var0, var1):
-    # 0 for equal means, +inf for distinct ones without spread (numpy errors ignored)
+def _snr_from_moments(mean_gap: float, var0: float, var1: float) -> float:
+    # 0 for equal means, +inf for distinct ones without spread
     num = 2.0 * abs(mean_gap)
-    return _where(num == 0.0, 0.0, num / (np.sqrt(var0) + np.sqrt(var1)))
+    if num == 0.0:
+        return 0.0
+    spread = math.sqrt(var0) + math.sqrt(var1)
+    return num / spread if spread else math.inf
 
 
 def snr_direct(stats: CompositeStats) -> float:
@@ -323,17 +316,16 @@ def snr_direct(stats: CompositeStats) -> float:
     """
     _instance(stats, CompositeStats, "stats")
     (mean0, var0), (mean1, var1) = moments(stats.p0), moments(stats.p1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_snr_from_moments(mean1 - mean0, var0, var1))
+    return _snr_from_moments(mean1 - mean0, var0, var1)
 
 
-def _moment_snr(q_moments, single0, single1, n: int, t):
+def _moment_snr(q_moments, single0, single1, n: int, t: float) -> float:
     # Composite SNR from (E[Q], Var[Q]) of T0 and T1 and the single-qubit
-    # (mean, variance) pairs at t, over floats or arrays, by the mixture moment
-    # identities: the mean gap is the single-qubit gap times |E[Q0] + E[Q1] - n|,
-    # summed as (E[Q0] - n) + E[Q1], exactly E[Q1] where T0 keeps all n dark,
-    # and each variance is the mean count of qubits carrying either law times
-    # that law's variance, plus the gap squared times the outcome variance.
+    # (mean, variance) pairs at t, by the mixture moment identities: the mean
+    # gap is the single-qubit gap times |E[Q0] + E[Q1] - n|, summed as
+    # (E[Q0] - n) + E[Q1], exactly E[Q1] where T0 keeps all n dark, and each
+    # variance is the mean count of qubits carrying either law times that
+    # law's variance, plus the gap squared times the outcome variance.
     # A NaN or overflowed moment (the gap squared can overflow where the single
     # moments do not) spoils both variances, reading as SNR nan or 0: it raises.
     (m0, v0), (m1, v1) = single0, single1
@@ -341,30 +333,34 @@ def _moment_snr(q_moments, single0, single1, n: int, t):
     gap = m1 - m0
     var0n = eq0 * v0 + (n - eq0) * v1 + gap * gap * vq0
     var1n = eq1 * v1 + (n - eq1) * v0 + gap * gap * vq1
-    ok = (abs(var0n) < math.inf) & (abs(var1n) < math.inf)
-    if not _all(ok):
-        bad = np.min(np.where(ok, np.inf, t))
-        raise DomainError(f"count moments are not finite at window length t={bad} ms")
-    return _snr_from_moments(gap * ((eq0 - n) + eq1), var0n, var1n)
+    if not (abs(var0n) < math.inf and abs(var1n) < math.inf):
+        raise DomainError(f"count moments are not finite at window length t={t} ms")
+    # An outcome law may sum to just over 1 (OutcomeDist allows 1e-12): then
+    # E[Q] can pass n, and a variance that is 0 for the exact law rounds below 0.
+    return _snr_from_moments(gap * ((eq0 - n) + eq1), max(var0n, 0.0), max(var1n, 0.0))
+
+
+def _snr_at(config: SchemeConfig, t: float) -> float:
+    """scheme_snr at one checked float t."""
+    if isinstance(config.noise, GateNoise):
+        dark = config.rates.mu0 * t  # an overflow fails in _moment_snr
+        # at lam = 0 this is exactly (mu1*t, mu1*t), the ideal bright moments
+        single0, single1 = (dark, dark), _moments(config.rates, t)
+    else:
+        law0, law1 = config.single_laws(t)
+        single0, single1 = moments(law0), moments(law1)
+    return _moment_snr(config.q_moments, single0, single1, config.n_qubits, t)
 
 
 def scheme_snr(config: SchemeConfig, t):
     """SNR of the scheme at window length t, via the moment-only fast path.
 
     t is a float, or an ndarray of t giving the array of the float calls'
-    results in one pass. A window so long that a count moment overflows
+    results in t's shape. A window so long that a count moment overflows
     raises the float call's DomainError at the smallest such t.
     """
     _instance(config, SchemeConfig, "config")
-    t = _window_length(t)
-    try:
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # _moment_snr raises
-            snr = _moment_snr(config.q_moments, *_single_moments(config, t), config.n_qubits, t)
-    except DomainError:  # the first moment to fail depends on t
-        for x in np.sort(t, axis=None) if isinstance(t, np.ndarray) else ():
-            scheme_snr(config, float(x))
-        raise
-    return snr if isinstance(t, np.ndarray) else float(snr)
+    return _each_window(functools.partial(_snr_at, config), _window_length(t))
 
 
 def mi_optimal(stats: CompositeStats) -> tuple[float, float]:
@@ -421,8 +417,7 @@ def _no_decay_supremum(config: SchemeConfig) -> float:
     # SNR's limit as t -> inf without decay (see peak_snr), inf for perfect gates:
     # the gap term outgrows the spread of Poisson counts, as if the single-qubit
     # laws were the point masses 0 and 1. 0 where every gate fails: no signal.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return float(_moment_snr(config.q_moments, (0.0, 0.0), (1.0, 0.0), config.n_qubits, 0.0))
+    return _moment_snr(config.q_moments, (0.0, 0.0), (1.0, 0.0), config.n_qubits, 0.0)
 
 
 # Ports of scipy.optimize's minimize_scalar(method="bounded") and brentq that
@@ -580,10 +575,13 @@ def peak_snr(config: SchemeConfig) -> tuple[float, float]:
 
 
 def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
-    """Smallest window length whose SNR reaches target_s, or None.
+    """A window length at which the SNR reaches target_s, or None.
 
-    The result t is the smallest float with scheme_snr(config, t) >=
-    target_s: the float just below it falls short of the target.
+    At the crossing it brackets, the result t has scheme_snr(config, t) >=
+    target_s > scheme_snr(config, nextafter(t, 0)). The SNR is not monotone
+    at the scale of one ulp, so a lower float can reach the target too: for
+    the flat scheme with n = 5, p = 0, lam = 0.0041 and target 4 the result
+    is 0.2288181715083147, and the float 3 ulp lower also reaches 4.
 
     A scheme without decay starts from its closed-form crossing (its SNR
     is in peak_snr): with k = 2*gap*E[Q1], c = (target_s*gap)**2 * Var[Q1]

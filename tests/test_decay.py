@@ -94,6 +94,15 @@ class TestMomentsClosedForm:
         np.testing.assert_array_equal(mean, [m for m, _ in want])
         np.testing.assert_array_equal(var, [v for _, v in want])
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 5)])
+    def test_array_of_windows_keeps_its_shape(self, shape):
+        ts = np.geomspace(1e-3, 1e3, math.prod(shape)).reshape(shape)
+        mean, var = decaying_poisson_moments(DecayModelParams(RATES, ts))
+        assert mean.shape == var.shape == shape
+        want = [decaying_poisson_moments(DecayModelParams(RATES, t)) for t in ts.ravel().tolist()]
+        np.testing.assert_array_equal(mean.ravel(), [m for m, _ in want])
+        np.testing.assert_array_equal(var.ravel(), [v for _, v in want])
+
     def test_array_overflow_names_the_smallest_window(self):
         rates = RateParams(3.5, 14.0, 0.0041)
         with pytest.raises(DomainError) as one:

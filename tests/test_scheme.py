@@ -537,6 +537,28 @@ class TestSnr:
             scheme._moment_snr(tuple(map(outcome_moments, perfect)), (math.nan, 1.0), (14.0, 14.0), 2, 1.0)
 
 
+class TestOverfullOutcomeLaw:
+    """An outcome law may sum to just over 1: OutcomeDist allows 1e-12.
+
+    T0 on q = n with mass 1 + 5e-13 makes (n - E[Q0]) * Var[bright] round
+    below 0, where the variance is 0 for the exact law."""
+
+    N = 4
+
+    def _cfg(self, top):
+        t0 = [0.0] * self.N + [top]
+        t1 = [0.0, 0.0, 0.5, 0.0, 0.5]
+        return SchemeConfig.injected(self.N, (t0, t1), lambda t: (point_mass(0), poisson_pmf(14.0 * t)))
+
+    def test_matches_the_exact_law(self):
+        over, exact = self._cfg(1.0 + 5e-13), self._cfg(1.0)
+        assert scheme_snr(over, 1.0) == pytest.approx(scheme_snr(exact, 1.0), rel=1e-9)
+        ts = np.array([0.0, 1e-3, 1.0, 37.0])
+        np.testing.assert_allclose(scheme_snr(over, ts), scheme_snr(exact, ts), rtol=1e-9)
+        assert peak_snr(over) == pytest.approx(peak_snr(exact), rel=1e-9)
+        assert time_to_snr(over, 2.0) == pytest.approx(time_to_snr(exact, 2.0), rel=1e-9)
+
+
 # Window lengths for the array route: t = 0, the smallest subnormal, both
 # sides of x = lam*t = 1/2 (where the decay variance switches from its
 # series to its closed form), the peak grid and the envelope's edge.
@@ -602,6 +624,14 @@ class TestArrayRoute:
         assert f"t={first} ms" in str(one.value)
         assert str(many.value) == str(one.value)
 
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 37)])
+    def test_keeps_the_shape_of_t(self, shape):
+        cfg = SchemeConfig.noisy(3, RATES, NOISE)
+        ts = ARRAY_TS[: math.prod(shape)].reshape(shape)
+        got = scheme_snr(cfg, ts)
+        assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == np.float64
+        np.testing.assert_array_equal(got.ravel(), [scheme_snr(cfg, t) for t in ts.ravel().tolist()])
+
     def test_peak_grid_is_one_array_call(self, monkeypatch):
         calls = []
 
@@ -615,7 +645,7 @@ class TestArrayRoute:
         assert all(shape == () for shape in calls[1:])
 
     def test_window_lengths_are_checked_once(self, monkeypatch):
-        # scheme_snr checks them; the decay moments it asks for take them as checked
+        # scheme_snr checks them once; each float step of the array route takes t as checked
         checked = []
 
         def counted(t):
