@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDist, DomainError, RateParams, point_mass
-from .dist import _instance, _poisson_terms, _poisson_window, _real, _real_array
+from .dist import _instance, _poisson_tails, _poisson_terms, _poisson_window, _real, _real_array
 
 __all__ = ["DecayModelParams", "decaying_poisson", "decaying_poisson_moments"]
 
@@ -75,6 +75,19 @@ def _each_window(f, t, shape=()):
     return np.reshape(np.transpose(values), shape + t.shape)
 
 
+def _poisson_over(omega: float, chain: tuple[int, np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """Pois(omega) at the counts lo..hi, where chain = (first, terms) holds them
+    from first on: its overlap is reused and only the counts beyond it are built."""
+    first, terms = chain
+    last = first + terms.size - 1
+    parts = [terms[max(lo, first) - first : max(min(hi, last) + 1 - first, 0)]]
+    if lo < first:
+        parts.insert(0, _poisson_terms(omega, lo, min(hi, first - 1)))
+    if hi > last:
+        parts.append(_poisson_terms(omega, max(lo, last + 1), hi))
+    return np.concatenate(parts)
+
+
 def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     """Exact count law for one initially bright qubit over a window t.
 
@@ -91,7 +104,10 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     filter y_k = g*x_k + r*y_{k-1}, stepped over Python floats; it rounds
     the same products and sums as scipy.signal.lfilter([g], [1, -r], x).
     Above b the bracket is P(k+1, b) - P(k+1, a), a difference of two
-    small tails.
+    small tails, and P(k+1, x) = Pr[Pois(x) > k] is summed from the top
+    down (dist._poisson_tails). Each Poisson law's terms come from the
+    ratio chain its support window was found on, extended where the
+    recurrence needs more counts.
     """
     rates, t = _instance(params, DecayModelParams, "params").rates, params.t
     if isinstance(t, np.ndarray):
@@ -100,27 +116,26 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     m0, m1 = mu0 * t, mu1 * t
     if m1 == 0.0:
         return point_mass(0)
-    lo = 0 if m0 == 0.0 else _poisson_window(m0)[0]
-    hi = _poisson_window(m1)[1]
+    # the window of Pois(0) is the count 0, and its one term 1
+    lo, _, *dark = (0, 0, 0, np.ones(1)) if m0 == 0.0 else _poisson_window(m0)
+    _, hi, *bright = _poisson_window(m1)
     start = min(lo, max(0, math.floor(m0 - 12.0 * math.sqrt(m0))))
-    k = np.arange(start, hi + 1, dtype=np.float64)
-    stay = math.exp(-lam * t) * _poisson_terms(k, m1)
+    stay = math.exp(-lam * t) * _poisson_over(m1, bright, start, hi)
     masses = stay.copy()
     if lam > 0.0:
         delta = mu1 - mu0
         c = lam / delta if delta > 0.0 else math.inf
         b = (1.0 + c) * m1
         split = (hi + 1 if b >= hi else math.floor(b) + 1) - start  # counts up to b
-        drive = _poisson_terms(k[:split], m0) - stay[:split]
+        drive = _poisson_over(m0, dark, start, start + split - 1) - stay[:split]
         # pole 1/(1+c) and gain c/(1+c), finite even for equal rates
         gain, pole = lam / (delta + lam), delta / (delta + lam)
         filtered = itertools.accumulate((gain * drive).tolist(), lambda y, gx: gx + pole * y)
         masses[:split] += np.fromiter(filtered, np.float64, split)
-        if split < k.size:
-            import scipy.special as special  # imported where called, as in dist
-
-            kt = k[split:] + 1.0
-            gap = special.gammainc(kt, b) - special.gammainc(kt, (1.0 + c) * m0)
+        if split < masses.size:
+            above = start + split
+            kt = np.arange(above + 1, hi + 2, dtype=np.float64)
+            gap = _poisson_tails(b, above, hi) - _poisson_tails((1.0 + c) * m0, above, hi)
             masses[split:] += c * np.exp(c * m0 - kt * math.log1p(c)) * gap
     return DiscreteDist(lo, masses[lo - start :])
 

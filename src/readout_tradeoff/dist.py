@@ -207,59 +207,131 @@ def point_mass(k: int) -> DiscreteDist:
     return DiscreteDist(k, np.ones(1), 0.0)
 
 
-def _poisson_quantiles(q: np.ndarray, omega: float) -> np.ndarray:
-    # The kernel of scipy.stats.poisson.ppf at each q: the continuous inverse
-    # of the cdf rounded up, or one count less where the cdf already reaches
-    # q. NaN where pdtrik gives up.
-    import scipy.special as special  # loaded by the first law, not by the package
-
-    k = np.ceil(special.pdtrik(q, omega))
-    below = np.maximum(k - 1.0, 0.0)
-    return np.where(special.pdtr(below, omega) >= q, below, k)
+# stirlerr(n) below 16, where Loader's series is not yet accurate, as the
+# logarithm of a ratio near one: within 2e-15 of the exact value, where
+# lgamma's difference of two terms of up to 42 was off by up to 7e-15
+_STIRLERR = tuple(
+    math.log(math.factorial(n) / (math.sqrt(2.0 * math.pi * n) * (n / math.e) ** n))
+    for n in range(1, 16)
+)
 
 
-# the tails a support window drops, TRUNCATION_EPS/4 each
-_WINDOW_Q = np.array([TRUNCATION_EPS / 4.0, 1.0 - TRUNCATION_EPS / 4.0])
-_WINDOW_Q.setflags(write=False)
+def _stirlerr(n: int) -> float:
+    """ln(n!) - ln(sqrt(2 pi n) (n/e)^n), Stirling's error, for n >= 1 (Loader 2000)."""
+    if n < 16:
+        return _STIRLERR[n - 1]
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - (1 / 1188) / nn) / nn) / nn) / nn) / n
 
 
-def _poisson_window(omega: float) -> tuple[int, int]:
-    """Smallest integer window holding all but ~TRUNCATION_EPS of a Poisson law.
+def _bd0(k: int, omega: float) -> float:
+    """k ln(k/omega) + omega - k without its cancellation near k = omega (Loader 2000)."""
+    if abs(k - omega) >= 0.1 * (k + omega):
+        return k * math.log(k / omega) + omega - k
+    v = (k - omega) / (k + omega)
+    s, ej, v2, j = (k - omega) * v, 2.0 * k * v, v * v, 3
+    while True:
+        ej *= v2
+        s1 = s + ej / j
+        if s1 == s:
+            return s
+        s, j = s1, j + 2
 
-    Its edges are the _WINDOW_Q quantiles that scipy.stats.poisson's ppf
-    and isf return, computed by the same scipy.special kernels without
-    the wrappers' argument handling, which costs several times the kernel.
+
+def _poisson_at(k: int, omega: float) -> float:
+    """Pois(k; omega) as exp(-stirlerr(k) - bd0(k, omega))/sqrt(2 pi k) (Loader 2000).
+
+    This saddle-point form rounds to a few ulps at any k and omega, where
+    exp(k ln omega - omega - ln k!) loses about k ln k ulps to its terms.
     """
-    lo_q, hi_q = _poisson_quantiles(_WINDOW_Q, omega).tolist()
-    if math.isnan(lo_q) or math.isnan(hi_q):
-        # the quantile kernel gives up for means from about 1e11 on
+    if omega == 0.0 or k == 0:
+        return math.exp(-omega) if k == 0 else 0.0
+    return math.exp(-_stirlerr(k) - _bd0(k, omega)) / math.sqrt(2.0 * math.pi * k)
+
+
+def _poisson_terms(omega: float, lo: int, hi: int) -> np.ndarray:
+    """Pois(k; omega) at the counts k = lo..hi, by ratio products out from one anchor.
+
+    The anchor is the count of lo..hi nearest the mode floor(omega), in
+    _poisson_at's form. Up from it each term is the one before times
+    omega/k, down from it times (k+1)/omega: ratios below one, so no
+    product overflows, and their rounding grows like the square root of
+    the steps taken (1.4e-14 relative at 16,000 steps from the mode of 5e6).
+    """
+    m = min(max(math.floor(omega), lo), hi)
+    i = m - lo
+    k = np.arange(lo, hi + 1, dtype=np.float64)
+    out = np.empty(k.size)
+    out[i] = 1.0
+    up = out[i + 1 :]
+    np.multiply.accumulate(np.divide(omega, k[i + 1 :], out=up), out=up)
+    if i:
+        down = out[i - 1 :: -1]
+        np.multiply.accumulate(np.divide(k[i:0:-1], omega, out=down), out=down)
+    out *= _poisson_at(m, omega)
+    return out
+
+
+def _poisson_tails(omega: float, lo: int, hi: int) -> np.ndarray:
+    """Pr[Pois(omega) > k] at the counts k = lo..hi, summed from the top down.
+
+    The sum runs from lo + 1 to max(hi, omega) + 11 sqrt(omega) + 60, past
+    which every term is below about e^-60 of the term at max(hi, omega).
+    """
+    top = max(hi, math.floor(omega)) + math.ceil(11.0 * math.sqrt(omega)) + 60
+    terms = _poisson_terms(omega, lo + 1, top)
+    return np.add.accumulate(terms[::-1])[::-1][: hi - lo + 1]
+
+
+# each tail a support window drops
+_WINDOW_Q = TRUNCATION_EPS / 4.0
+# Means from here on are refused. A window is clipped to MAX_SUPPORT from
+# about 4.8e9 on, and holds 38% of the mass or more below this mean.
+_MAX_MEAN = 1e12
+
+
+def _poisson_window(omega: float) -> tuple[int, int, int, np.ndarray]:
+    """(lo, hi, first, terms): the smallest integer window lo..hi holding all
+    but ~TRUNCATION_EPS of Pois(omega), and the terms at the counts first..
+    from which it was found, which hold it.
+
+    The edges are the exact _WINDOW_Q quantiles, the smallest k with
+    Pr[K <= k] >= q and the smallest with Pr[K > k] <= q, widened by two
+    counts each. Both are read off the running sums, from below and from
+    above, of the terms over omega +- (11 sqrt(omega) + 60). A window wider
+    than MAX_SUPPORT is clipped around the bulk; its edges sit 7.2 standard
+    deviations out, so a mean with 14.4 sqrt(omega) > MAX_SUPPORT is
+    clipped at once, and only the clipped window is built.
+    """
+    if not omega < _MAX_MEAN:
         raise DomainError(f"poisson mean {omega} is too large for a support window")
-    lo = max(0, int(lo_q) - 2)
-    hi = int(hi_q) + 2
-    if hi - lo + 1 > MAX_SUPPORT:
-        lo = max(0, int(omega) - MAX_SUPPORT // 2)
-        hi = lo + MAX_SUPPORT - 1
-    return lo, hi
+    if 14.4 * math.sqrt(omega) <= MAX_SUPPORT:
+        half = 11.0 * math.sqrt(omega) + 60.0
+        first, last = max(0, math.floor(omega - half)), math.ceil(omega + half)
+        terms = _poisson_terms(omega, first, last)
+        lo = max(0, first + int(np.add.accumulate(terms).searchsorted(_WINDOW_Q)) - 2)
+        hi = last - int(np.add.accumulate(terms[::-1]).searchsorted(_WINDOW_Q, "right")) + 2
+        if hi - lo + 1 <= MAX_SUPPORT:
+            return lo, hi, first, terms
+    lo = max(0, int(omega) - MAX_SUPPORT // 2)
+    hi = lo + MAX_SUPPORT - 1
+    return lo, hi, lo, _poisson_terms(omega, lo, hi)
 
 
 def poisson_pmf(omega: float) -> DiscreteDist:
     """Poisson law with mean omega.
 
     The support window is chosen so the two discarded tails together hold
-    no more than about 1e-12 of the mass. Values are evaluated in log
-    space and exponentiated, which keeps far-tail bins accurate.
+    no more than about 1e-12 of the mass (_poisson_window). Every bin is a
+    ratio product out from the mode, anchored in Loader's saddle-point form
+    (_poisson_terms): within 1.4e-14 relative of the exact pmf for means up
+    to 5e6, far tails included.
     """
     omega = _real(omega, "poisson mean must be finite and non-negative, got {}", 0.0)
     if omega == 0.0:
         return point_mass(0)
-    lo, hi = _poisson_window(omega)
-    return DiscreteDist(lo, _poisson_terms(np.arange(lo, hi + 1, dtype=np.float64), omega))
-
-
-def _poisson_terms(k: np.ndarray, omega: float) -> np.ndarray:
-    import scipy.special as special
-
-    return np.exp(special.xlogy(k, omega) - omega - special.gammaln(k + 1.0))
+    lo, hi, first, terms = _poisson_window(omega)
+    return DiscreteDist(lo, terms[lo - first : hi - first + 1])
 
 
 def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -273,6 +345,20 @@ def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _fft_convolve(a, b)
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n, as scipy.fft.next_fast_len(n, True) gives it."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least power of two that takes p35 to n or past it
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve_by_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Linear convolution of two mass arrays by the kernel priced lower, unclipped.
 
@@ -280,9 +366,7 @@ def _convolve_by_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     L the real FFT length of the product. An FFT bin is accurate only in
     absolute terms, so this is for laws that already pass through one.
     """
-    import scipy.fft as fft  # loaded by the first blocked law, not by the package
-
-    length = fft.next_fast_len(a.size + b.size - 1, True)
+    length = _next_fast_len(a.size + b.size - 1)
     if _DIRECT_S * a.size * b.size <= _FFT_S + _FFT_POINT_S * length * math.log2(length):
         return np.convolve(a, b)
     return _fft_convolve(a, b)
@@ -291,14 +375,12 @@ def _convolve_by_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # The steps scipy.signal.fftconvolve takes for real 1-d input, so its
     # bins are that function's: a one-point operand is a plain product, and
-    # any other pair is multiplied in the frequency domain.
+    # any other pair is multiplied in the frequency domain at a 5-smooth length.
     if min(a.size, b.size) == 1:
         return a * b
-    import scipy.fft as fft
-
     size = a.size + b.size - 1
-    n = fft.next_fast_len(size, True)
-    return fft.irfft(fft.rfft(a, n) * fft.rfft(b, n), n)[:size]
+    n = _next_fast_len(size)
+    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
 
 
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:

@@ -31,6 +31,7 @@ from .dist import (
     _fold,
     _instance,
     _integer,
+    _next_fast_len,
     _real,
     _real_array,
     _window,
@@ -283,19 +284,17 @@ def _spectral_horner(blocks, own: DiscreteDist, size: int):
     power is built in the time domain, by squaring with the kernel
     _convolve_by_cost prices lower; FFT(own)**size rounds once per factor.
     """
-    import scipy.fft as fft  # loaded by the first blocked law, not by the package
-
     lo = min(s + b * own.offset for b, s, a in blocks if a is not None)
     hi = max(s + a.size - 1 + b * own.k_max for b, s, a in blocks if a is not None)
-    length = fft.next_fast_len(hi - lo + 1, True)
-    step = fft.rfft(_fold(own.masses, size, _convolve_by_cost), length)
+    length = _next_fast_len(hi - lo + 1)
+    step = np.fft.rfft(_fold(own.masses, size, _convolve_by_cost), length)
     g = 0.0
     for base, start, acc in blocks:
         x = np.zeros(length)
         if acc is not None:
             x[start + base * own.offset - lo :][: acc.size] = acc
-        g = g * step + fft.rfft(x)
-    return lo, fft.irfft(g, length)[: hi - lo + 1]
+        g = g * step + np.fft.rfft(x)
+    return lo, np.fft.irfft(g, length)[: hi - lo + 1]
 
 
 def _snr_from_moments(mean_gap: float, var0: float, var1: float) -> float:

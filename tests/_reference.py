@@ -3,7 +3,8 @@
 Everything here is deliberately written by a different route than the
 package: exact Fraction arithmetic for the gate outcome laws, a walk
 through every gate success/failure pattern of a wiring, closed-form
-integrals for the decayed-count moments, dense-array helpers that do not
+integrals for the decayed-count moments, high-precision Poisson and
+decayed-count probabilities from mpmath, dense-array helpers that do not
 share code with the DiscreteDist machinery, the term-by-term mixture
 that composite laws were evaluated with before Horner's rule, the
 golden-section peak search that peak_snr refined with before Brent's
@@ -29,12 +30,15 @@ __all__ = [
     "cascade_conv_ref",
     "cascade_explicit",
     "decay_mean_var",
+    "decayed_pmf_exact",
     "dense",
     "enumerate_gate_patterns",
     "flat_ref",
     "golden_max",
     "golden_peak_snr",
     "max_abs_diff",
+    "poisson_pmf_exact",
+    "poisson_tails_exact",
     "power_fold",
     "replay_full_scheme",
     "replay_gate_outcomes",
@@ -153,6 +157,40 @@ def decay_mean_var(mu0: float, mu1: float, lam: float, t: float) -> tuple[float,
         second = e * (m1 + m1 * m1) + mean - e * m1
         second += mu0 * mu0 * t * t * i0 + 2 * mu0 * t * dm * i1 + dm * dm * i2
         return float(mean), float(second - mean * mean)
+
+
+def poisson_pmf_exact(k: int, omega: float) -> float:
+    """Pois(k; omega) as exp(k ln omega - omega - ln k!) in 50-digit arithmetic."""
+    with mp.workdps(50):
+        w = mp.mpf(omega)
+        return float(mp.exp(k * mp.log(w) - w - mp.loggamma(k + 1)) if k else mp.exp(-w))
+
+
+def poisson_tails_exact(k: int, omega: float):
+    """(Pr[K <= k], Pr[K > k]) for K ~ Pois(omega) as mpf numbers: the regularized
+    upper incomplete gamma Q(k+1, omega) and 1 - Q, at 60 digits, so that the
+    upper tail keeps over 40 where it is near 1e-13."""
+    with mp.workdps(60):
+        below = mp.gammainc(k + 1, mp.mpf(omega), regularized=True)
+        return below, 1 - below
+
+
+def decayed_pmf_exact(mu0: float, mu1: float, lam: float, t: float, k: int) -> float:
+    """P(K = k) of the decayed bright count from its incomplete-gamma form at 80 digits.
+
+    With c = lam/(mu1-mu0), a = (1+c) mu0 t and b = (1+c) mu1 t it is
+    e^(-lam t) Pois(k; mu1 t) + c e^(c mu0 t) (1+c)^-(k+1) [Q(k+1, a) - Q(k+1, b)]
+    (DLMF 8.2.4), the regularized upper gammas taken apart with 80 digits so
+    that their difference keeps full precision on either side of b.
+    """
+    with mp.workdps(80):
+        mu0, mu1, lam, t = mp.mpf(mu0), mp.mpf(mu1), mp.mpf(lam), mp.mpf(t)
+        c = lam / (mu1 - mu0)
+        m1 = mu1 * t
+        stay = mp.exp(-lam * t + k * mp.log(m1) - m1 - mp.loggamma(k + 1))
+        gap = mp.gammainc(k + 1, (1 + c) * mu0 * t, regularized=True)
+        gap -= mp.gammainc(k + 1, (1 + c) * m1, regularized=True)
+        return float(stay + c * mp.exp(c * mu0 * t) * (1 + c) ** -(k + 1) * gap)
 
 
 def dense(dist, size: int) -> np.ndarray:

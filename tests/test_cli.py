@@ -48,11 +48,9 @@ _SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 
 class TestImportGraph:
-    """What importing the package costs: scipy loads only in the functions that call it."""
+    """What importing the package costs: no command or law loads a scipy module."""
 
     def test_cli_import_loads_no_scipy(self):
-        # special loads with the first law, fft with the first blocked law or
-        # FFT-side convolution; the solvers load none
         out = run_python("-c", f"import sys, readout_tradeoff.cli; print({_SCIPY_LOADED})")
         assert out.stdout.strip() == "[]"
 
@@ -81,25 +79,24 @@ class TestImportGraph:
 
     def test_laws_load_special_and_blocked_laws_fft(self):
         # mi-sweep's laws at its defaults all take the direct path; a law of
-        # 64 decayed qubits over 20 ms outgrows it and is composed in blocks
+        # 64 decayed qubits over 20 ms outgrows it and is composed in blocks,
+        # through numpy.fft: neither loads a scipy module
         code = (
             "import contextlib, io, sys\n"
             "from readout_tradeoff import *\n"
             "from readout_tradeoff.cli import main\n"
-            "loaded = lambda: [m in sys.modules for m in ('scipy.special', 'scipy.fft')]\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = main(['mi-sweep'])\n"
-            "print(code, loaded())\n"
+            f"print(code, {_SCIPY_LOADED})\n"
             "compose(SchemeConfig.noisy(64, RateParams(3.5, 14.0, 0.02), GateNoise(0.01)), 20.0)\n"
-            "print(loaded())\n"
+            f"print({_SCIPY_LOADED})\n"
         )
         out = run_python("-c", code)
-        assert out.stdout.splitlines() == ["0 [True, False]", "[True, True]"]
+        assert out.stdout.splitlines() == ["0 []", "[]"]
 
     def test_laws_built_on_first_import_match_this_process(self):
-        # a fresh interpreter, whose first laws import scipy.special and
-        # scipy.fft, gets this process's laws to the bit: a direct-path and a
-        # blocked compose, and a decayed single-qubit law
+        # a fresh interpreter gets this process's laws to the bit: a
+        # direct-path and a blocked compose, and a decayed single-qubit law
         code = (
             "import hashlib\n"
             "from readout_tradeoff import *\n"
@@ -215,6 +212,18 @@ class TestSnrSweep:
             for t in _t_grid(cfg).tolist()
         ]
         assert rows == want
+
+
+class TestMiSweep:
+    def test_envelope_edge_without_noise(self, capsys):
+        # Poisson laws of means up to 9e5: their log-space terms summed past
+        # DiscreteDist's mass check, and the sweep exited 1
+        code, out, err = run(
+            capsys, "mi-sweep", "--p", "0", "--lambda", "0", "--n-min", "60", "--n-max", "64",
+            "--t-start", "900", "--t-stop", "1000", "--t-points", "2",
+        )
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 11
 
 
 class TestJson:

@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, signal, stats as ss
-from scipy.special import gammainc
 
 from readout_tradeoff.decay import (
     DecayModelParams,
+    _poisson_over,
     decaying_poisson,
     decaying_poisson_moments,
 )
 from readout_tradeoff.dist import DiscreteDist, DomainError, RateParams, point_mass
-from readout_tradeoff.dist import _poisson_terms, _poisson_window
+from readout_tradeoff.dist import _poisson_tails, _poisson_window
 from readout_tradeoff.dist import moments, poisson_pmf, tv_distance
-from tests._reference import decay_mean_var, max_abs_diff
+from tests._reference import decay_mean_var, decayed_pmf_exact, max_abs_diff
 
 RATES = RateParams(3.5, 14.0, 0.0041)
 
@@ -212,23 +212,23 @@ def _lfilter_decaying_poisson(params):
     m0, m1 = mu0 * t, mu1 * t
     if m1 == 0.0:
         return point_mass(0)
-    lo = 0 if m0 == 0.0 else _poisson_window(m0)[0]
-    hi = _poisson_window(m1)[1]
+    lo, _, *dark = (0, 0, 0, np.ones(1)) if m0 == 0.0 else _poisson_window(m0)
+    _, hi, *bright = _poisson_window(m1)
     start = min(lo, max(0, math.floor(m0 - 12.0 * math.sqrt(m0))))
-    k = np.arange(start, hi + 1, dtype=np.float64)
-    stay = math.exp(-lam * t) * _poisson_terms(k, m1)
+    stay = math.exp(-lam * t) * _poisson_over(m1, bright, start, hi)
     masses = stay.copy()
     if lam > 0.0:
         delta = mu1 - mu0
         c = lam / delta if delta > 0.0 else math.inf
         b = (1.0 + c) * m1
         split = (hi + 1 if b >= hi else math.floor(b) + 1) - start
-        drive = _poisson_terms(k[:split], m0) - stay[:split]
+        drive = _poisson_over(m0, dark, start, start + split - 1) - stay[:split]
         gain, pole = lam / (delta + lam), delta / (delta + lam)
         masses[:split] += signal.lfilter([gain], [1.0, -pole], drive)
-        if split < k.size:
-            kt = k[split:] + 1.0
-            gap = gammainc(kt, b) - gammainc(kt, (1.0 + c) * m0)
+        if split < masses.size:
+            above = start + split
+            kt = np.arange(above + 1, hi + 2, dtype=np.float64)
+            gap = _poisson_tails(b, above, hi) - _poisson_tails((1.0 + c) * m0, above, hi)
             masses[split:] += c * np.exp(c * m0 - kt * math.log1p(c)) * gap
     return DiscreteDist(lo, masses[lo - start :])
 
@@ -241,6 +241,20 @@ class TestRecurrenceEqualsLfilter:
         got, want = decaying_poisson(params), _lfilter_decaying_poisson(params)
         assert got.offset == want.offset
         assert np.array_equal(got.masses, want.masses)
+
+
+class TestExactBins:
+    """Bins on both sides of b = (1+c) mu1 t against the incomplete-gamma form in mpmath."""
+
+    @pytest.mark.parametrize("lam, t", [(0.0041, 20.0), (0.0041, 1e3), (0.5, 100.0)])
+    def test_relative_error(self, lam, t):
+        d = decaying_poisson(DecayModelParams(RateParams(3.5, 14.0, lam), t))
+        b = (1.0 + lam / 10.5) * 14.0 * t
+        below = np.linspace(d.offset, math.floor(b), 12).astype(int).tolist()
+        above = np.linspace(math.floor(b) + 1, d.k_max, 8).astype(int).tolist()
+        for k in below + above:
+            exact = decayed_pmf_exact(3.5, 14.0, lam, t, k)
+            assert d.pmf(k) == pytest.approx(exact, rel=1e-12, abs=0.0), k
 
 
 class TestLimits:

@@ -3,8 +3,10 @@ import re
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, strategies as st
-from scipy import signal, stats as ss
+from mpmath import mp
+from scipy import signal, special, stats as ss
 
 from readout_tradeoff import dist
 from readout_tradeoff.dist import (
@@ -39,7 +41,7 @@ from readout_tradeoff.scheme import (
     threshold_analytic,
     time_to_snr,
 )
-from tests._reference import max_abs_diff
+from tests._reference import max_abs_diff, poisson_pmf_exact, poisson_tails_exact
 from tests.test_cli import run_python
 
 
@@ -141,15 +143,33 @@ class TestDiscreteDist:
 class TestPoissonPmf:
     @pytest.mark.parametrize("omega", [0.3, 1.0, 7.0, 42.0, 300.0])
     def test_matches_scipy_on_window(self, omega):
+        # every bin against the exact pmf: scipy.stats.poisson.pmf, which
+        # exponentiates a log-space sum, is itself 1e-14 off at omega = 300
         d = poisson_pmf(omega)
-        ref = ss.poisson.pmf(np.arange(d.offset, d.offset + d.masses.size), omega)
+        ref = [poisson_pmf_exact(k, omega) for k in d.support.tolist()]
         assert np.max(np.abs(d.masses - ref)) < 1e-15
+
+    @pytest.mark.parametrize("omega", [3.5, 16.5, 1e2, 1e4, 6.8e5, 1e6, 5e6])
+    def test_bins_against_mpmath(self, omega):
+        # relative error at up to 1,001 bins spread over the window, tails
+        # included; log-space terms lost 2e-8 of it at 5e6. At 16.5 the
+        # anchor is the first count past the stirlerr table
+        d = poisson_pmf(omega)
+        idx = np.unique(np.linspace(0, d.masses.size - 1, 1001).astype(int))
+        exact = np.array([poisson_pmf_exact(d.offset + i, omega) for i in idx.tolist()])
+        assert np.max(np.abs(d.masses[idx] / exact - 1.0)) <= 1e-13
 
     @pytest.mark.parametrize("omega", [0.3, 7.0, 300.0, 1e5])
     def test_keeps_nearly_all_mass(self, omega):
         d = poisson_pmf(omega)
         assert d.masses.sum() >= 1.0 - 1e-12
         assert d.truncation_loss <= 1e-12
+
+    def test_law_past_a_million(self):
+        # log-space terms pushed the mass of such a law past DiscreteDist's check
+        d = poisson_pmf(1.4e6)
+        assert d.truncation_loss <= 1e-12
+        assert abs(d.masses.sum() + d.truncation_loss - 1.0) <= 1e-12
 
     def test_zero_rate_is_point_mass(self):
         d = poisson_pmf(0.0)
@@ -167,34 +187,75 @@ class TestPoissonPmf:
 
 
 class TestScipyKernels:
-    """The windows and FFT convolutions equal the scipy wrappers they replace."""
+    """The windows equal their exact definitions, and the FFT convolutions scipy's wrapper."""
 
     @staticmethod
-    def scipy_window(omega):
-        # _poisson_window's arithmetic on scipy.stats' own quantiles
-        tail = dist.TRUNCATION_EPS / 4.0
-        lo_q, hi_q = ss.poisson.ppf(tail, omega), ss.poisson.isf(tail, omega)
-        if math.isnan(lo_q) or math.isnan(hi_q):
-            return None
-        lo, hi = max(0, int(lo_q) - 2), int(hi_q) + 2
+    def defined_edges(omegas):
+        # the smallest k with pdtr(k) >= q and the smallest with pdtrc(k) <= q,
+        # bisected over the counts for every mean at once
+        q = dist.TRUNCATION_EPS / 4.0
+        top = np.ceil(omegas + 20.0 * np.sqrt(omegas) + 100.0)
+        edges = []
+        for kernel, done in ((special.pdtr, lambda p: p >= q), (special.pdtrc, lambda p: p <= q)):
+            lo, hi = np.zeros_like(omegas), top
+            while np.any(lo < hi):
+                mid = np.floor(0.5 * (lo + hi))
+                found = done(kernel(mid, omegas))
+                lo, hi = np.where(found, lo, mid + 1.0), np.where(found, mid, hi)
+            edges.append(lo.astype(np.int64).tolist())
+        return edges
+
+    @staticmethod
+    def window(lo_q, hi_q, omega):
+        lo, hi = max(0, lo_q - 2), hi_q + 2
         if hi - lo + 1 > dist.MAX_SUPPORT:
             lo = max(0, int(omega) - dist.MAX_SUPPORT // 2)
             hi = lo + dist.MAX_SUPPORT - 1
         return lo, hi
 
+    @staticmethod
+    def check_exact(got, lo_q, omega):
+        # scipy's tail kernels lose digits at large means (pdtrc thousands of
+        # counts at 1e9): where they disagree with the window, its edges must
+        # be the exact quantiles, by mpmath
+        q = mp.mpf(dist.TRUNCATION_EPS / 4.0)
+
+        def cdf(k):
+            return poisson_tails_exact(k, omega)[0]
+
+        def sf(k):
+            return poisson_tails_exact(k, omega)[1]
+
+        lo, hi = got
+        if got == TestScipyKernels.window(0, 2 * dist.MAX_SUPPORT, omega):
+            # clipped: pdtr's lower edge is exact, and the upper edge lies
+            # more than MAX_SUPPORT - 5 counts above it
+            assert cdf(lo_q - 1) < q <= cdf(lo_q)
+            assert sf(lo_q + dist.MAX_SUPPORT - 5) > q
+            return
+        assert cdf(lo + 1) < q <= cdf(lo + 2) if lo > 0 else cdf(2) >= q
+        assert sf(hi - 2) <= q < sf(hi - 3)
+
     def test_window_equals_scipy_quantiles(self):
-        omegas = np.append(np.geomspace(1e-300, 1e11, 311), 1e12)
-        expected = [self.scipy_window(float(w)) for w in omegas]
-        # the grid reaches far past the envelope's largest mean, and ends
-        # where scipy's quantiles come back NaN
-        assert all(e is not None for w, e in zip(omegas, expected) if w <= 1e9)
-        assert expected[-1] is None
-        for omega, want in zip(omegas, expected):
-            if want is None:
-                with pytest.raises(DomainError, match="too large"):
-                    dist._poisson_window(float(omega))
-            else:
-                assert dist._poisson_window(float(omega)) == want
+        # a decade apart from 1e-300, densely over the envelope's largest
+        # means, and just past the mean from which windows are clipped at once
+        omegas = np.concatenate(
+            (np.geomspace(1e-300, 1e11, 311), np.geomspace(1e5, 5e6, 101), [4.85e9])
+        )
+        lo_q, hi_q = self.defined_edges(omegas)
+        for omega, lo_k, hi_k in zip(omegas.tolist(), lo_q, hi_q):
+            got = dist._poisson_window(omega)[:2]
+            if got != self.window(lo_k, hi_k, omega):
+                self.check_exact(got, lo_k, omega)
+        for omega in (1e12, 2.0**53, 3.5e300):
+            with pytest.raises(DomainError, match="too large"):
+                dist._poisson_window(omega)
+
+    @pytest.mark.parametrize("omega", [4.85e9, 1e10, 1e11])
+    def test_clipped_window_builds_only_itself(self, omega):
+        lo, hi, first, terms = dist._poisson_window(omega)
+        assert (lo, hi) == self.window(0, 2 * dist.MAX_SUPPORT, omega)
+        assert first == lo and terms.size == dist.MAX_SUPPORT
 
     @pytest.mark.parametrize(
         "n, m",
@@ -205,6 +266,10 @@ class TestScipyKernels:
         a, b = rng.random(n), rng.random(m)
         for x, y in ((a, b), (b, a)):
             assert np.array_equal(dist._convolve_masses(x, y), signal.fftconvolve(x, y))
+
+    def test_next_fast_len_equals_scipy(self):
+        got = [dist._next_fast_len(n) for n in range(1, 20001)]
+        assert got == [scipy.fft.next_fast_len(n, True) for n in range(1, 20001)]
 
 
 class TestConvolve:

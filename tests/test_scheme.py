@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
 from scipy import stats as ss
@@ -207,6 +206,15 @@ class TestIdealComposite:
     def test_zero_window(self):
         assert scheme_snr(SchemeConfig.ideal(3, RATES), 0.0) == 0.0
 
+    @pytest.mark.parametrize("t", [755.0, 1e3])
+    def test_envelope_edge(self, t):
+        # bright means of 6.8e5 and 9e5: log-space Poisson terms summed past
+        # DiscreteDist's mass check here, and compose raised
+        stats = compose(SchemeConfig.ideal(64, NO_DECAY), t)
+        for law, rate in ((stats.p0, 3.5), (stats.p1, 14.0)):
+            assert abs(law.masses.sum() + law.truncation_loss - 1.0) <= 1e-12
+            assert moments(law)[0] == pytest.approx(64 * rate * t, rel=1e-12)
+
 
 class TestNoisyComposite:
     def test_noise_free_limits_reduce_to_ideal(self):
@@ -370,10 +378,10 @@ class TestHornerCompose:
     @pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 20.0])
     def test_matches_term_by_term_mixture(self, tier, n, t, monkeypatch):
         def no_fft(*args, **kwargs):
-            raise AssertionError("a law at paper scale reached scipy.fft")
+            raise AssertionError("a law at paper scale reached numpy.fft")
 
         for name in ("rfft", "irfft"):
-            monkeypatch.setattr(scipy.fft, name, no_fft)
+            monkeypatch.setattr(np.fft, name, no_fft)
         cfg = _tiers(n)[tier]
         stats = compose(cfg, t)
         for got, ref in zip((stats.p0, stats.p1), _laws_by_term(cfg, t)):
@@ -481,7 +489,7 @@ class TestHornerCompose:
             return decaying_poisson(params)
 
         for name in ("rfft", "irfft"):
-            monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
         monkeypatch.setattr(scheme, "decaying_poisson", decayed)
         got = compose(SchemeConfig.noisy(64, RATES, NOISE), 20.0)
         # a transform per Horner step would run about 100 at half length or more
