@@ -22,57 +22,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDist, DomainError, RateParams, point_mass
-from .dist import _instance, _poisson_tails, _poisson_terms, _poisson_window, _real, _real_array
+from .dist import _instance, _poisson_tails, _poisson_terms, _poisson_window, _real
 
 __all__ = ["DecayModelParams", "decaying_poisson", "decaying_poisson_moments"]
 
 
 @dataclass(frozen=True)
 class DecayModelParams:
-    """Rates plus the counting window length t in ms (an ndarray of t for the moments)."""
+    """Rates plus the counting window length t in ms."""
 
     rates: RateParams
-    t: float | np.ndarray
+    t: float
 
     def __post_init__(self):
         object.__setattr__(self, "t", _window_length(self.t))
         _instance(self.rates, RateParams, "rates")
 
 
-def _window_length(t) -> float | np.ndarray:
-    """t as a float or a float64 ndarray, each entry finite and non-negative."""
-    # np.ndim would dominate a float call, and raises ValueError for a ragged list
-    if isinstance(t, float) or (not isinstance(t, (list, tuple)) and np.ndim(t) == 0):
-        return _scalar_window_length(t)
-    t = _real_array(t, "window lengths must be real numbers")
-    u = np.where(t == t, t, -1.0)  # NaN reaches no ordered comparison, which can warn
-    ok = (u >= 0.0) & (u < math.inf)
-    if not ok.all():
-        _scalar_window_length(np.extract(np.logical_not(ok), t)[0])  # raises
-    return t
-
-
-def _scalar_window_length(t) -> float:
+def _window_length(t) -> float:
+    """t as a float, finite and non-negative: the one rule for a window length."""
     return _real(t, "window length must be finite and non-negative, got {}", 0.0)
-
-
-def _each_window(f, t, shape=()):
-    """f(t) at a checked float t; at an ndarray of t, f at each entry as a float.
-
-    The array holds the results in shape + t.shape, the entries of a tuple
-    that f returns along the leading axis. A DomainError is the one f
-    raises at the smallest t where it raises one, as the float call would.
-    """
-    if not isinstance(t, np.ndarray):
-        return f(t)
-    ts = t.ravel().tolist()
-    try:
-        values = list(map(f, ts))
-    except DomainError:
-        for x in sorted(ts):
-            f(x)
-        raise
-    return np.reshape(np.transpose(values), shape + t.shape)
 
 
 def _poisson_over(omega: float, chain: tuple[int, np.ndarray], lo: int, hi: int) -> np.ndarray:
@@ -110,8 +79,6 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     recurrence needs more counts.
     """
     rates, t = _instance(params, DecayModelParams, "params").rates, params.t
-    if isinstance(t, np.ndarray):
-        raise DomainError("decaying_poisson builds the law at one window length")
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
     m0, m1 = mu0 * t, mu1 * t
     if m1 == 0.0:
@@ -157,7 +124,7 @@ def _var_shape(x: float) -> float:
 
 
 def _moments(rates: RateParams, t: float) -> tuple[float, float]:
-    """decaying_poisson_moments at one float t, in Python floats."""
+    """decaying_poisson_moments at rates and a checked window length t."""
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
     x = lam * t
     if x == 0.0:
@@ -173,15 +140,12 @@ def _moments(rates: RateParams, t: float) -> tuple[float, float]:
     return mean, var
 
 
-def decaying_poisson_moments(params: DecayModelParams):
+def decaying_poisson_moments(params: DecayModelParams) -> tuple[float, float]:
     """Mean and variance of the count law without building the pmf.
 
     The decay time acts as a mixing variable over Poisson means M, so
     mean = E[M] and var = E[M] + Var[M]. With x = lam*t the decay time
     capped at t has mean t*(1 - e^-x)/x and variance
-    t^2*(1 - 2x e^-x - e^-2x)/x^2: closed forms in Python floats. For an
-    ndarray of t the mean and the variance are arrays in t's shape, each
-    entry the float call's. A window so long that either moment overflows
-    raises DomainError naming the smallest such t."""
-    rates = _instance(params, DecayModelParams, "params").rates
-    return tuple(_each_window(lambda t: _moments(rates, t), params.t, (2,)))
+    t^2*(1 - 2x e^-x - e^-2x)/x^2: closed forms in Python floats. A window
+    so long that either moment overflows raises DomainError naming t."""
+    return _moments(_instance(params, DecayModelParams, "params").rates, params.t)

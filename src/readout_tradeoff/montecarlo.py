@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decay import _scalar_window_length
+from .decay import _window_length
 from .dist import DiscreteDist, DomainError, RateParams, _instance, _integer
 from .gates import GateNoise, OutcomeDist, _gate_pairs, validate_wiring
 from .scheme import SchemeConfig
@@ -54,7 +54,7 @@ class McConfig:
     def __post_init__(self):
         object.__setattr__(self, "shots", _integer(self.shots, _SHOTS, 1))
         object.__setattr__(self, "seed", _check_seed(self.seed))
-        object.__setattr__(self, "t", _scalar_window_length(self.t))
+        object.__setattr__(self, "t", _window_length(self.t))
         _instance(self.scheme, SchemeConfig, "scheme")
 
 
@@ -169,7 +169,7 @@ def sample_photon_counts(
     if initial_state not in (0, 1):
         raise DomainError(f"initial state must be 0 or 1, got {initial_state}")
     _instance(rates, RateParams, "rates")
-    t = _scalar_window_length(t)
+    t = _window_length(t)
     shots = _integer(shots, _SHOTS, 1)
 
     def draw(rng, size):

@@ -20,8 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import dist as _dist
-from .decay import DecayModelParams, _each_window, _moments, _scalar_window_length, _window_length
-from .decay import decaying_poisson
+from .decay import DecayModelParams, _moments, _window_length, decaying_poisson
 from .dist import (
     DiscreteDist,
     DomainError,
@@ -222,7 +221,7 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
     and accounted for in the truncation loss of the result.
     """
     _instance(config, SchemeConfig, "config")
-    t = _scalar_window_length(t)
+    t = _window_length(t)
     dark, bright = _single_folds(config, t)
     t0, t1 = config.outcomes
     return CompositeStats(_two_sided_mix(t0, dark, bright), _two_sided_mix(t1, bright, dark), t)
@@ -351,15 +350,39 @@ def _snr_at(config: SchemeConfig, t: float) -> float:
     return _moment_snr(config.q_moments, single0, single1, config.n_qubits, t)
 
 
+def _window_lengths(t) -> np.ndarray:
+    """t as a float64 ndarray, each entry finite and non-negative.
+
+    The first entry outside that range raises _window_length's DomainError.
+    """
+    t = _real_array(t, "window lengths must be real numbers")
+    u = np.where(t == t, t, -1.0)  # NaN reaches no ordered comparison, which can warn
+    ok = (u >= 0.0) & (u < math.inf)
+    if not ok.all():
+        _window_length(np.extract(np.logical_not(ok), t)[0])  # raises
+    return t
+
+
 def scheme_snr(config: SchemeConfig, t):
     """SNR of the scheme at window length t, via the moment-only fast path.
 
-    t is a float, or an ndarray of t giving the array of the float calls'
-    results in t's shape. A window so long that a count moment overflows
-    raises the float call's DomainError at the smallest such t.
+    t is a float, or an array or list of window lengths giving the ndarray
+    of the float calls' results in t's shape: the one function that takes
+    one. A window so long that a count moment overflows raises the float
+    call's DomainError at the smallest such t.
     """
     _instance(config, SchemeConfig, "config")
-    return _each_window(functools.partial(_snr_at, config), _window_length(t))
+    # np.ndim would dominate a float call, and raises ValueError for a ragged list
+    if isinstance(t, float) or (not isinstance(t, (list, tuple)) and np.ndim(t) == 0):
+        return _snr_at(config, _window_length(t))
+    t = _window_lengths(t)
+    ts = t.ravel().tolist()
+    try:
+        return np.reshape([_snr_at(config, x) for x in ts], t.shape)
+    except DomainError:
+        for x in sorted(ts):
+            _snr_at(config, x)
+        raise
 
 
 def mi_optimal(stats: CompositeStats) -> tuple[float, float]:
@@ -397,7 +420,7 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
     if rates.mu0 <= 0.0 or rates.mu0 >= rates.mu1:
         raise DomainError("analytic threshold needs 0 < mu0 < mu1")
     n = _integer(n, _POSITIVE_N, 1)
-    t = _scalar_window_length(t)
+    t = _window_length(t)
     alpha = rates.mu0 / rates.mu1
     beta = (1.0 / alpha - 1.0) / math.log(1.0 / alpha)
     gamma0 = beta * math.log(beta) + 1.0 - beta

@@ -471,7 +471,7 @@ _REAL_ARGUMENTS = {
         lambda x: sample_photon_counts(_RATES, 1, x, 1, 1), _FINITE, _ONES + _HALVES
     ),
     "scheme_snr": (lambda x: scheme_snr(_IDEAL, x), _ARRAYS, _ONES + _HALVES),
-    "DecayModelParams.t": (lambda x: DecayModelParams(_RATES, x), _ARRAYS, _ONES + _HALVES),
+    "DecayModelParams.t": (lambda x: DecayModelParams(_RATES, x), _FINITE, _ONES + _HALVES),
 }
 
 

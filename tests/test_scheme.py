@@ -653,20 +653,23 @@ class TestArrayRoute:
         assert all(shape == () for shape in calls[1:])
 
     def test_window_lengths_are_checked_once(self, monkeypatch):
-        # scheme_snr checks them once; each float step of the array route takes t as checked
+        # scheme_snr checks an array once; each float step of the array route takes t as checked
         checked = []
 
-        def counted(t):
-            checked.append(np.shape(t))
-            return window_length(t)
+        def counted(check):
+            def wrapper(t):
+                checked.append(np.shape(t))
+                return check(t)
 
-        window_length = decay._window_length
-        monkeypatch.setattr(scheme, "_window_length", counted)
-        monkeypatch.setattr(decay, "_window_length", counted)
+            return wrapper
+
+        for module, name in [(scheme, "_window_lengths"), (scheme, "_window_length"),
+                             (decay, "_window_length")]:
+            monkeypatch.setattr(module, name, counted(getattr(module, name)))
         scheme_snr(SchemeConfig.noisy(3, RATES, NOISE), ARRAY_TS)
         assert checked == [ARRAY_TS.shape]
-        DecayModelParams(RATES, ARRAY_TS)  # a public caller's are still checked
-        assert checked == [ARRAY_TS.shape] * 2
+        DecayModelParams(RATES, 1.0)  # a public caller's window is still checked
+        assert checked == [ARRAY_TS.shape, ()]
 
     def test_peak_grid_is_built_once(self, monkeypatch):
         grids = []
