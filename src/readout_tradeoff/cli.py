@@ -166,14 +166,19 @@ def _t_grid(cfg: argparse.Namespace) -> np.ndarray:
     return np.linspace(cfg.tstart, cfg.tstop, cfg.tpoints)
 
 
+def _schemes(cfg: argparse.Namespace) -> list[SchemeConfig]:
+    """The scheme of every n in n-min..n-max, all built, and so checked, before any is solved."""
+    return [SchemeConfig.noisy(n, cfg.rates, cfg.noise) for n in range(cfg.nmin, cfg.nmax + 1)]
+
+
 def run_snr_sweep(cfg: argparse.Namespace):
     """Rows (n, t_ms, snr) over the qubit range and window grid."""
     header = ("n", "t_ms", "snr")
     rows = []
     ts = _t_grid(cfg)
-    for n in range(cfg.nmin, cfg.nmax + 1):
-        snrs = scheme_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise), ts)
-        rows += [(n, t, snr) for t, snr in zip(ts.tolist(), snrs.tolist())]
+    for scheme in _schemes(cfg):
+        snrs = scheme_snr(scheme, ts)
+        rows += [(scheme.n_qubits, t, snr) for t, snr in zip(ts.tolist(), snrs.tolist())]
     return header, rows
 
 
@@ -181,8 +186,8 @@ def run_mi_sweep(cfg: argparse.Namespace):
     """Rows (n, t_ms, mi, eta_opt) with thresholds optimised exhaustively."""
     header = ("n", "t_ms", "mi", "eta_opt")
     rows = []
-    for n in range(cfg.nmin, cfg.nmax + 1):
-        scheme = SchemeConfig.noisy(n, cfg.rates, cfg.noise)
+    for scheme in _schemes(cfg):
+        n = scheme.n_qubits
         rows += [(n, t, *mi_optimal(compose(scheme, t))) for t in _t_grid(cfg).tolist()]
     return header, rows
 
@@ -190,25 +195,22 @@ def run_mi_sweep(cfg: argparse.Namespace):
 def run_speedup(cfg: argparse.Namespace):
     """Rows (n, t_ms, ratio, reachable) against the single-qubit solve."""
     header = ("n", "t_ms", "ratio", "reachable")
+    schemes = _schemes(cfg)
     t1 = time_to_snr(SchemeConfig.noisy(1, cfg.rates, cfg.noise), cfg.targetsnr)
     rows = []
-    for n in range(cfg.nmin, cfg.nmax + 1):
-        tn = time_to_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise), cfg.targetsnr)
+    for scheme in schemes:
+        tn = time_to_snr(scheme, cfg.targetsnr)
         if t1 is None or tn is None:
-            rows.append((n, math.nan, math.nan, False))
+            rows.append((scheme.n_qubits, math.nan, math.nan, False))
         else:
-            rows.append((n, tn, t1 / tn, True))
+            rows.append((scheme.n_qubits, tn, t1 / tn, True))
     return header, rows
 
 
 def run_peak_snr(cfg: argparse.Namespace):
     """Rows (n, s_max, t_max_ms); without decay t_max_ms is inf and s_max the supremum."""
     header = ("n", "s_max", "t_max_ms")
-    rows = []
-    for n in range(cfg.nmin, cfg.nmax + 1):
-        s_max, t_max = peak_snr(SchemeConfig.noisy(n, cfg.rates, cfg.noise))
-        rows.append((n, s_max, t_max))
-    return header, rows
+    return header, [(scheme.n_qubits, *peak_snr(scheme)) for scheme in _schemes(cfg)]
 
 
 def run_compilation_dist(cfg: argparse.Namespace):

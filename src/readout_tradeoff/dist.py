@@ -445,20 +445,28 @@ def tail_ge(d: DiscreteDist, eta: float) -> float:
     return float(d.masses[math.ceil(eta) - d.offset :].sum())
 
 
-def _window(d: DiscreteDist, lo: int, hi: int) -> np.ndarray:
-    """Masses of d laid out on the window [lo, hi], zero-padded."""
-    out = np.zeros(hi - lo + 1)
-    out[d.offset - lo : d.offset - lo + d.masses.size] = d.masses
-    return out
+def _union(a: DiscreteDist, b: DiscreteDist) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(lo, skip, ma, mb): the masses of a and b laid out together from lo, the lower offset.
+
+    The counts between two supports more than one count apart hold no mass,
+    so they are laid out as one zero bin, and the upper law's masses sit
+    skip counts below their own. skip is 0 where the supports overlap,
+    touch or have one count between them.
+    """
+    lo, hi = min(a.offset, b.offset), max(a.k_max, b.k_max)
+    skip = max(max(a.offset, b.offset) - min(a.k_max, b.k_max) - 2, 0)
+    masses = np.zeros((2, hi - lo + 1 - skip))
+    for row, d in zip(masses, (a, b)):
+        start = d.offset - lo - skip * (d.offset > lo)  # only the upper law moves
+        row[start : start + d.masses.size] = d.masses
+    return lo, skip, *masses
 
 
 def tv_distance(a: DiscreteDist, b: DiscreteDist) -> float:
     """Total variation distance, half the L1 gap on the union support."""
     a, b = _instance(a, DiscreteDist, "law"), _instance(b, DiscreteDist, "law")
-    lo = min(a.offset, b.offset)
-    hi = max(a.k_max, b.k_max)
-    diff = _window(a, lo, hi) - _window(b, lo, hi)
-    return min(1.0, 0.5 * float(np.abs(diff).sum()))
+    _, _, ma, mb = _union(a, b)
+    return min(1.0, 0.5 * float(np.abs(ma - mb).sum()))
 
 
 def mixture(dists: list[DiscreteDist] | tuple[DiscreteDist, ...], weights) -> DiscreteDist:

@@ -166,8 +166,7 @@ def sample_photon_counts(
     dark qubit draws a plain Poisson count. Draw order per batch: decay
     times first, then counts.
     """
-    if initial_state not in (0, 1):
-        raise DomainError(f"initial state must be 0 or 1, got {initial_state}")
+    initial_state = _integer(initial_state, "initial state must be 0 or 1, got {}", 0, 1)
     _instance(rates, RateParams, "rates")
     t = _window_length(t)
     shots = _integer(shots, _SHOTS, 1)

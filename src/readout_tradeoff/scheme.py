@@ -33,7 +33,7 @@ from .dist import (
     _next_fast_len,
     _real,
     _real_array,
-    _window,
+    _union,
     convolve,
     moments,
     n_fold_convolve,
@@ -174,7 +174,7 @@ def _single_folds(config: SchemeConfig, t: float):
     builds it.
     """
     if not isinstance(config.noise, GateNoise):
-        law0, law1 = config.single_laws(t)
+        law0, law1 = _single_laws(config, t)
         return _powers(lambda: law0), _powers(lambda: law1)
 
     def poisson(mu: float):
@@ -184,6 +184,17 @@ def _single_folds(config: SchemeConfig, t: float):
     if _no_decay(config):
         return poisson(rates.mu0), poisson(rates.mu1)
     return poisson(rates.mu0), _powers(lambda: decaying_poisson(DecayModelParams(rates, t)))
+
+
+def _single_laws(config: SchemeConfig, t: float):
+    """The (law0, law1) pair an injected scheme's single_laws returns at t."""
+    laws = config.single_laws(t)
+    try:
+        law0, law1 = laws
+    except (TypeError, ValueError):
+        message = f"single_laws must return a (law0, law1) pair, got {laws!r} at t={t} ms"
+        raise DomainError(message) from None
+    return law0, law1
 
 
 def _powers(build):
@@ -345,7 +356,7 @@ def _snr_at(config: SchemeConfig, t: float) -> float:
         # at lam = 0 this is exactly (mu1*t, mu1*t), the ideal bright moments
         single0, single1 = (dark, dark), _moments(config.rates, t)
     else:
-        law0, law1 = config.single_laws(t)
+        law0, law1 = _single_laws(config, t)
         single0, single1 = moments(law0), moments(law1)
     return _moment_snr(config.q_moments, single0, single1, config.n_qubits, t)
 
@@ -398,15 +409,17 @@ def mi_optimal(stats: CompositeStats) -> tuple[float, float]:
     p1.truncation_loss)/2: a result below about that is not resolved.
     """
     _instance(stats, CompositeStats, "stats")
-    lo = min(stats.p0.offset, stats.p1.offset)
-    hi = max(stats.p0.k_max, stats.p1.k_max)
-    e0 = _window(stats.p0, lo, hi)
-    e1 = _window(stats.p1, lo, hi)
+    lo, skip, e0, e1 = _union(stats.p0, stats.p1)
     tail0 = np.concatenate((np.cumsum(e0[::-1])[::-1], [0.0]))
     head1 = np.concatenate(([0.0], np.cumsum(e1)))
     mi = 0.5 * (tail0 + head1)
     j = int(np.argmin(mi))
-    return float(mi[j]), float(lo + j)
+    # every cut in a gap between the laws ties with the one after the lower
+    # law, the smallest; a cut past the gap's one zero bin lies skip higher
+    eta = lo + j
+    if eta > min(stats.p0.k_max, stats.p1.k_max) + 1:
+        eta += skip
+    return float(mi[j]), float(eta)
 
 
 def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis:
@@ -417,7 +430,7 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
     strictly positive exponents gamma0 and gamma1 per unit of mu0*n*t and
     mu1*n*t respectively.
     """
-    if rates.mu0 <= 0.0 or rates.mu0 >= rates.mu1:
+    if _instance(rates, RateParams, "rates").mu0 <= 0.0 or rates.mu0 >= rates.mu1:
         raise DomainError("analytic threshold needs 0 < mu0 < mu1")
     n = _integer(n, _POSITIVE_N, 1)
     t = _window_length(t)

@@ -225,6 +225,16 @@ class TestMiSweep:
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 11
 
+    def test_laws_far_apart(self, capsys):
+        # the composite laws lie 4.5e11 counts apart: their gap was laid out
+        # as zeros, and the sweep asked for 3.27 TiB
+        code, out, err = run(
+            capsys, "mi-sweep", "--mu0", "0", "--mu1", "5e8", "--lambda", "0", "--p", "0",
+            "--n-max", "1", "--t-start", "900", "--t-stop", "1000", "--t-points", "2",
+        )
+        assert (code, err) == (0, "")
+        assert out == "n,t_ms,mi,eta_opt\n1,900,0,1\n1,1000,0,1\n"
+
 
 class TestJson:
     def test_structure_and_echo(self, capsys):
@@ -490,6 +500,25 @@ class TestUsageErrors:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "n_qubits" in err
+
+    @pytest.mark.parametrize(
+        "command, solver",
+        [
+            ("snr-sweep", "scheme_snr"),
+            ("mi-sweep", "compose"),
+            ("speedup", "time_to_snr"),
+            ("peak-snr", "peak_snr"),
+        ],
+    )
+    def test_qubit_range_is_checked_before_solving(self, capsys, monkeypatch, command, solver):
+        # n = 1..64 were solved before n = 65 was refused, and their rows thrown away
+        def unexpected(*args):
+            raise AssertionError(f"{solver} ran before every n was checked")
+
+        monkeypatch.setattr(cli, solver, unexpected)
+        code, out, err = run(capsys, command, "--n-max", "65", "--target-snr", "8")
+        assert (code, out) == (1, "")
+        assert err == "error: n_qubits must be an integer in 1..64, got 65\n"
 
     @pytest.mark.parametrize(
         "argv, flag",

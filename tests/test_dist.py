@@ -563,6 +563,11 @@ class TestTvDistance:
     def test_disjoint_is_one(self):
         assert tv_distance(point_mass(0), point_mass(9)) == pytest.approx(1.0)
 
+    def test_far_apart_is_one(self):
+        # the 1e12 counts between the laws were laid out as zeros, 8 TB of them
+        near, far = DiscreteDist(0, np.full(2, 0.5)), DiscreteDist(10**12, np.full(4, 0.25))
+        assert tv_distance(near, far) == tv_distance(far, near) == 1.0
+
     @given(small_dists(), small_dists())
     def test_symmetric_and_bounded(self, a, b):
         ab = tv_distance(a, b)

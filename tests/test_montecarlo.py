@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import threading
 import time
@@ -149,6 +150,16 @@ class TestValidation:
     def test_rejects_bad_initial_state(self):
         with pytest.raises(DomainError, match="^initial state must be 0 or 1, got 2$"):
             sample_photon_counts(RATES, 2, 1.0, 100, 0)
+
+    @pytest.mark.parametrize(
+        "state, shown",
+        [(np.array([1, 0]), "array([1, 0])"), ("1", "'1'"), (0.5, "0.5"), (None, "None")],
+    )
+    def test_initial_state_is_one_count(self, state, shown):
+        # an array of states met numpy's ambiguous truth value in the range test
+        message = f"^initial state must be 0 or 1, got {re.escape(shown)}$"
+        with pytest.raises(DomainError, match=message):
+            sample_photon_counts(RATES, state, 1.0, 100, 0)
 
     @pytest.mark.parametrize("shots", [math.nan, math.inf, "100", 2.5])
     def test_rejects_non_integer_shots(self, shots):

@@ -12,6 +12,7 @@ from scipy import stats as ss
 from readout_tradeoff import decay, dist, scheme
 from readout_tradeoff.decay import DecayModelParams, decaying_poisson, decaying_poisson_moments
 from readout_tradeoff.dist import (
+    DiscreteDist,
     DomainError,
     RateParams,
     convolve,
@@ -92,6 +93,7 @@ _WRONG_TYPES = {
     ),
     "CompositeStats.p1": (lambda: CompositeStats(_LAW, None, 1.0), "p1 must be a DiscreteDist"),
     "snr_direct": (lambda: snr_direct(None), "stats must be a CompositeStats"),
+    "threshold_analytic": (lambda: threshold_analytic(None, 2, 1.0), "rates must be a RateParams"),
     "compose": (lambda: compose(None, 1.0), "config must be a SchemeConfig"),
     "scheme_snr": (lambda: scheme_snr(None, 1.0), "config must be a SchemeConfig"),
     "peak_snr": (lambda: peak_snr("x"), "config must be a SchemeConfig"),
@@ -301,6 +303,36 @@ class TestInjected:
         assert stats.p1.pmf(2) == pytest.approx(0.5)
         assert stats.p0.pmf(2) == pytest.approx(0.5)
         assert stats.p0.pmf(10) == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "laws", [5, None, (point_mass(0),) * 3], ids=["number", "none", "three-laws"]
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda cfg: compose(cfg, 1.0),
+            lambda cfg: scheme_snr(cfg, 1.0),
+            lambda cfg: scheme_snr(cfg, [1.0, 2.0]),
+            peak_snr,
+            lambda cfg: time_to_snr(cfg, 4.0),
+        ],
+        ids=["compose", "scheme_snr", "scheme_snr-array", "peak_snr", "time_to_snr"],
+    )
+    def test_laws_other_than_a_pair_are_refused(self, laws, call):
+        cfg = SchemeConfig.injected(2, ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), lambda t: laws)
+        message = r"^single_laws must return a \(law0, law1\) pair, got .* at t=[0-9.e+-]+ ms$"
+        with pytest.raises(DomainError, match=message):
+            call(cfg)
+
+    def test_an_error_of_single_laws_is_its_own(self):
+        def laws(t):
+            raise KeyError(t)
+
+        cfg = SchemeConfig.injected(2, ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), laws)
+        with pytest.raises(KeyError):
+            compose(cfg, 1.0)
+        with pytest.raises(KeyError):
+            scheme_snr(cfg, 1.0)
 
     def test_tabulated_laws_rejected_at_construction(self):
         with pytest.raises(DomainError):
@@ -692,6 +724,21 @@ class TestMiOptimal:
         mi, eta = mi_optimal(stats)
         assert mi == 0.0
         assert eta == 1.0  # smallest threshold among the ties
+
+    @pytest.mark.parametrize("dark_below", [True, False], ids=["dark-below", "dark-above"])
+    def test_laws_far_apart(self, dark_below):
+        # the 1e12 counts between the laws were laid out as zeros, 8 TB of them
+        gap = 10**12
+        if dark_below:
+            stats = CompositeStats(poisson_pmf(3.5), DiscreteDist(gap, [0.5, 0.5]), 1.0)
+            # the cut right after the dark law, the smallest of the tied ones in the gap
+            want = (0.0, float(stats.p0.k_max + 1))
+        else:
+            # the bright law has lost half its mass, so a cut past the gap, through the
+            # dark law, is the best one: 0.5 * (0.6 + 0.5) at gap + 1, 0.5 * 0.5 at gap + 2
+            stats = CompositeStats(DiscreteDist(gap, [0.4, 0.6]), DiscreteDist(0, [0.5], 0.5), 1.0)
+            want = (0.25, float(gap + 2))
+        assert mi_optimal(stats) == want
 
     def test_identical_laws_give_half(self):
         d = poisson_pmf(5.0)
