@@ -445,6 +445,13 @@ def tail_ge(d: DiscreteDist, eta: float) -> float:
     return float(d.masses[math.ceil(eta) - d.offset :].sum())
 
 
+def _window(d: DiscreteDist, lo: int, size: int) -> np.ndarray:
+    """Masses of d laid out on the size counts from lo, zero-padded."""
+    out = np.zeros(size)
+    out[d.offset - lo : d.offset - lo + d.masses.size] = d.masses
+    return out
+
+
 def _union(a: DiscreteDist, b: DiscreteDist) -> tuple[int, int, np.ndarray, np.ndarray]:
     """(lo, skip, ma, mb): the masses of a and b laid out together from lo, the lower offset.
 
@@ -455,11 +462,11 @@ def _union(a: DiscreteDist, b: DiscreteDist) -> tuple[int, int, np.ndarray, np.n
     """
     lo, hi = min(a.offset, b.offset), max(a.k_max, b.k_max)
     skip = max(max(a.offset, b.offset) - min(a.k_max, b.k_max) - 2, 0)
-    masses = np.zeros((2, hi - lo + 1 - skip))
-    for row, d in zip(masses, (a, b)):
-        start = d.offset - lo - skip * (d.offset > lo)  # only the upper law moves
-        row[start : start + d.masses.size] = d.masses
-    return lo, skip, *masses
+    size = hi - lo + 1 - skip
+    # only the upper law, the one that starts above lo, moves
+    ma = _window(a, lo + skip * (a.offset > lo), size)
+    mb = _window(b, lo + skip * (b.offset > lo), size)
+    return lo, skip, ma, mb
 
 
 def tv_distance(a: DiscreteDist, b: DiscreteDist) -> float:

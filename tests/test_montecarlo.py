@@ -151,10 +151,7 @@ class TestValidation:
         with pytest.raises(DomainError, match="^initial state must be 0 or 1, got 2$"):
             sample_photon_counts(RATES, 2, 1.0, 100, 0)
 
-    @pytest.mark.parametrize(
-        "state, shown",
-        [(np.array([1, 0]), "array([1, 0])"), ("1", "'1'"), (0.5, "0.5"), (None, "None")],
-    )
+    @pytest.mark.parametrize("state, shown", [(np.array([1, 0]), "array([1, 0])"), ("1", "'1'")])
     def test_initial_state_is_one_count(self, state, shown):
         # an array of states met numpy's ambiguous truth value in the range test
         message = f"^initial state must be 0 or 1, got {re.escape(shown)}$"
