@@ -417,7 +417,7 @@ def mi_optimal(stats: CompositeStats) -> tuple[float, float]:
     # every cut in a gap between the laws ties with the one after the lower
     # law, the smallest; a cut past the gap's one zero bin lies skip higher
     eta = lo + j
-    if eta > min(stats.p0.k_max, stats.p1.k_max) + 1:
+    if skip and eta > min(stats.p0.k_max, stats.p1.k_max) + 1:
         eta += skip
     return float(mi[j]), float(eta)
 
