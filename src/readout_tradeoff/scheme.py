@@ -377,10 +377,10 @@ def _window_lengths(t) -> np.ndarray:
 def scheme_snr(config: SchemeConfig, t):
     """SNR of the scheme at window length t, via the moment-only fast path.
 
-    t is a float, or an array or list of window lengths giving the ndarray
-    of the float calls' results in t's shape: the one function that takes
-    one. A window so long that a count moment overflows raises the float
-    call's DomainError at the smallest such t.
+    t is a float, or an array or list of window lengths (no other function
+    takes one) giving the ndarray of the float calls' results in t's shape.
+    A window so long that a count moment overflows raises the float call's
+    DomainError at the smallest such t.
     """
     _instance(config, SchemeConfig, "config")
     # np.ndim would dominate a float call, and raises ValueError for a ragged list

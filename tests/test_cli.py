@@ -226,8 +226,8 @@ class TestMiSweep:
         assert len(out.splitlines()) == 11
 
     def test_laws_far_apart(self, capsys):
-        # the composite laws lie 4.5e11 counts apart: their gap was laid out
-        # as zeros, and the sweep asked for 3.27 TiB
+        # the composite laws lie 4.5e11 counts apart: laid out densely, the
+        # empty counts between them would take 3.27 TiB
         code, out, err = run(
             capsys, "mi-sweep", "--mu0", "0", "--mu1", "5e8", "--lambda", "0", "--p", "0",
             "--n-max", "1", "--t-start", "900", "--t-stop", "1000", "--t-points", "2",
@@ -511,7 +511,7 @@ class TestUsageErrors:
         ],
     )
     def test_qubit_range_is_checked_before_solving(self, capsys, monkeypatch, command, solver):
-        # n = 1..64 were solved before n = 65 was refused, and their rows thrown away
+        # every n is checked before any is solved, so a bad --n-max costs no solve
         def unexpected(*args):
             raise AssertionError(f"{solver} ran before every n was checked")
 

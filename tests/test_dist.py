@@ -564,7 +564,7 @@ class TestTvDistance:
         assert tv_distance(point_mass(0), point_mass(9)) == pytest.approx(1.0)
 
     def test_far_apart_is_one(self):
-        # the 1e12 counts between the laws were laid out as zeros, 8 TB of them
+        # laid out densely, the 1e12 empty counts between the laws would take 8 TB
         near, far = DiscreteDist(0, np.full(2, 0.5)), DiscreteDist(10**12, np.full(4, 0.25))
         assert tv_distance(near, far) == tv_distance(far, near) == 1.0
 

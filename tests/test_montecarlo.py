@@ -153,7 +153,7 @@ class TestValidation:
 
     @pytest.mark.parametrize("state, shown", [(np.array([1, 0]), "array([1, 0])"), ("1", "'1'")])
     def test_initial_state_is_one_count(self, state, shown):
-        # an array of states met numpy's ambiguous truth value in the range test
+        # a state is one count: an array's truth value in a range test is ambiguous
         message = f"^initial state must be 0 or 1, got {re.escape(shown)}$"
         with pytest.raises(DomainError, match=message):
             sample_photon_counts(RATES, state, 1.0, 100, 0)

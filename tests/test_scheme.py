@@ -727,7 +727,7 @@ class TestMiOptimal:
 
     @pytest.mark.parametrize("dark_below", [True, False], ids=["dark-below", "dark-above"])
     def test_laws_far_apart(self, dark_below):
-        # the 1e12 counts between the laws were laid out as zeros, 8 TB of them
+        # laid out densely, the 1e12 empty counts between the laws would take 8 TB
         gap = 10**12
         if dark_below:
             stats = CompositeStats(poisson_pmf(3.5), DiscreteDist(gap, [0.5, 0.5]), 1.0)
