@@ -217,10 +217,9 @@ def run_compilation_dist(cfg: argparse.Namespace):
     """Rows (compilation, n, q, prob) of the entangling outcome laws."""
     header = ("compilation", "n", "q", "prob")
     rows = []
-    for n in range(cfg.nmin, cfg.nmax + 1):
-        dist = compiled_dist(n, cfg.noise)
-        for q, prob in enumerate(dist.probs):
-            rows.append((cfg.noise.compilation.value, n, q, float(prob)))
+    for scheme in _schemes(cfg):
+        for q, prob in enumerate(scheme.outcomes[1].probs):
+            rows.append((cfg.noise.compilation.value, scheme.n_qubits, q, float(prob)))
     return header, rows
 
 

@@ -110,34 +110,39 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
 _SERIES = tuple(1.0 / math.factorial(2 * m + 1) for m in range(8, 0, -1))
 
 
-def _var_shape(x: float) -> float:
-    """(1 - 2x e^-x - e^-2x)/x^2, the decay-time variance over (mu1-mu0)^2 t^2.
+def _moments_at(rates: RateParams):
+    """t -> (mu0*t, mu0*t, mean, var): the dark and the bright law's moments at a
+    checked window length t, the rates unpacked once for every window.
 
-    Below x = 1/2 it is 2 e^-x (sinh x - x)/x^2 summed as a positive series,
-    which neither cancels nor divides by a possibly subnormal x^2."""
-    if x >= 0.5:
-        return (-math.expm1(-2.0 * x) - 2.0 * x * math.exp(-x)) / (x * x)
-    s2, series = x * x, 0.0
-    for c in _SERIES:
-        series = series * s2 + c
-    return 2.0 * math.exp(-x) * (series * x)
-
-
-def _moments(rates: RateParams, t: float) -> tuple[float, float]:
-    """decaying_poisson_moments at rates and a checked window length t."""
+    Below x = lam*t = 1/2 the decay-time variance's shape (1 - 2x e^-x -
+    e^-2x)/x^2 is 2 e^-x (sinh x - x)/x^2, summed as a positive series by
+    Horner's rule, which neither cancels nor divides by a possibly subnormal
+    x^2. The dark mean is no larger than the bright one, whose overflow raises."""
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
-    x = lam * t
-    if x == 0.0:
-        mean = var = mu1 * t
-    else:
-        delta_t = (mu1 - mu0) * t
-        mean = mu0 * t + delta_t * (-math.expm1(-x) / x)
-        var = mean + delta_t * delta_t * _var_shape(x)
-    if not (abs(mean) < math.inf and abs(var) < math.inf):
-        raise DomainError(
-            f"count moments overflow at window length t={t} ms (mu0={mu0}, mu1={mu1} per ms)"
-        )
-    return mean, var
+    c0, c1, c2, c3, c4, c5, c6, c7 = _SERIES
+
+    def at(t: float) -> tuple[float, float, float, float]:
+        dark, x = mu0 * t, lam * t
+        if x == 0.0:
+            mean = var = mu1 * t
+        else:
+            delta_t = (mu1 - mu0) * t
+            mean = dark + delta_t * (-math.expm1(-x) / x)
+            if x >= 0.5:
+                shape = (-math.expm1(-2.0 * x) - 2.0 * x * math.exp(-x)) / (x * x)
+            else:
+                s2 = x * x
+                series = (((((c0 * s2 + c1) * s2 + c2) * s2 + c3) * s2 + c4) * s2 + c5) * s2 + c6
+                series = series * s2 + c7
+                shape = 2.0 * math.exp(-x) * (series * x)
+            var = mean + delta_t * delta_t * shape
+        if not (abs(mean) < math.inf and abs(var) < math.inf):
+            raise DomainError(
+                f"count moments overflow at window length t={t} ms (mu0={mu0}, mu1={mu1} per ms)"
+            )
+        return dark, dark, mean, var
+
+    return at
 
 
 def decaying_poisson_moments(params: DecayModelParams) -> tuple[float, float]:
@@ -148,4 +153,4 @@ def decaying_poisson_moments(params: DecayModelParams) -> tuple[float, float]:
     capped at t has mean t*(1 - e^-x)/x and variance
     t^2*(1 - 2x e^-x - e^-2x)/x^2: closed forms in Python floats. A window
     so long that either moment overflows raises DomainError naming t."""
-    return _moments(_instance(params, DecayModelParams, "params").rates, params.t)
+    return _moments_at(_instance(params, DecayModelParams, "params").rates)(params.t)[2:]

@@ -8,6 +8,7 @@ long convolution pipelines instead of silently eroding.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -345,6 +346,7 @@ def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _fft_convolve(a, b)
 
 
+@functools.lru_cache(maxsize=4096)  # lengths recur across a sweep's laws; bounded for long runs
 def _next_fast_len(n: int) -> int:
     """The smallest 2**a * 3**b * 5**c >= n, as scipy.fft.next_fast_len(n, True) gives it."""
     best = 1 << (n - 1).bit_length()
@@ -491,6 +493,8 @@ def mixture(dists: list[DiscreteDist] | tuple[DiscreteDist, ...], weights) -> Di
         raise DomainError("mixture weights must be finite and non-negative")
     lo = min(d.offset for d in dists)
     hi = max(d.k_max for d in dists)
+    if hi - lo >= MAX_SUPPORT:
+        raise DomainError(f"mixture support {lo}..{hi} spans more than {MAX_SUPPORT} counts")
     acc = np.zeros(hi - lo + 1)
     for d, w in zip(dists, weights):
         acc[d.offset - lo : d.offset - lo + d.masses.size] += w * d.masses

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import dist as _dist
-from .decay import DecayModelParams, _moments, _window_length, decaying_poisson
+from .decay import DecayModelParams, _moments_at, _window_length, decaying_poisson
 from .dist import (
     DiscreteDist,
     DomainError,
@@ -124,6 +124,17 @@ class SchemeConfig:
     def q_moments(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """(E[Q], Var[Q]) of T0 and of T1, for the moment route."""
         return tuple(outcome_moments(t) for t in self.outcomes)
+
+    @functools.cached_property
+    def _snr(self) -> Callable[[float], float]:
+        """The moment route's kernel, t -> SNR at a checked window length t."""
+        if isinstance(self.noise, GateNoise):
+            return _snr_kernel(self.q_moments, self.n_qubits, _moments_at(self.rates))
+
+        def singles(t: float) -> tuple[float, ...]:  # an injected scheme's (m0, v0, m1, v1)
+            return sum(map(moments, _single_laws(self, t)), ())
+
+        return _snr_kernel(self.q_moments, self.n_qubits, singles)
 
     @classmethod
     def ideal(cls, n_qubits: int, rates: RateParams) -> "SchemeConfig":
@@ -307,13 +318,39 @@ def _spectral_horner(blocks, own: DiscreteDist, size: int):
     return lo, np.fft.irfft(g, length)[: hi - lo + 1]
 
 
-def _snr_from_moments(mean_gap: float, var0: float, var1: float) -> float:
-    # 0 for equal means, +inf for distinct ones without spread
-    num = 2.0 * abs(mean_gap)
-    if num == 0.0:
-        return 0.0
-    spread = math.sqrt(var0) + math.sqrt(var1)
-    return num / spread if spread else math.inf
+def _snr_kernel(q_moments, n: int, singles) -> Callable[[float], float]:
+    """t -> composite SNR, from singles(t) = (m0, v0, m1, v1), the single-qubit
+    laws' moments at t, and q_moments, (E[Q], Var[Q]) of T0 and of T1.
+
+    By the mixture moment identities the mean gap is the single-qubit gap
+    times |E[Q0] + E[Q1] - n|, summed as (E[Q0] - n) + E[Q1], exactly E[Q1]
+    where T0 keeps all n dark, and each variance is the mean count of qubits
+    carrying either law times that law's variance, plus the gap squared times
+    the outcome variance. The SNR is twice the mean gap over the summed
+    standard deviations: 0 for equal means, +inf for distinct ones without
+    spread. The t-independent terms are bound once; no SNR value is kept.
+    """
+    (eq0, vq0), (eq1, vq1) = q_moments
+    rest0, rest1, q_gap = n - eq0, n - eq1, (eq0 - n) + eq1
+
+    def snr(t: float) -> float:
+        m0, v0, m1, v1 = singles(t)
+        gap = m1 - m0
+        var0 = eq0 * v0 + rest0 * v1 + gap * gap * vq0
+        var1 = eq1 * v1 + rest1 * v0 + gap * gap * vq1
+        # A NaN or overflowed moment (the gap squared can overflow where the
+        # single moments do not) spoils both variances, reading as SNR nan or 0.
+        if not (abs(var0) < math.inf and abs(var1) < math.inf):
+            raise DomainError(f"count moments are not finite at window length t={t} ms")
+        num = 2.0 * abs(gap * q_gap)
+        if num == 0.0:
+            return 0.0
+        # An outcome law may sum to just over 1 (OutcomeDist allows 1e-12): then
+        # E[Q] can pass n, and a variance that is 0 for the exact law rounds below 0.
+        spread = math.sqrt(max(var0, 0.0)) + math.sqrt(max(var1, 0.0))
+        return num / spread if spread else math.inf
+
+    return snr
 
 
 def snr_direct(stats: CompositeStats) -> float:
@@ -324,41 +361,9 @@ def snr_direct(stats: CompositeStats) -> float:
     +inf sentinel for a perfectly resolvable pair.
     """
     _instance(stats, CompositeStats, "stats")
-    (mean0, var0), (mean1, var1) = moments(stats.p0), moments(stats.p1)
-    return _snr_from_moments(mean1 - mean0, var0, var1)
-
-
-def _moment_snr(q_moments, single0, single1, n: int, t: float) -> float:
-    # Composite SNR from (E[Q], Var[Q]) of T0 and T1 and the single-qubit
-    # (mean, variance) pairs at t, by the mixture moment identities: the mean
-    # gap is the single-qubit gap times |E[Q0] + E[Q1] - n|, summed as
-    # (E[Q0] - n) + E[Q1], exactly E[Q1] where T0 keeps all n dark, and each
-    # variance is the mean count of qubits carrying either law times that
-    # law's variance, plus the gap squared times the outcome variance.
-    # A NaN or overflowed moment (the gap squared can overflow where the single
-    # moments do not) spoils both variances, reading as SNR nan or 0: it raises.
-    (m0, v0), (m1, v1) = single0, single1
-    (eq0, vq0), (eq1, vq1) = q_moments
-    gap = m1 - m0
-    var0n = eq0 * v0 + (n - eq0) * v1 + gap * gap * vq0
-    var1n = eq1 * v1 + (n - eq1) * v0 + gap * gap * vq1
-    if not (abs(var0n) < math.inf and abs(var1n) < math.inf):
-        raise DomainError(f"count moments are not finite at window length t={t} ms")
-    # An outcome law may sum to just over 1 (OutcomeDist allows 1e-12): then
-    # E[Q] can pass n, and a variance that is 0 for the exact law rounds below 0.
-    return _snr_from_moments(gap * ((eq0 - n) + eq1), max(var0n, 0.0), max(var1n, 0.0))
-
-
-def _snr_at(config: SchemeConfig, t: float) -> float:
-    """scheme_snr at one checked float t."""
-    if isinstance(config.noise, GateNoise):
-        dark = config.rates.mu0 * t  # an overflow fails in _moment_snr
-        # at lam = 0 this is exactly (mu1*t, mu1*t), the ideal bright moments
-        single0, single1 = (dark, dark), _moments(config.rates, t)
-    else:
-        law0, law1 = _single_laws(config, t)
-        single0, single1 = moments(law0), moments(law1)
-    return _moment_snr(config.q_moments, single0, single1, config.n_qubits, t)
+    singles = (*moments(stats.p0), *moments(stats.p1))
+    # one qubit with perfect gates, whose two preparations count p0 and p1
+    return _snr_kernel(((1.0, 0.0), (1.0, 0.0)), 1, lambda t: singles)(stats.t)
 
 
 def _window_lengths(t) -> np.ndarray:
@@ -382,17 +387,17 @@ def scheme_snr(config: SchemeConfig, t):
     A window so long that a count moment overflows raises the float call's
     DomainError at the smallest such t.
     """
-    _instance(config, SchemeConfig, "config")
+    snr = _instance(config, SchemeConfig, "config")._snr
     # np.ndim would dominate a float call, and raises ValueError for a ragged list
     if isinstance(t, float) or (not isinstance(t, (list, tuple)) and np.ndim(t) == 0):
-        return _snr_at(config, _window_length(t))
+        return snr(_window_length(t))
     t = _window_lengths(t)
     ts = t.ravel().tolist()
     try:
-        return np.reshape([_snr_at(config, x) for x in ts], t.shape)
+        return np.reshape(list(map(snr, ts)), t.shape)
     except DomainError:
         for x in sorted(ts):
-            _snr_at(config, x)
+            snr(x)
         raise
 
 
@@ -452,7 +457,7 @@ def _no_decay_supremum(config: SchemeConfig) -> float:
     # SNR's limit as t -> inf without decay (see peak_snr), inf for perfect gates:
     # the gap term outgrows the spread of Poisson counts, as if the single-qubit
     # laws were the point masses 0 and 1. 0 where every gate fails: no signal.
-    return _moment_snr(config.q_moments, (0.0, 0.0), (1.0, 0.0), config.n_qubits, 0.0)
+    return _snr_kernel(config.q_moments, config.n_qubits, lambda t: (0.0, 0.0, 1.0, 0.0))(0.0)
 
 
 # Ports of scipy.optimize's minimize_scalar(method="bounded") and brentq that

@@ -3,8 +3,10 @@
 Everything here is deliberately written by a different route than the
 package: exact Fraction arithmetic for the gate outcome laws, a walk
 through every gate success/failure pattern of a wiring, closed-form
-integrals for the decayed-count moments, high-precision Poisson and
-decayed-count probabilities from mpmath, dense-array helpers that do not
+integrals for the decayed-count moments, the moment route in Python
+floats with one function per step, which the per-scheme SNR kernel must
+match to the bit, high-precision Poisson and decayed-count
+probabilities from mpmath, dense-array helpers that do not
 share code with the DiscreteDist machinery, the term-by-term mixture
 that composite laws were evaluated with before Horner's rule, the
 golden-section peak search that peak_snr refined with before Brent's
@@ -34,9 +36,11 @@ __all__ = [
     "dense",
     "enumerate_gate_patterns",
     "flat_ref",
+    "float_decay_moments",
     "golden_max",
     "golden_peak_snr",
     "max_abs_diff",
+    "moment_snr",
     "poisson_pmf_exact",
     "poisson_tails_exact",
     "power_fold",
@@ -157,6 +161,59 @@ def decay_mean_var(mu0: float, mu1: float, lam: float, t: float) -> tuple[float,
         second = e * (m1 + m1 * m1) + mean - e * m1
         second += mu0 * mu0 * t * t * i0 + 2 * mu0 * t * dm * i1 + dm * dm * i2
         return float(mean), float(second - mean * mean)
+
+
+_SERIES = tuple(1.0 / math.factorial(2 * m + 1) for m in range(8, 0, -1))
+
+
+def _var_shape(x: float) -> float:
+    """(1 - 2x e^-x - e^-2x)/x^2, the decay-time variance over (mu1-mu0)^2 t^2.
+
+    Below x = 1/2 it is 2 e^-x (sinh x - x)/x^2 summed as a positive series."""
+    if x >= 0.5:
+        return (-math.expm1(-2.0 * x) - 2.0 * x * math.exp(-x)) / (x * x)
+    s2, series = x * x, 0.0
+    for c in _SERIES:
+        series = series * s2 + c
+    return 2.0 * math.exp(-x) * (series * x)
+
+
+def float_decay_moments(rates, t: float) -> tuple[float, float]:
+    """decaying_poisson_moments in Python floats, one function per step."""
+    mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
+    x = lam * t
+    if x == 0.0:
+        mean = var = mu1 * t
+    else:
+        delta_t = (mu1 - mu0) * t
+        mean = mu0 * t + delta_t * (-math.expm1(-x) / x)
+        var = mean + delta_t * delta_t * _var_shape(x)
+    if not (abs(mean) < math.inf and abs(var) < math.inf):
+        raise DomainError(
+            f"count moments overflow at window length t={t} ms (mu0={mu0}, mu1={mu1} per ms)"
+        )
+    return mean, var
+
+
+def _snr_from_moments(mean_gap: float, var0: float, var1: float) -> float:
+    num = 2.0 * abs(mean_gap)
+    if num == 0.0:
+        return 0.0
+    spread = math.sqrt(var0) + math.sqrt(var1)
+    return num / spread if spread else math.inf
+
+
+def moment_snr(q_moments, single0, single1, n: int, t: float) -> float:
+    """Composite SNR from (E[Q], Var[Q]) of T0 and T1 and the single-qubit
+    (mean, variance) pairs at t, by the mixture moment identities."""
+    (m0, v0), (m1, v1) = single0, single1
+    (eq0, vq0), (eq1, vq1) = q_moments
+    gap = m1 - m0
+    var0n = eq0 * v0 + (n - eq0) * v1 + gap * gap * vq0
+    var1n = eq1 * v1 + (n - eq1) * v0 + gap * gap * vq1
+    if not (abs(var0n) < math.inf and abs(var1n) < math.inf):
+        raise DomainError(f"count moments are not finite at window length t={t} ms")
+    return _snr_from_moments(gap * ((eq0 - n) + eq1), max(var0n, 0.0), max(var1n, 0.0))
 
 
 def poisson_pmf_exact(k: int, omega: float) -> float:

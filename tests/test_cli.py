@@ -17,6 +17,7 @@ from readout_tradeoff import (
     SchemeConfig,
     cli,
     peak_snr,
+    scheme,
     scheme_snr,
     time_to_snr,
 )
@@ -517,6 +518,15 @@ class TestUsageErrors:
 
         monkeypatch.setattr(cli, solver, unexpected)
         code, out, err = run(capsys, command, "--n-max", "65", "--target-snr", "8")
+        assert (code, out) == (1, "")
+        assert err == "error: n_qubits must be an integer in 1..64, got 65\n"
+
+    def test_compilation_dist_checks_the_qubit_range_before_any_law(self, capsys, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("an outcome law was built before every n was checked")
+
+        monkeypatch.setattr(scheme, "compiled_dist", unexpected)
+        code, out, err = run(capsys, "compilation-dist", "--n-min", "64", "--n-max", "65")
         assert (code, out) == (1, "")
         assert err == "error: n_qubits must be an integer in 1..64, got 65\n"
 

@@ -600,6 +600,15 @@ class TestMixture:
         with pytest.raises(DomainError, match="^mixture weights must be finite and non-negative$"):
             mixture([point_mass(0), point_mass(1)], [1.5, -0.5])
 
+    def test_rejects_a_union_support_past_max_support(self):
+        # laid out densely, the 1e12 counts between the laws would take 8 TB
+        with pytest.raises(DomainError, match=r"^mixture support 0\.\.1000000000000 spans more than"):
+            mixture([point_mass(0), point_mass(10**12)], [0.5, 0.5])
+        with pytest.raises(DomainError, match=r"^mixture support 0\.\.1000000 spans more than 1000000 counts$"):
+            mixture([point_mass(0), point_mass(dist.MAX_SUPPORT)], [0.5, 0.5])
+        widest = mixture([point_mass(0), point_mass(dist.MAX_SUPPORT - 1)], [0.5, 0.5])
+        assert widest.masses.size == dist.MAX_SUPPORT
+
     @pytest.mark.parametrize("component", [None, 1.0, np.array([1.0])])
     def test_rejects_a_component_of_the_wrong_type(self, component):
         with pytest.raises(DomainError, match="^law must be a DiscreteDist instance$"):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from scipy import stats as ss
 
@@ -50,7 +50,9 @@ from readout_tradeoff.scheme import (
 from tests._reference import (
     cascade_explicit,
     dense,
+    float_decay_moments,
     golden_peak_snr,
+    moment_snr,
     power_fold,
     scipy_bounded_minimum,
     scipy_brent_root,
@@ -568,13 +570,16 @@ class TestSnr:
     def test_moment_formula_collapses_for_trivial_gates(self):
         # all qubits nominal: the general expression is the plain ratio
         perfect = (point_outcome(2, 2), point_outcome(2, 2))
-        got = scheme._moment_snr(tuple(map(outcome_moments, perfect)), (3.5, 3.5), (14.0, 14.0), 2, 1.0)
+        q_moments = tuple(map(outcome_moments, perfect))
+        got = scheme._snr_kernel(q_moments, 2, lambda t: (3.5, 3.5, 14.0, 14.0))(1.0)
         assert got == pytest.approx(ideal_snr(2, 1.0), rel=1e-12)
 
     def test_rejects_non_finite_moments(self):
         perfect = (point_outcome(2, 2), point_outcome(2, 2))
-        with pytest.raises(DomainError):
-            scheme._moment_snr(tuple(map(outcome_moments, perfect)), (math.nan, 1.0), (14.0, 14.0), 2, 1.0)
+        q_moments = tuple(map(outcome_moments, perfect))
+        kernel = scheme._snr_kernel(q_moments, 2, lambda t: (math.nan, 1.0, 14.0, 14.0))
+        with pytest.raises(DomainError, match=r"^count moments are not finite at window length t=1\.0 ms$"):
+            kernel(1.0)
 
 
 class TestOverfullOutcomeLaw:
@@ -716,6 +721,55 @@ class TestArrayRoute:
         first, second = (t for t in grids if np.ndim(t))
         assert first is second and not first.flags.writeable
         assert np.array_equal(first, np.geomspace(*scheme.PEAK_BRACKET, scheme.PEAK_GRID_POINTS))
+
+
+def _bits(call):
+    """call()'s float, or tuple of floats, in hex; or the message of the DomainError it raises."""
+    try:
+        out = call()
+    except DomainError as exc:
+        return str(exc)
+    return tuple(x.hex() for x in out) if isinstance(out, tuple) else out.hex()
+
+
+class TestMomentKernel:
+    """The per-scheme kernel equals the moment route in one function per step, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    # a decay rate so small that the bright variance overflows at lam*t = 1/2
+    @example(3, 0.01, Compilation.CASCADE, [3.5, 14.0], 1e-300, [1.0])
+    @given(
+        st.integers(1, 64),
+        st.floats(0.0, 1.0),
+        st.sampled_from(list(Compilation)),
+        st.lists(st.floats(0.0, 1e4), min_size=2, max_size=2).map(sorted),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e3)),
+        st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8),
+    )
+    def test_equals_the_transcription(self, n, p, compilation, mus, lam, xs):
+        rates = RateParams(*mus, lam)
+        cfg = SchemeConfig.noisy(n, rates, GateNoise(p, compilation))
+        # windows at lam*t = x, on both sides of 1/2, where the variance shape switches form
+        half = 0.5 / lam if lam > 0.0 else 1.0
+        ts = [0.0, 5e-324, math.nextafter(half, 0.0), half, *(2.0 * half * x for x in xs)]
+        ts = [t for t in ts if math.isfinite(t)]
+
+        def want(t):
+            dark = rates.mu0 * t
+            return moment_snr(cfg.q_moments, (dark, dark), float_decay_moments(rates, t), n, t)
+
+        wants = [_bits(lambda: want(t)) for t in ts]
+        assert [_bits(lambda: scheme_snr(cfg, t)) for t in ts] == wants
+        assert [_bits(lambda: decaying_poisson_moments(DecayModelParams(rates, t))) for t in ts] == [
+            _bits(lambda: float_decay_moments(rates, t)) for t in ts
+        ]
+        try:
+            got = [x.hex() for x in scheme_snr(cfg, np.array(ts)).tolist()]
+        except DomainError as exc:
+            # the array call raises the float call's error at the smallest such t
+            got = [str(exc)]
+            wants = [next(w for _, w in sorted(zip(ts, wants)) if not w.startswith(("0x", "inf")))]
+        assert got == wants
 
 
 class TestMiOptimal:
