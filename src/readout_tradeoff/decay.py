@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dist import DiscreteDist, DomainError, RateParams, point_mass
-from .dist import _instance, _poisson_tails, _poisson_terms, _poisson_window, _real
+from .dist import _check_span, _instance, _poisson_tails, _poisson_terms, _poisson_window, _real
 
 __all__ = ["DecayModelParams", "decaying_poisson", "decaying_poisson_moments"]
 
@@ -86,6 +86,7 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     # the window of Pois(0) is the count 0, and its one term 1
     lo, _, *dark = (0, 0, 0, np.ones(1)) if m0 == 0.0 else _poisson_window(m0)
     _, hi, *bright = _poisson_window(m1)
+    _check_span(lo, hi, "decayed law")
     start = min(lo, max(0, math.floor(m0 - 12.0 * math.sqrt(m0))))
     stay = math.exp(-lam * t) * _poisson_over(m1, bright, start, hi)
     masses = stay.copy()

@@ -203,6 +203,12 @@ class DiscreteDist:
         return 0.0
 
 
+def _check_span(lo: int, hi: int, what: str) -> None:
+    """DomainError naming lo..hi where a law on those counts would pass MAX_SUPPORT."""
+    if hi - lo >= MAX_SUPPORT:
+        raise DomainError(f"{what} support {lo}..{hi} spans more than {MAX_SUPPORT} counts")
+
+
 def point_mass(k: int) -> DiscreteDist:
     """Deterministic count k."""
     return DiscreteDist(k, np.ones(1), 0.0)
@@ -406,6 +412,7 @@ def n_fold_convolve(d: DiscreteDist, n: int) -> DiscreteDist:
     n = _integer(n, "fold count must be a non-negative integer, got {}")
     if n == 0:
         return point_mass(0)
+    _check_span(n * d.offset, n * d.k_max, f"{n}-fold law")
     return _fold(d, n, convolve)
 
 
@@ -493,8 +500,7 @@ def mixture(dists: list[DiscreteDist] | tuple[DiscreteDist, ...], weights) -> Di
         raise DomainError("mixture weights must be finite and non-negative")
     lo = min(d.offset for d in dists)
     hi = max(d.k_max for d in dists)
-    if hi - lo >= MAX_SUPPORT:
-        raise DomainError(f"mixture support {lo}..{hi} spans more than {MAX_SUPPORT} counts")
+    _check_span(lo, hi, "mixture")
     acc = np.zeros(hi - lo + 1)
     for d, w in zip(dists, weights):
         acc[d.offset - lo : d.offset - lo + d.masses.size] += w * d.masses

@@ -12,6 +12,7 @@ the same mixture.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .dist import (
     DiscreteDist,
     DomainError,
     RateParams,
+    _check_span,
     _convolve_by_cost,
     _convolve_masses,
     _fold,
@@ -37,6 +39,7 @@ from .dist import (
     convolve,
     moments,
     n_fold_convolve,
+    point_mass,
     poisson_pmf,
 )
 from .gates import (
@@ -70,8 +73,7 @@ WEIGHT_FLOOR = 1e-15
 
 PEAK_BRACKET = (1e-3, 1e3)
 PEAK_GRID_POINTS = 64
-_PEAK_GRID = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
-_PEAK_GRID.setflags(write=False)
+_PEAK_GRID = tuple(np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS).tolist())  # checked window lengths
 
 _MIN_POSITIVE = math.ulp(0.0)  # _real's lo for an argument that must be positive
 _N_QUBITS = f"n_qubits must be an integer in 1..{MAX_QUBITS}, got {{}}"
@@ -221,6 +223,7 @@ def _powers(build):
         nonlocal law, last
         if law is None:
             law = build()
+        _check_span(q * law.offset, q * law.k_max, f"{q}-fold law")
         if last is not None and q == last[0] + 1:
             power = convolve(last[1], law)
         else:
@@ -272,8 +275,10 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
         return own_fold(n)
     weights = dict(kept)
     q_top = kept[-1][0]
-    own = own_fold(1) if q_top else None
-    blocked = q_top and q_top * (own.masses.size - 1) >= _dist.DIRECT_CONV_LIMIT
+    own = own_fold(1) if q_top else point_mass(0)
+    # the sum holds own^(*q_top), so it spans no fewer counts
+    _check_span(q_top * own.offset, q_top * own.k_max, f"{q_top}-fold law")
+    blocked = q_top * (own.masses.size - 1) >= _dist.DIRECT_CONV_LIMIT
     size = math.isqrt(q_top + 1) if blocked else q_top + 1
     conv = _convolve_by_cost if blocked else _convolve_masses
     blocks = []  # (base, lo, acc) from the top block down; acc None where nothing is kept
@@ -307,6 +312,7 @@ def _spectral_horner(blocks, own: DiscreteDist, size: int):
     """
     lo = min(s + b * own.offset for b, s, a in blocks if a is not None)
     hi = max(s + a.size - 1 + b * own.k_max for b, s, a in blocks if a is not None)
+    _check_span(lo, hi, "composite law")
     length = _next_fast_len(hi - lo + 1)
     step = np.fft.rfft(_fold(own.masses, size, _convolve_by_cost), length)
     g = 0.0
@@ -582,14 +588,21 @@ def _brent_root(f, a: float, b: float, xtol: float) -> float:
     raise DomainError(f"root search on [{a}, {b}] did not converge in {_ROOT_ITERATIONS} steps")
 
 
+@functools.lru_cache(maxsize=16)  # a sweep over n solves one set of rates; bounded for long runs
+def _peak_moments(rates: RateParams) -> dict[float, tuple[float, float, float, float]]:
+    """t -> (m0, v0, m1, v1) at each peak-grid window. They depend on the rates
+    alone, so every scheme with equal rates reads one table; a raise stores none."""
+    return dict(zip(_PEAK_GRID, map(_moments_at(rates), _PEAK_GRID)))
+
+
 def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     """Largest attainable SNR and the window length attaining it.
 
-    Scans a log-spaced grid of PEAK_GRID_POINTS over PEAK_BRACKET (one
-    array scheme_snr call), then refines between the grid argmax's
-    neighbours with Brent's bounded maximiser to a window tolerance of 1e-6
-    of the upper neighbour; the grid point is kept if the refined value
-    falls short of it.
+    Scans a log-spaced grid of PEAK_GRID_POINTS over PEAK_BRACKET (the
+    scheme's kernel over the grid moments of its rates, computed once per
+    rates), then refines between the grid argmax's neighbours with Brent's
+    bounded maximiser to a window tolerance of 1e-6 of the upper neighbour;
+    the grid point is kept if the refined value falls short of it.
 
     A scheme with no signal anywhere on the grid (every gate failing, or
     equal emission rates) has no peak and returns (0.0, nan). A scheme
@@ -599,18 +612,23 @@ def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     towards its supremum 2*E[Q1]/sqrt(Var[Q1]). It returns (sup, inf), and
     sup is inf for perfect gates, as for any single qubit.
     """
+    snr = _instance(config, SchemeConfig, "config")._snr
+    if isinstance(config.noise, GateNoise):
+        # where a grid moment overflows, the scheme's own kernel raises at the smallest window
+        with contextlib.suppress(DomainError):
+            table = _peak_moments(config.rates)
+            snr = _snr_kernel(config.q_moments, config.n_qubits, table.__getitem__)
     ts = _PEAK_GRID
-    vals = scheme_snr(config, ts)
-    if not vals.any():
+    vals = list(map(snr, ts))
+    if not any(vals):
         return 0.0, math.nan
     if _no_decay(config):
         return _no_decay_supremum(config), math.inf
-    i = int(np.argmax(vals))
-    a = float(ts[max(i - 1, 0)])
-    b = float(ts[min(i + 1, ts.size - 1)])
+    i = vals.index(max(vals))
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
     x, fx = _bounded_minimum(lambda t: -scheme_snr(config, t), a, b, 1e-6 * b)
     if vals[i] > -fx:
-        return float(vals[i]), float(ts[i])
+        return vals[i], ts[i]
     return -fx, x
 
 

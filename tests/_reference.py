@@ -10,7 +10,8 @@ probabilities from mpmath, dense-array helpers that do not
 share code with the DiscreteDist machinery, the term-by-term mixture
 that composite laws were evaluated with before Horner's rule, the
 golden-section peak search that peak_snr refined with before Brent's
-bounded maximiser, the scipy.optimize calls that the package's two solvers
+bounded maximiser, peak_snr's peak-grid scan as the one array scheme_snr
+call it was before the per-rates moment table, the scipy.optimize calls that the package's two solvers
 port, and one-batch-after-another replays of the trajectory samplers that
 follow their documented per-batch draw order.
 """
@@ -26,6 +27,7 @@ from scipy import optimize
 
 from readout_tradeoff.dist import DomainError, convolve, mixture, n_fold_convolve
 from readout_tradeoff.gates import OutcomeDist, validate_wiring
+from readout_tradeoff import scheme
 from readout_tradeoff.scheme import PEAK_BRACKET, PEAK_GRID_POINTS, scheme_snr
 
 __all__ = [
@@ -39,6 +41,7 @@ __all__ = [
     "float_decay_moments",
     "golden_max",
     "golden_peak_snr",
+    "grid_peak_snr",
     "max_abs_diff",
     "moment_snr",
     "poisson_pmf_exact",
@@ -330,6 +333,24 @@ def golden_peak_snr(config) -> tuple[float, float]:
     if vals[i] > s_best:
         return float(vals[i]), float(ts[i])
     return float(s_best), float(t_best)
+
+
+def grid_peak_snr(config) -> tuple[float, float]:
+    """peak_snr with its grid scanned by one array scheme_snr call, as it was
+    before the per-rates moment table, and its refinement unchanged."""
+    ts = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
+    vals = scheme_snr(config, ts)
+    if not vals.any():
+        return 0.0, math.nan
+    if scheme._no_decay(config):
+        return scheme._no_decay_supremum(config), math.inf
+    i = int(np.argmax(vals))
+    a = float(ts[max(i - 1, 0)])
+    b = float(ts[min(i + 1, ts.size - 1)])
+    x, fx = scheme._bounded_minimum(lambda t: -scheme_snr(config, t), a, b, 1e-6 * b)
+    if vals[i] > -fx:
+        return float(vals[i]), float(ts[i])
+    return -fx, x
 
 
 def scipy_bounded_minimum(f, a: float, b: float, xatol: float) -> tuple[float, float]:

@@ -503,6 +503,22 @@ class TestUsageErrors:
         assert "n_qubits" in err
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            # compose's check: the bright law's 64-fold power
+            ["--n-min", "64", "--n-max", "64", "--t-start", "3e4", "--t-stop", "4e4"],
+            # decaying_poisson's check: one decayed law of 1,062,829 counts
+            ["--n-max", "1", "--t-start", "1e5", "--t-stop", "2e5"],
+        ],
+        ids=["compose", "decaying-poisson"],
+    )
+    def test_law_past_max_support_is_one_line(self, capsys, args):
+        code, out, err = run(capsys, "mi-sweep", *args, "--t-points", "2")
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith("spans more than 1000000 counts\n")
+
+    @pytest.mark.parametrize(
         "command, solver",
         [
             ("snr-sweep", "scheme_snr"),

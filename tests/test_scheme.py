@@ -1,7 +1,11 @@
 import itertools
 import math
+import operator
+import re
+import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -52,6 +56,7 @@ from tests._reference import (
     dense,
     float_decay_moments,
     golden_peak_snr,
+    grid_peak_snr,
     moment_snr,
     power_fold,
     scipy_bounded_minimum,
@@ -558,6 +563,52 @@ class TestHornerCompose:
         assert scheme_snr(cfg, 100.0) == pytest.approx(snr_direct(compose(cfg, 100.0)), rel=1e-9)
 
 
+class TestMaxSupport:
+    """A law past MAX_SUPPORT counts is a DomainError naming its span, raised before it is laid out."""
+
+    @pytest.mark.parametrize(
+        "build, span",
+        [
+            (lambda: decaying_poisson(DecayModelParams(RATES, 1e5)), "decayed law support 345732..1408560"),
+            (
+                lambda: decaying_poisson(DecayModelParams(RateParams(3.5, 1e8, 0.0041), 1.0)),
+                "decayed law support 0..100072264",
+            ),
+            (lambda: n_fold_convolve(poisson_pmf(3.0), 10**6), "1000000-fold law support 0..24000000"),
+            # the decayed law of 3.2e5 counts is built, its 64-fold power is not
+            (
+                lambda: compose(SchemeConfig.noisy(64, RATES, NOISE), 3e4),
+                "64-fold law support 6570560..27180352",
+            ),
+        ],
+        ids=["decayed-long-window", "decayed-bright-rate", "n-fold", "compose"],
+    )
+    def test_refused_before_it_is_laid_out(self, build, span):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=f"^{re.escape(span)} spans more than 1000000 counts$"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lo, hi = map(int, span.rsplit(" ", 1)[1].split(".."))
+        assert peak < 8 * (hi - lo + 1)  # less than the refused law's masses
+
+    def test_running_product_is_checked(self):
+        # the other side's powers grow one convolution at a time past the limit
+        wide = np.zeros(250_001)
+        wide[[0, -1]] = 0.5
+        laws = (point_mass(0), DiscreteDist(0, wide))
+        cfg = SchemeConfig.injected(4, (np.full(5, 0.2), [0, 0, 0, 0, 1.0]), lambda t: laws)
+        with pytest.raises(DomainError, match=r"^4-fold law support 0\.\.1000000 spans more than"):
+            compose(cfg, 1.0)
+
+    @pytest.mark.parametrize("comp", list(Compilation), ids=lambda c: c.value)
+    def test_envelope_edge_is_composed(self, comp):
+        stats = compose(SchemeConfig.noisy(64, RATES, GateNoise(0.01, comp)), 1e3)
+        assert stats.p1.masses.size == 754_305 < dist.MAX_SUPPORT
+
+
 class TestSnr:
     def test_identical_laws_give_zero(self):
         stats = CompositeStats(poisson_pmf(5.0), poisson_pmf(5.0), 1.0)
@@ -677,17 +728,28 @@ class TestArrayRoute:
         assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == np.float64
         np.testing.assert_array_equal(got.ravel(), [scheme_snr(cfg, t) for t in ts.ravel().tolist()])
 
-    def test_peak_grid_is_one_array_call(self, monkeypatch):
-        calls = []
+    def test_peak_grid_is_one_scan(self, monkeypatch):
+        # one kernel pass over the grid, then every solver step a float scheme_snr call
+        windows, calls = [], []
+        kernel, float_snr = scheme._snr_kernel, scheme.scheme_snr
+
+        def counted_kernel(*args):
+            snr = kernel(*args)
+            return lambda t: windows.append(t) or snr(t)
 
         def counted(config, t):
             calls.append(np.shape(t))
-            return scheme_snr(config, t)
+            return float_snr(config, t)
 
+        monkeypatch.setattr(scheme, "_snr_kernel", counted_kernel)
         monkeypatch.setattr(scheme, "scheme_snr", counted)
-        peak_snr(SchemeConfig.noisy(5, RATES, NOISE))
-        assert calls[0] == (scheme.PEAK_GRID_POINTS,)
-        assert all(shape == () for shape in calls[1:])
+        for cfg, target in ((SchemeConfig.noisy(5, RATES, NOISE), 8.0), (_tiers(3)["injected"], 1.5)):
+            windows.clear()
+            calls.clear()
+            assert time_to_snr(cfg, target) is not None
+            assert windows[: scheme.PEAK_GRID_POINTS] == list(scheme._PEAK_GRID)
+            assert len(windows) == scheme.PEAK_GRID_POINTS + len(calls)
+            assert set(calls) == {()}
 
     def test_window_lengths_are_checked_once(self, monkeypatch):
         # scheme_snr checks an array once; each float step of the array route takes t as checked
@@ -708,27 +770,35 @@ class TestArrayRoute:
         DecayModelParams(RATES, 1.0)  # a public caller's window is still checked
         assert checked == [ARRAY_TS.shape, ()]
 
-    def test_peak_grid_is_built_once(self, monkeypatch):
-        grids = []
+    def test_peak_grid_is_a_read_only_constant(self, monkeypatch):
+        # every scan reads the module's own grid of floats, never a rebuilt one
+        grid = scheme._PEAK_GRID
+        assert isinstance(grid, tuple) and all(type(t) is float for t in grid)
+        assert grid == tuple(np.geomspace(*scheme.PEAK_BRACKET, scheme.PEAK_GRID_POINTS).tolist())
+        scans = []
+        kernel = scheme._snr_kernel
 
-        def counted(config, t):
-            grids.append(t)
-            return scheme_snr(config, t)
+        def counted_kernel(*args):
+            snr, windows = kernel(*args), []
+            scans.append(windows)
+            return lambda t: windows.append(t) or snr(t)
 
-        monkeypatch.setattr(scheme, "scheme_snr", counted)
+        monkeypatch.setattr(scheme, "_snr_kernel", counted_kernel)
         for n in (3, 5):
             peak_snr(SchemeConfig.noisy(n, RATES, NOISE))
-        first, second = (t for t in grids if np.ndim(t))
-        assert first is second and not first.flags.writeable
-        assert np.array_equal(first, np.geomspace(*scheme.PEAK_BRACKET, scheme.PEAK_GRID_POINTS))
+        grid_scans = [windows for windows in scans if windows and windows[0] is grid[0]]
+        assert len(grid_scans) == 2
+        assert all(len(w) == len(grid) and all(map(operator.is_, w, grid)) for w in grid_scans)
 
 
 def _bits(call):
-    """call()'s float, or tuple of floats, in hex; or the message of the DomainError it raises."""
+    """call()'s float, or tuple of floats, in hex, or None; or the message of the DomainError it raises."""
     try:
         out = call()
     except DomainError as exc:
         return str(exc)
+    if out is None:
+        return None
     return tuple(x.hex() for x in out) if isinstance(out, tuple) else out.hex()
 
 
@@ -770,6 +840,87 @@ class TestMomentKernel:
             got = [str(exc)]
             wants = [next(w for _, w in sorted(zip(ts, wants)) if not w.startswith(("0x", "inf")))]
         assert got == wants
+
+
+class TestPeakTable:
+    """peak_snr's scan over the grid moments of its rates equals the array scan, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 64),
+        st.floats(0.0, 1.0),
+        st.sampled_from(list(Compilation)),
+        st.lists(st.floats(0.0, 1e4), min_size=2, max_size=2).map(sorted),
+        st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    )
+    def test_equals_the_array_scan(self, n, p, compilation, mus, lam):
+        cfg = SchemeConfig.noisy(n, RateParams(*mus, lam), GateNoise(p, compilation))
+        want = _bits(lambda: grid_peak_snr(cfg))
+        # the first scan with these rates may build the table, the second reads it
+        assert [_bits(lambda: peak_snr(cfg)) for _ in range(2)] == [want, want]
+        s_max = grid_peak_snr(cfg)[0]
+        targets = [2.0, 8.0] + ([0.999 * s_max] if 0.0 < s_max < math.inf else [])
+        with mock.patch.object(scheme, "peak_snr", grid_peak_snr):
+            wants = [_bits(lambda: time_to_snr(cfg, s)) for s in targets]
+        assert [_bits(lambda: time_to_snr(cfg, s)) for s in targets] == wants
+
+    @pytest.mark.parametrize(
+        "n, p, rates, kind",
+        [
+            # the bright variance overflows at the grid's first window
+            (1, 0.0, RateParams(0.0, 1e306, 0.5), "count moments overflow"),
+            # and mid-grid, past t = 134 ms
+            (3, 0.01, RateParams(0.0, 1e152, 1e-3), "count moments overflow"),
+            # the moments stay finite, the gap squared does not: the table is complete
+            (3, 0.01, RateParams(0.0, 1e152, 0.0), "count moments are not finite"),
+            # the gap squared times Var[Q1] overflows windows below the moments
+            (64, 0.5, RateParams(0.0, 1e152, 1e-3), "count moments are not finite"),
+        ],
+        ids=["moments-first-window", "moments-mid-grid", "kernel", "kernel-below-moments"],
+    )
+    def test_grid_overflow_raises_the_array_scan_error(self, n, p, rates, kind):
+        scheme._peak_moments.cache_clear()
+        # a second scheme with the same rates, scanned after the raise, raises it too
+        for _ in range(2):
+            cfg = SchemeConfig.noisy(n, rates, GateNoise(p))
+            with pytest.raises(DomainError, match=f"^{kind} at window length t=") as want:
+                grid_peak_snr(cfg)
+            with pytest.raises(DomainError) as got:
+                peak_snr(cfg)
+            assert str(got.value) == str(want.value)
+
+    def test_signed_zero_rates_share_a_table(self):
+        scheme._peak_moments.cache_clear()
+        plus, minus = RateParams(0.0, 14.0, 0.0041), RateParams(-0.0, 14.0, 0.0041)
+        assert plus == minus and math.copysign(1.0, minus.mu0) == -1.0
+        peak_snr(SchemeConfig.noisy(5, plus, NOISE))
+        cfg = SchemeConfig.noisy(5, minus, NOISE)
+        assert _bits(lambda: peak_snr(cfg)) == _bits(lambda: grid_peak_snr(cfg))
+        assert scheme._peak_moments.cache_info().hits == 1
+
+    def test_grid_moments_are_computed_once_per_rates(self, monkeypatch):
+        scheme._peak_moments.cache_clear()
+        grid = set(scheme._PEAK_GRID)
+        windows = []
+        moments_at = scheme._moments_at
+
+        def counted(rates):
+            at = moments_at(rates)
+            return lambda t: windows.append(t) or at(t)
+
+        def grid_windows():
+            out = sorted(t for t in windows if t in grid)
+            windows.clear()
+            return out
+
+        monkeypatch.setattr(scheme, "_moments_at", counted)
+        peak_snr(SchemeConfig.noisy(3, RateParams(3.5, 14.0, 0.0041), NOISE))
+        assert grid_windows() == sorted(grid)
+        # equal rates, another object and another scheme: Brent's steps only
+        peak_snr(SchemeConfig.noisy(5, RateParams(3.5, 14.0, 0.0041), GateNoise(0.2)))
+        assert windows and grid_windows() == []
+        peak_snr(SchemeConfig.noisy(5, RateParams(3.5, 14.0, 0.0042), NOISE))
+        assert grid_windows() == sorted(grid)
 
 
 class TestMiOptimal:
