@@ -576,7 +576,9 @@ def _brent_root(f, a: float, b: float, xtol: float) -> float:
             else:  # inverse quadratic
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # where it underflows, brentq.c's step is inf or nan and it bisects
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             short = 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta)
         if short:
             spre, scur = scur, stry

@@ -853,6 +853,8 @@ class TestPeakTable:
         st.lists(st.floats(0.0, 1e4), min_size=2, max_size=2).map(sorted),
         st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
     )
+    # SNRs near 1e-160: time_to_snr's root search bisects where its denominators underflow
+    @example(1, 0.0, Compilation.FLAT, [0.0, 5e-324], 1.401298464324817e-45)
     def test_equals_the_array_scan(self, n, p, compilation, mus, lam):
         cfg = SchemeConfig.noisy(n, RateParams(*mus, lam), GateNoise(p, compilation))
         want = _bits(lambda: grid_peak_snr(cfg))
@@ -1252,8 +1254,10 @@ class TestSolverPorts:
             (lambda x: math.exp(x) - 2.0, -3.0, 5.0),
             (lambda x: x - 1.0, 1.0, 2.0),
             (lambda x: x - 2.0, 1.0, 2.0),
+            # the inverse quadratic step's denominator underflows to 0: it bisects
+            (lambda x: 1e-160 * (x**3 - 2.0 * x - 5.0), 2.0, 3.0),
         ],
-        ids=["cubic", "cos", "atan", "exp", "root-at-a", "root-at-b"],
+        ids=["cubic", "cos", "atan", "exp", "root-at-a", "root-at-b", "underflow"],
     )
     def test_brent_root_matches_scipy(self, f, a, b):
         ours, theirs = [], []
