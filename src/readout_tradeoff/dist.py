@@ -31,8 +31,8 @@ __all__ = [
 
 # Constructors keep at least 1 - TRUNCATION_EPS of the mass they truncate.
 TRUNCATION_EPS = 1e-12
-# Hard ceiling on stored support points; beyond it the window is clipped
-# around the bulk and the clipped mass lands in truncation_loss.
+# Hard ceiling on stored support points: a law past it is refused with a
+# DomainError naming its span (_check_span), before it is allocated.
 MAX_SUPPORT = 10**6
 # Largest support length that stays on the direct O(n*m) convolution path.
 DIRECT_CONV_LIMIT = 4096
@@ -292,9 +292,6 @@ def _poisson_tails(omega: float, lo: int, hi: int) -> np.ndarray:
 
 # each tail a support window drops
 _WINDOW_Q = TRUNCATION_EPS / 4.0
-# Means from here on are refused. A window is clipped to MAX_SUPPORT from
-# about 4.8e9 on, and holds 38% of the mass or more below this mean.
-_MAX_MEAN = 1e12
 
 
 def _poisson_window(omega: float) -> tuple[int, int, int, np.ndarray]:
@@ -306,23 +303,19 @@ def _poisson_window(omega: float) -> tuple[int, int, int, np.ndarray]:
     Pr[K <= k] >= q and the smallest with Pr[K > k] <= q, widened by two
     counts each. Both are read off the running sums, from below and from
     above, of the terms over omega +- (11 sqrt(omega) + 60). A window wider
-    than MAX_SUPPORT is clipped around the bulk; its edges sit 7.2 standard
-    deviations out, so a mean with 14.4 sqrt(omega) > MAX_SUPPORT is
-    clipped at once, and only the clipped window is built.
+    than MAX_SUPPORT is refused, never clipped. Its edges sit 7.2 standard
+    deviations out, so a mean with 14.4 sqrt(omega) > MAX_SUPPORT is refused
+    before any term is built.
     """
-    if not omega < _MAX_MEAN:
-        raise DomainError(f"poisson mean {omega} is too large for a support window")
-    if 14.4 * math.sqrt(omega) <= MAX_SUPPORT:
-        half = 11.0 * math.sqrt(omega) + 60.0
-        first, last = max(0, math.floor(omega - half)), math.ceil(omega + half)
-        terms = _poisson_terms(omega, first, last)
-        lo = max(0, first + int(np.add.accumulate(terms).searchsorted(_WINDOW_Q)) - 2)
-        hi = last - int(np.add.accumulate(terms[::-1]).searchsorted(_WINDOW_Q, "right")) + 2
-        if hi - lo + 1 <= MAX_SUPPORT:
-            return lo, hi, first, terms
-    lo = max(0, int(omega) - MAX_SUPPORT // 2)
-    hi = lo + MAX_SUPPORT - 1
-    return lo, hi, lo, _poisson_terms(omega, lo, hi)
+    if 14.4 * math.sqrt(omega) > MAX_SUPPORT:
+        raise DomainError(f"poisson mean {omega} support spans more than {MAX_SUPPORT} counts")
+    half = 11.0 * math.sqrt(omega) + 60.0
+    first, last = max(0, math.floor(omega - half)), math.ceil(omega + half)
+    terms = _poisson_terms(omega, first, last)
+    lo = max(0, first + int(np.add.accumulate(terms).searchsorted(_WINDOW_Q)) - 2)
+    hi = last - int(np.add.accumulate(terms[::-1]).searchsorted(_WINDOW_Q, "right")) + 2
+    _check_span(lo, hi, "poisson law")
+    return lo, hi, first, terms
 
 
 def poisson_pmf(omega: float) -> DiscreteDist:
@@ -332,7 +325,8 @@ def poisson_pmf(omega: float) -> DiscreteDist:
     no more than about 1e-12 of the mass (_poisson_window). Every bin is a
     ratio product out from the mode, anchored in Loader's saddle-point form
     (_poisson_terms): within 1.4e-14 relative of the exact pmf for means up
-    to 5e6, far tails included.
+    to 5e6, far tails included. A mean whose window would pass MAX_SUPPORT,
+    from about 4.8e9 on, is a DomainError; no law is clipped.
     """
     omega = _real(omega, "poisson mean must be finite and non-negative, got {}", 0.0)
     if omega == 0.0:

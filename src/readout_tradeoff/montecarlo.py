@@ -6,8 +6,10 @@ every platform. Shots are partitioned into fixed batches of BATCH_SHOTS;
 batch i draws from a generator keyed by (seed, i), and each batch consumes
 its draws in a fixed documented order. The batches run on a thread pool
 with one worker per CPU this process may use (numpy's samplers release
-the GIL) and their histograms are summed in batch order, so results are
-bit-identical on any machine: no setting changes the output.
+the GIL). Each batch bins its counts from its lowest one, and the
+histograms are summed at their offsets in batch order, so results are
+bit-identical on any machine: no setting changes the output. A sampled
+law past MAX_SUPPORT counts is refused before it is binned.
 
 Per-shot sampling follows the physical story literally, one qubit at a
 time: gates fail and collapse their control, each bright qubit draws a
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import _window_length
-from .dist import DiscreteDist, DomainError, RateParams, _instance, _integer
+from .dist import DiscreteDist, DomainError, RateParams, _check_span, _instance, _integer
 from .gates import GateNoise, OutcomeDist, _gate_pairs, validate_wiring
 from .scheme import SchemeConfig
 
@@ -97,12 +99,22 @@ def _map_batches(seed: int, shots: int, draw) -> list:
         return list(pool.map(run, range(len(sizes))))
 
 
-def _merge(bincounts) -> np.ndarray:
-    """Sum of count histograms of different lengths, added in order."""
-    hist = np.zeros(max(bc.size for bc in bincounts), dtype=np.int64)
-    for bc in bincounts:
-        hist[: bc.size] += bc
-    return hist
+def _histogram(counts: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, hist): a batch's counts binned from their lowest, lo, to their highest."""
+    lo, hi = int(counts.min()), int(counts.max())
+    _check_span(lo, hi, "sampled law")
+    return lo, np.bincount(counts - lo)
+
+
+def _merge(batches) -> tuple[int, np.ndarray]:
+    """(lo, hist): the sum of (offset, histogram) batches on their union, added in order."""
+    lo = min(offset for offset, _ in batches)
+    hi = max(offset + h.size - 1 for offset, h in batches)
+    _check_span(lo, hi, "sampled law")
+    hist = np.zeros(hi - lo + 1, dtype=np.int64)
+    for offset, h in batches:
+        hist[offset - lo : offset - lo + h.size] += h
+    return lo, hist
 
 
 def _wiring_size(wiring) -> int:
@@ -125,7 +137,7 @@ def sample_gate_outcomes(wiring, p: float, shots: int, seed: int) -> OutcomeDist
     def draw(rng, size):
         return np.bincount(_run_gates(rng, wiring, n, p, size).sum(axis=1), minlength=n + 1)
 
-    return OutcomeDist(n, _merge(_map_batches(seed, shots, draw)) / shots)
+    return OutcomeDist(n, sum(_map_batches(seed, shots, draw)) / shots)
 
 
 def _run_gates(rng, wiring, n: int, p: float, size: int) -> np.ndarray:
@@ -176,9 +188,9 @@ def sample_photon_counts(
             mean = _count_means(_bright_time(rng, rates.lam, t, size), rates, t)
         else:
             mean = np.full(size, rates.mu0 * t)
-        return np.bincount(rng.poisson(mean))
+        return _histogram(rng.poisson(mean))
 
-    return _empirical(_merge(_map_batches(seed, shots, draw)), shots)
+    return _empirical(_map_batches(seed, shots, draw), shots)
 
 
 def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
@@ -199,16 +211,17 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
     t = config.t
 
     def draw(rng, size):
-        dark = np.bincount(rng.poisson(rates.mu0 * t, (size, n)).sum(axis=1))
+        dark = _histogram(rng.poisson(rates.mu0 * t, (size, n)).sum(axis=1))
         state = _run_gates(rng, wiring, n, scheme.noise.p, size)
         bright = _bright_time(rng, rates.lam, t, (size, n))
         bright[~state] = 0.0
-        return dark, np.bincount(rng.poisson(_count_means(bright, rates, t)).sum(axis=1))
+        return dark, _histogram(rng.poisson(_count_means(bright, rates, t)).sum(axis=1))
 
     dark, bright = zip(*_map_batches(config.seed, config.shots, draw))
-    return _empirical(_merge(dark), config.shots), _empirical(_merge(bright), config.shots)
+    return _empirical(dark, config.shots), _empirical(bright, config.shots)
 
 
-def _empirical(hist: np.ndarray, shots: int) -> DiscreteDist:
-    first = int(np.argmax(hist > 0))
-    return DiscreteDist(first, hist[first:] / shots)
+def _empirical(batches, shots: int) -> DiscreteDist:
+    """The law of shots counts binned in (offset, histogram) batches."""
+    lo, hist = _merge(batches)
+    return DiscreteDist(lo, hist / shots)

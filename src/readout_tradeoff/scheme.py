@@ -93,6 +93,9 @@ class SchemeConfig:
     - an explicit (t0, t1) outcome pair: an injected scheme, whose
       single-qubit count laws come from ``single_laws``, a callable
       t -> (law0, law1) defined at every window length.
+
+    The field the tier does not read, ``single_laws`` or ``rates``, must
+    be left as None.
     """
 
     n_qubits: int
@@ -104,12 +107,16 @@ class SchemeConfig:
         object.__setattr__(self, "n_qubits", _integer(self.n_qubits, _N_QUBITS, 1, MAX_QUBITS))
         if isinstance(self.noise, GateNoise):
             _instance(self.rates, RateParams, "rates")
+            if self.single_laws is not None:
+                raise DomainError("a GateNoise scheme reads no single_laws: its laws come from rates")
             return
         try:
             t0, t1 = self.noise
         except (TypeError, ValueError):
             raise DomainError("noise must be GateNoise or a (t0, t1) outcome pair") from None
         object.__setattr__(self, "noise", general_t_pair(self.n_qubits, t0, t1))
+        if self.rates is not None:
+            raise DomainError("an injected scheme reads no rates: its laws come from single_laws")
         if not callable(self.single_laws):
             # a table keyed by t would fail deep inside the timing solvers
             raise DomainError("an injected scheme needs single_laws as a callable t -> laws")
@@ -293,6 +300,7 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
                     lo, acc = term.offset, weights[q] * term.masses
                     continue
                 start, stop = min(lo, term.offset), max(lo + acc.size, term.k_max + 1)
+                _check_span(start, stop - 1, "composite law")
                 acc = np.concatenate((np.zeros(lo - start), acc, np.zeros(stop - lo - acc.size)))
                 lo = start
                 acc[term.offset - lo : term.k_max + 1 - lo] += weights[q] * term.masses

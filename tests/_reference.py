@@ -382,6 +382,9 @@ def _sequential_batches(seed: int, shots: int, batch_shots: int):
 
 
 def _grow_add(hist: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """hist plus the counts binned densely from count zero, grown to fit:
+    the route the samplers' histograms, binned from each batch's lowest
+    count and added at their offsets, must equal bit for bit."""
     bc = np.bincount(counts)
     if bc.size > hist.size:
         hist = np.concatenate((hist, np.zeros(bc.size - hist.size, dtype=np.int64)))

@@ -227,14 +227,14 @@ class TestMiSweep:
         assert len(out.splitlines()) == 11
 
     def test_laws_far_apart(self, capsys):
-        # the composite laws lie 4.5e11 counts apart: laid out densely, the
-        # empty counts between them would take 3.27 TiB
+        # the composite laws lie 4.0e9 counts apart: laid out densely, the
+        # empty counts between them would take 30 GiB
         code, out, err = run(
-            capsys, "mi-sweep", "--mu0", "0", "--mu1", "5e8", "--lambda", "0", "--p", "0",
-            "--n-max", "1", "--t-start", "900", "--t-stop", "1000", "--t-points", "2",
+            capsys, "mi-sweep", "--mu0", "0", "--mu1", "5e6", "--lambda", "0", "--p", "0",
+            "--n-max", "1", "--t-start", "800", "--t-stop", "900", "--t-points", "2",
         )
         assert (code, err) == (0, "")
-        assert out == "n,t_ms,mi,eta_opt\n1,900,0,1\n1,1000,0,1\n"
+        assert out == "n,t_ms,mi,eta_opt\n1,800,0,1\n1,900,0,1\n"
 
 
 class TestJson:
@@ -490,6 +490,11 @@ class TestUsageErrors:
         code, _, err = run(capsys, "snr-sweep", "--n-min", "5", "--n-max", "2")
         assert code == 1
 
+    @pytest.mark.parametrize("stop", ["1", "5"], ids=["reversed", "equal"])
+    def test_t_start_must_be_below_t_stop(self, capsys, stop):
+        code, out, err = run(capsys, "mi-sweep", "--t-start", "5", "--t-stop", stop)
+        assert (code, out, err) == (1, "", "error: need t-start < t-stop\n")
+
     def test_linear_grid_needs_non_negative_start(self, capsys):
         code, _, err = run(capsys, "snr-sweep", "--t-spacing", "linear", "--t-start", "-1")
         assert code == 1
@@ -509,8 +514,11 @@ class TestUsageErrors:
             ["--n-min", "64", "--n-max", "64", "--t-start", "3e4", "--t-stop", "4e4"],
             # decaying_poisson's check: one decayed law of 1,062,829 counts
             ["--n-max", "1", "--t-start", "1e5", "--t-stop", "2e5"],
+            # poisson_pmf's check: the bright law's window at mean 4.5e11
+            ["--mu0", "0", "--mu1", "5e8", "--lambda", "0", "--p", "0", "--n-max", "1",
+             "--t-start", "900", "--t-stop", "1000"],
         ],
-        ids=["compose", "decaying-poisson"],
+        ids=["compose", "decaying-poisson", "poisson-window"],
     )
     def test_law_past_max_support_is_one_line(self, capsys, args):
         code, out, err = run(capsys, "mi-sweep", *args, "--t-points", "2")

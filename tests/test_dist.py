@@ -182,7 +182,7 @@ class TestPoissonPmf:
     @pytest.mark.parametrize("omega", [1e12, 3.5e300])
     def test_rejects_mean_beyond_quantile_range(self, omega):
         # scipy's Poisson quantiles come back NaN here
-        with pytest.raises(DomainError, match="too large"):
+        with pytest.raises(DomainError, match=f"^poisson mean {re.escape(str(omega))} support spans more than"):
             poisson_pmf(omega)
 
 
@@ -206,18 +206,17 @@ class TestScipyKernels:
         return edges
 
     @staticmethod
-    def window(lo_q, hi_q, omega):
+    def window(lo_q, hi_q):
+        # None where the window is refused, wider than MAX_SUPPORT
         lo, hi = max(0, lo_q - 2), hi_q + 2
-        if hi - lo + 1 > dist.MAX_SUPPORT:
-            lo = max(0, int(omega) - dist.MAX_SUPPORT // 2)
-            hi = lo + dist.MAX_SUPPORT - 1
-        return lo, hi
+        return (lo, hi) if hi - lo + 1 <= dist.MAX_SUPPORT else None
 
     @staticmethod
     def check_exact(got, lo_q, omega):
         # scipy's tail kernels lose digits at large means (pdtrc thousands of
         # counts at 1e9): where they disagree with the window, its edges must
-        # be the exact quantiles, by mpmath
+        # be the exact quantiles, by mpmath, and a refused window (got None)
+        # must be wider than MAX_SUPPORT
         q = mp.mpf(dist.TRUNCATION_EPS / 4.0)
 
         def cdf(k):
@@ -226,36 +225,53 @@ class TestScipyKernels:
         def sf(k):
             return poisson_tails_exact(k, omega)[1]
 
-        lo, hi = got
-        if got == TestScipyKernels.window(0, 2 * dist.MAX_SUPPORT, omega):
-            # clipped: pdtr's lower edge is exact, and the upper edge lies
-            # more than MAX_SUPPORT - 5 counts above it
+        if got is None:
+            # refused: pdtr's lower edge is exact, and the upper edge lies
+            # more than MAX_SUPPORT - 3 counts above the window's lower end
             assert cdf(lo_q - 1) < q <= cdf(lo_q)
-            assert sf(lo_q + dist.MAX_SUPPORT - 5) > q
+            assert sf(max(0, lo_q - 2) + dist.MAX_SUPPORT - 3) > q
             return
+        lo, hi = got
         assert cdf(lo + 1) < q <= cdf(lo + 2) if lo > 0 else cdf(2) >= q
         assert sf(hi - 2) <= q < sf(hi - 3)
 
     def test_window_equals_scipy_quantiles(self):
         # a decade apart from 1e-300, densely over the envelope's largest
-        # means, and just past the mean from which windows are clipped at once
+        # means, and just past the mean from which windows are refused at once
         omegas = np.concatenate(
             (np.geomspace(1e-300, 1e11, 311), np.geomspace(1e5, 5e6, 101), [4.85e9])
         )
         lo_q, hi_q = self.defined_edges(omegas)
         for omega, lo_k, hi_k in zip(omegas.tolist(), lo_q, hi_q):
-            got = dist._poisson_window(omega)[:2]
-            if got != self.window(lo_k, hi_k, omega):
+            try:
+                got = dist._poisson_window(omega)[:2]
+            except DomainError as exc:
+                assert str(exc).endswith("spans more than 1000000 counts")
+                got = None
+            if got != self.window(lo_k, hi_k):
                 self.check_exact(got, lo_k, omega)
         for omega in (1e12, 2.0**53, 3.5e300):
-            with pytest.raises(DomainError, match="too large"):
+            with pytest.raises(DomainError, match="spans more than 1000000 counts$"):
                 dist._poisson_window(omega)
 
-    @pytest.mark.parametrize("omega", [4.85e9, 1e10, 1e11])
-    def test_clipped_window_builds_only_itself(self, omega):
-        lo, hi, first, terms = dist._poisson_window(omega)
-        assert (lo, hi) == self.window(0, 2 * dist.MAX_SUPPORT, omega)
-        assert first == lo and terms.size == dist.MAX_SUPPORT
+    @pytest.mark.parametrize("omega", [4.85e9, 1e10, 1e11, 1e12, 2.0**53, 3.5e300])
+    def test_wide_window_refused_before_building(self, omega, monkeypatch):
+        def unexpected(*args):
+            raise AssertionError("a refused window built its terms")
+
+        monkeypatch.setattr(dist, "_poisson_terms", unexpected)
+        message = f"^poisson mean {re.escape(str(omega))} support spans more than 1000000 counts$"
+        with pytest.raises(DomainError, match=message):
+            poisson_pmf(omega)
+
+    def test_window_just_past_the_limit_is_refused(self):
+        # below 14.4 sqrt(omega) = MAX_SUPPORT, the exact window is checked:
+        # it fits at 4.78e9 and is one count too wide from about 4.7888e9
+        lo, hi, _, _ = dist._poisson_window(4.78e9)
+        assert hi - lo + 1 == 999_084
+        span = "poisson law support 4799499423..4800500594"
+        with pytest.raises(DomainError, match=f"^{re.escape(span)} spans more than 1000000 counts$"):
+            dist._poisson_window(4.8e9)
 
     @pytest.mark.parametrize(
         "n, m",

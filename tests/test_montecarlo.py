@@ -3,6 +3,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,6 +253,59 @@ class TestScheduleIndependence:
         h0, h1 = replay_full_scheme(cascade_wiring(5), 5, RATES, 0.02, 2.0, shots, 3, BATCH_SHOTS)
         assert_same_law(e0, h0, shots)
         assert_same_law(e1, h1, shots)
+
+
+class TestSparseBinning:
+    """Each batch is binned from its lowest count, the same law as dense binning from zero."""
+
+    BRIGHT = RateParams(3.5, 1e6, 0.0)  # counts near 3e6 at t = 3 ms
+
+    @pytest.mark.parametrize("shots", [1_000, 2 * BATCH_SHOTS + 5])
+    def test_far_from_zero_matches_dense_replay(self, shots):
+        emp = sample_photon_counts(self.BRIGHT, 1, 3.0, shots, 2**70)
+        assert emp.offset > 2_900_000
+        hist = replay_photon_counts(self.BRIGHT, 1, 3.0, shots, 2**70, BATCH_SHOTS)
+        assert_same_law(emp, hist, shots)
+
+    def test_full_scheme_far_from_zero_matches_dense_replay(self):
+        rates = RateParams(1e4, 1e5, 0.0041)
+        cfg = SchemeConfig.noisy(3, rates, GateNoise(0.02))
+        shots = BATCH_SHOTS + 17
+        e0, e1 = sample_full_scheme(McConfig(shots, -3, cfg, 2.0))
+        h0, h1 = replay_full_scheme(cascade_wiring(3), 3, rates, 0.02, 2.0, shots, -3, BATCH_SHOTS)
+        assert_same_law(e0, h0, shots)
+        assert_same_law(e1, h1, shots)
+
+    def test_memory_follows_the_sampled_span(self):
+        # binned from zero, the 12,102-point law took 48 MB: 8 bytes per count
+        # up to 3e6, twice over
+        tracemalloc.start()
+        try:
+            emp = sample_photon_counts(self.BRIGHT, 1, 3.0, 1_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert emp.masses.size == 12_102
+        assert peak < 2_000_000
+
+    def test_batch_span_past_max_support_is_refused(self):
+        # decay times of about 1 ms spread the counts over 0..3e6
+        tracemalloc.start()
+        try:
+            message = r"^sampled law support \d+\.\.\d+ spans more than 1000000 counts$"
+            with pytest.raises(DomainError, match=message):
+                sample_photon_counts(RateParams(3.5, 1e6, 1.0), 1, 3.0, 1_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6  # less than the refused histogram
+
+    def test_merged_span_past_max_support_is_refused(self):
+        batches = [(0, np.ones(10, dtype=np.int64)), (10**6, np.ones(1, dtype=np.int64))]
+        with pytest.raises(DomainError, match=r"^sampled law support 0\.\.1000000 spans more than"):
+            mc._merge(batches)
+        lo, hist = mc._merge([(5, np.array([1, 2])), (3, np.array([4]))])
+        assert lo == 3 and hist.tolist() == [4, 0, 1, 2]
 
 
 def _batch_index(rng) -> int:

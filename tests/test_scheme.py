@@ -127,6 +127,17 @@ class TestConfig:
         with pytest.raises(DomainError):
             SchemeConfig(2, rates=RATES, noise=None, single_laws=laws)
 
+    # a field the tier never reads is refused, not dropped
+    def test_gate_noise_scheme_refuses_single_laws(self):
+        with pytest.raises(DomainError, match="^a GateNoise scheme reads no single_laws: "):
+            SchemeConfig(3, rates=RATES, noise=GateNoise(0.01), single_laws=_injected_laws)
+
+    @pytest.mark.parametrize("rates", [RATES, "junk"], ids=["rates", "junk"])
+    def test_injected_scheme_refuses_rates(self, rates):
+        pair = (point_outcome(3, 3), point_outcome(3, 3))
+        with pytest.raises(DomainError, match="^an injected scheme reads no rates: "):
+            SchemeConfig(3, rates=rates, noise=pair, single_laws=_injected_laws)
+
     def test_ideal_requires_rates(self):
         with pytest.raises(DomainError):
             SchemeConfig.ideal(2, None)
@@ -602,6 +613,32 @@ class TestMaxSupport:
         cfg = SchemeConfig.injected(4, (np.full(5, 0.2), [0, 0, 0, 0, 1.0]), lambda t: laws)
         with pytest.raises(DomainError, match=r"^4-fold law support 0\.\.1000000 spans more than"):
             compose(cfg, 1.0)
+
+    @staticmethod
+    def far_apart(gap):
+        # T0 spread evenly over q, T1 all on q = 64, and point-mass laws gap
+        # counts apart: T0's law holds one point every gap counts up to 64 * gap
+        laws = (point_mass(0), point_mass(gap))
+        return SchemeConfig.injected(64, (np.full(65, 1 / 65), [0] * 64 + [1.0]), lambda t: laws)
+
+    def test_horner_join_is_checked(self):
+        # the sum steps down in q, and its term at q = 30 is the first past the limit
+        with pytest.raises(DomainError, match=r"^composite law support 0\.\.1020000 spans more than"):
+            compose(self.far_apart(30_000), 1.0)
+
+    def test_far_apart_law_just_under_the_limit(self):
+        cfg = self.far_apart(15_624)
+        stats = compose(cfg, 1.0)
+        assert stats.p0.masses.size == 64 * 15_624 + 1 == dist.MAX_SUPPORT - 63
+        laws = [power_fold(law) for law in cfg.single_laws(1.0)]
+        t0, t1 = cfg.outcomes
+        refs = (term_by_term_mix(t0.probs, *laws, WEIGHT_FLOOR),
+                term_by_term_mix(t1.probs, *laws[::-1], WEIGHT_FLOOR))
+        for got, ref in zip((stats.p0, stats.p1), refs):
+            assert (got.offset, got.masses.size) == (ref.offset, ref.masses.size)
+            scale = np.maximum(got.masses, ref.masses)
+            live = scale >= 1e-300
+            assert (np.abs(got.masses - ref.masses)[live] / scale[live]).max() <= 1e-13
 
     @pytest.mark.parametrize("comp", list(Compilation), ids=lambda c: c.value)
     def test_envelope_edge_is_composed(self, comp):
