@@ -209,6 +209,20 @@ def _check_span(lo: int, hi: int, what: str) -> None:
         raise DomainError(f"{what} support {lo}..{hi} spans more than {MAX_SUPPORT} counts")
 
 
+def _laid_out(parts, what: str) -> tuple[int, np.ndarray]:
+    """(lo, total): the (offset, array) parts added in order on their union span, from lo.
+
+    The total takes the first part's dtype.
+    """
+    lo = min(offset for offset, _ in parts)
+    hi = max(offset + a.size - 1 for offset, a in parts)
+    _check_span(lo, hi, what)
+    total = np.zeros(hi - lo + 1, dtype=parts[0][1].dtype)
+    for offset, a in parts:
+        total[offset - lo : offset - lo + a.size] += a
+    return lo, total
+
+
 def point_mass(k: int) -> DiscreteDist:
     """Deterministic count k."""
     return DiscreteDist(k, np.ones(1), 0.0)
@@ -492,10 +506,5 @@ def mixture(dists: list[DiscreteDist] | tuple[DiscreteDist, ...], weights) -> Di
         raise DomainError("mixture needs one weight per component")
     if np.any(weights < 0.0) or not np.all(np.isfinite(weights)):
         raise DomainError("mixture weights must be finite and non-negative")
-    lo = min(d.offset for d in dists)
-    hi = max(d.k_max for d in dists)
-    _check_span(lo, hi, "mixture")
-    acc = np.zeros(hi - lo + 1)
-    for d, w in zip(dists, weights):
-        acc[d.offset - lo : d.offset - lo + d.masses.size] += w * d.masses
+    lo, acc = _laid_out([(d.offset, w * d.masses) for d, w in zip(dists, weights)], "mixture")
     return DiscreteDist(lo, acc)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import _window_length
-from .dist import DiscreteDist, DomainError, RateParams, _check_span, _instance, _integer
+from .dist import DiscreteDist, DomainError, RateParams, _check_span, _instance, _integer, _laid_out
 from .gates import GateNoise, OutcomeDist, _gate_pairs, validate_wiring
 from .scheme import SchemeConfig
 
@@ -104,17 +104,6 @@ def _histogram(counts: np.ndarray) -> tuple[int, np.ndarray]:
     lo, hi = int(counts.min()), int(counts.max())
     _check_span(lo, hi, "sampled law")
     return lo, np.bincount(counts - lo)
-
-
-def _merge(batches) -> tuple[int, np.ndarray]:
-    """(lo, hist): the sum of (offset, histogram) batches on their union, added in order."""
-    lo = min(offset for offset, _ in batches)
-    hi = max(offset + h.size - 1 for offset, h in batches)
-    _check_span(lo, hi, "sampled law")
-    hist = np.zeros(hi - lo + 1, dtype=np.int64)
-    for offset, h in batches:
-        hist[offset - lo : offset - lo + h.size] += h
-    return lo, hist
 
 
 def _wiring_size(wiring) -> int:
@@ -223,5 +212,5 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
 
 def _empirical(batches, shots: int) -> DiscreteDist:
     """The law of shots counts binned in (offset, histogram) batches."""
-    lo, hist = _merge(batches)
+    lo, hist = _laid_out(batches, "sampled law")
     return DiscreteDist(lo, hist / shots)

@@ -32,6 +32,7 @@ from .dist import (
     _fold,
     _instance,
     _integer,
+    _laid_out,
     _next_fast_len,
     _real,
     _real_array,
@@ -296,14 +297,8 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
                 lo, acc = lo + own.offset, conv(acc, own.masses)
             if q in weights:
                 term = other_fold(n - q)
-                if acc is None:
-                    lo, acc = term.offset, weights[q] * term.masses
-                    continue
-                start, stop = min(lo, term.offset), max(lo + acc.size, term.k_max + 1)
-                _check_span(start, stop - 1, "composite law")
-                acc = np.concatenate((np.zeros(lo - start), acc, np.zeros(stop - lo - acc.size)))
-                lo = start
-                acc[term.offset - lo : term.k_max + 1 - lo] += weights[q] * term.masses
+                part = (term.offset, weights[q] * term.masses)
+                lo, acc = part if acc is None else _laid_out(((lo, acc), part), "composite law")
         blocks.append((base, lo, acc))
     lo, acc = blocks[0][1:] if size > q_top else _spectral_horner(blocks, own, size)
     np.maximum(acc, 0.0, out=acc)
@@ -380,39 +375,12 @@ def snr_direct(stats: CompositeStats) -> float:
     return _snr_kernel(((1.0, 0.0), (1.0, 0.0)), 1, lambda t: singles)(stats.t)
 
 
-def _window_lengths(t) -> np.ndarray:
-    """t as a float64 ndarray, each entry finite and non-negative.
-
-    The first entry outside that range raises _window_length's DomainError.
-    """
-    t = _real_array(t, "window lengths must be real numbers")
-    u = np.where(t == t, t, -1.0)  # NaN reaches no ordered comparison, which can warn
-    ok = (u >= 0.0) & (u < math.inf)
-    if not ok.all():
-        _window_length(np.extract(np.logical_not(ok), t)[0])  # raises
-    return t
-
-
-def scheme_snr(config: SchemeConfig, t):
+def scheme_snr(config: SchemeConfig, t: float) -> float:
     """SNR of the scheme at window length t, via the moment-only fast path.
 
-    t is a float, or an array or list of window lengths (no other function
-    takes one) giving the ndarray of the float calls' results in t's shape.
-    A window so long that a count moment overflows raises the float call's
-    DomainError at the smallest such t.
+    A window so long that a count moment overflows raises DomainError naming it.
     """
-    snr = _instance(config, SchemeConfig, "config")._snr
-    # np.ndim would dominate a float call, and raises ValueError for a ragged list
-    if isinstance(t, float) or (not isinstance(t, (list, tuple)) and np.ndim(t) == 0):
-        return snr(_window_length(t))
-    t = _window_lengths(t)
-    ts = t.ravel().tolist()
-    try:
-        return np.reshape(list(map(snr, ts)), t.shape)
-    except DomainError:
-        for x in sorted(ts):
-            snr(x)
-        raise
+    return _instance(config, SchemeConfig, "config")._snr(_window_length(t))
 
 
 def mi_optimal(stats: CompositeStats) -> tuple[float, float]:

@@ -10,10 +10,11 @@ probabilities from mpmath, dense-array helpers that do not
 share code with the DiscreteDist machinery, the term-by-term mixture
 that composite laws were evaluated with before Horner's rule, the
 golden-section peak search that peak_snr refined with before Brent's
-bounded maximiser, peak_snr's peak-grid scan as the one array scheme_snr
-call it was before the per-rates moment table, the scipy.optimize calls that the package's two solvers
-port, and one-batch-after-another replays of the trajectory samplers that
-follow their documented per-batch draw order.
+bounded maximiser, peak_snr's peak-grid scan as one scheme_snr call per
+window, as it was before the per-rates moment table, the scipy.optimize
+calls that the package's two solvers port, and one-batch-after-another
+replays of the trajectory samplers that follow their documented per-batch
+draw order.
 """
 
 from __future__ import annotations
@@ -336,10 +337,10 @@ def golden_peak_snr(config) -> tuple[float, float]:
 
 
 def grid_peak_snr(config) -> tuple[float, float]:
-    """peak_snr with its grid scanned by one array scheme_snr call, as it was
-    before the per-rates moment table, and its refinement unchanged."""
+    """peak_snr with its grid scanned by one scheme_snr call per window, as it
+    was before the per-rates moment table, and its refinement unchanged."""
     ts = np.geomspace(*PEAK_BRACKET, PEAK_GRID_POINTS)
-    vals = scheme_snr(config, ts)
+    vals = np.array([scheme_snr(config, t) for t in ts.tolist()])
     if not vals.any():
         return 0.0, math.nan
     if scheme._no_decay(config):

@@ -203,7 +203,7 @@ class TestSnrSweep:
         assert ts == [1.0, 2.0, 3.0]
 
     def test_rows_equal_one_call_per_window(self):
-        # each n's grid is one array scheme_snr call; its rows are the float calls'
+        # each n's grid maps the scheme's kernel; its rows are the scheme_snr calls'
         argv = ["snr-sweep", "--n-max", "4", "--t-points", "50", "--t-stop", "400"]
         cfg = build_run_config(_build_parser().parse_args(argv))
         _, rows = run_snr_sweep(cfg)
@@ -213,6 +213,18 @@ class TestSnrSweep:
             for t in _t_grid(cfg).tolist()
         ]
         assert rows == want
+
+    @pytest.mark.parametrize("argv", [[], ["--p", "0", "--lambda", "0"]], ids=["defaults", "ideal"])
+    def test_rows_are_scheme_snr_to_the_bit(self, capsys, argv):
+        # JSON prints each float by its repr, which reads back to the same bits
+        code, out, _ = run(capsys, "snr-sweep", *argv, "--format", "json")
+        assert code == 0
+        cfg = build_run_config(_build_parser().parse_args(["snr-sweep", *argv]))
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 5 * 25
+        for row in rows:
+            want = scheme_snr(SchemeConfig.noisy(row["n"], cfg.rates, cfg.noise), row["t_ms"])
+            assert row["snr"].hex() == want.hex()
 
 
 class TestMiSweep:
@@ -527,20 +539,25 @@ class TestUsageErrors:
         assert err.endswith("spans more than 1000000 counts\n")
 
     @pytest.mark.parametrize(
-        "command, solver",
+        "command, module, solver",
         [
-            ("snr-sweep", "scheme_snr"),
-            ("mi-sweep", "compose"),
-            ("speedup", "time_to_snr"),
-            ("peak-snr", "peak_snr"),
+            ("snr-sweep", scheme, "_snr_kernel"),
+            ("mi-sweep", cli, "compose"),
+            ("speedup", cli, "time_to_snr"),
+            ("peak-snr", cli, "peak_snr"),
+        ],
+        ids=[
+            "snr-sweep-_snr_kernel", "mi-sweep-compose", "speedup-time_to_snr", "peak-snr-peak_snr"
         ],
     )
-    def test_qubit_range_is_checked_before_solving(self, capsys, monkeypatch, command, solver):
+    def test_qubit_range_is_checked_before_solving(
+        self, capsys, monkeypatch, command, module, solver
+    ):
         # every n is checked before any is solved, so a bad --n-max costs no solve
         def unexpected(*args):
             raise AssertionError(f"{solver} ran before every n was checked")
 
-        monkeypatch.setattr(cli, solver, unexpected)
+        monkeypatch.setattr(module, solver, unexpected)
         code, out, err = run(capsys, command, "--n-max", "65", "--target-snr", "8")
         assert (code, out) == (1, "")
         assert err == "error: n_qubits must be an integer in 1..64, got 65\n"

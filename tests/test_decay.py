@@ -14,6 +14,8 @@ from readout_tradeoff.decay import (
 from readout_tradeoff.dist import DiscreteDist, DomainError, RateParams, point_mass
 from readout_tradeoff.dist import _poisson_tails, _poisson_window
 from readout_tradeoff.dist import moments, poisson_pmf, tv_distance
+from readout_tradeoff.gates import GateNoise
+from readout_tradeoff.scheme import SchemeConfig, scheme_snr
 from tests._reference import decay_mean_var, decayed_pmf_exact, max_abs_diff
 
 RATES = RateParams(3.5, 14.0, 0.0041)
@@ -35,10 +37,11 @@ class TestParams:
         "t", [[1.0, 2.0], (1.0, 2.0), np.array([1.0, 2.0])], ids=["list", "tuple", "ndarray"]
     )
     def test_rejects_an_array_of_windows(self, t):
-        # the law and its moments are built at one window length; only
-        # scheme_snr takes an array of them
-        with pytest.raises(DomainError, match="^window length must be finite and non-negative"):
-            DecayModelParams(RATES, t)
+        # the law, its moments and the SNR are each built at one window length
+        cfg = SchemeConfig.noisy(3, RATES, GateNoise(0.01))
+        for call in (lambda: DecayModelParams(RATES, t), lambda: scheme_snr(cfg, t)):
+            with pytest.raises(DomainError, match="^window length must be finite and non-negative"):
+                call()
 
 
 class TestMomentsClosedForm:

@@ -10,7 +10,8 @@ import pytest
 
 import readout_tradeoff.montecarlo as mc
 from readout_tradeoff.decay import DecayModelParams, decaying_poisson
-from readout_tradeoff.dist import DomainError, RateParams, moments, point_mass, poisson_pmf, tv_distance
+from readout_tradeoff.dist import DomainError, RateParams, _laid_out, moments, point_mass, poisson_pmf
+from readout_tradeoff.dist import tv_distance
 from readout_tradeoff.gates import Compilation, GateNoise, cascade_dist, cascade_wiring, flat_dist, flat_wiring
 from readout_tradeoff.montecarlo import (
     BATCH_SHOTS,
@@ -303,8 +304,8 @@ class TestSparseBinning:
     def test_merged_span_past_max_support_is_refused(self):
         batches = [(0, np.ones(10, dtype=np.int64)), (10**6, np.ones(1, dtype=np.int64))]
         with pytest.raises(DomainError, match=r"^sampled law support 0\.\.1000000 spans more than"):
-            mc._merge(batches)
-        lo, hist = mc._merge([(5, np.array([1, 2])), (3, np.array([4]))])
+            _laid_out(batches, "sampled law")
+        lo, hist = _laid_out([(5, np.array([1, 2])), (3, np.array([4]))], "sampled law")
         assert lo == 3 and hist.tolist() == [4, 0, 1, 2]
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from scipy import stats as ss
 
-from readout_tradeoff import decay, dist, scheme
+from readout_tradeoff import dist, scheme
 from readout_tradeoff.decay import DecayModelParams, decaying_poisson, decaying_poisson_moments
 from readout_tradeoff.dist import (
     DiscreteDist,
@@ -330,11 +330,10 @@ class TestInjected:
         [
             lambda cfg: compose(cfg, 1.0),
             lambda cfg: scheme_snr(cfg, 1.0),
-            lambda cfg: scheme_snr(cfg, [1.0, 2.0]),
             peak_snr,
             lambda cfg: time_to_snr(cfg, 4.0),
         ],
-        ids=["compose", "scheme_snr", "scheme_snr-array", "peak_snr", "time_to_snr"],
+        ids=["compose", "scheme_snr", "peak_snr", "time_to_snr"],
     )
     def test_laws_other_than_a_pair_are_refused(self, laws, call):
         cfg = SchemeConfig.injected(2, ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), lambda t: laws)
@@ -686,84 +685,16 @@ class TestOverfullOutcomeLaw:
     def test_matches_the_exact_law(self):
         over, exact = self._cfg(1.0 + 5e-13), self._cfg(1.0)
         assert scheme_snr(over, 1.0) == pytest.approx(scheme_snr(exact, 1.0), rel=1e-9)
-        ts = np.array([0.0, 1e-3, 1.0, 37.0])
-        np.testing.assert_allclose(scheme_snr(over, ts), scheme_snr(exact, ts), rtol=1e-9)
+        ts = [0.0, 1e-3, 1.0, 37.0]
+        np.testing.assert_allclose(
+            [scheme_snr(over, t) for t in ts], [scheme_snr(exact, t) for t in ts], rtol=1e-9
+        )
         assert peak_snr(over) == pytest.approx(peak_snr(exact), rel=1e-9)
         assert time_to_snr(over, 2.0) == pytest.approx(time_to_snr(exact, 2.0), rel=1e-9)
 
 
-# Window lengths for the array route: t = 0, the smallest subnormal, both
-# sides of x = lam*t = 1/2 (where the decay variance switches from its
-# series to its closed form), the peak grid and the envelope's edge.
-_X_HALF = 0.5 / RATES.lam
-ARRAY_TS = np.concatenate(
-    (
-        [0.0, 5e-324],
-        [math.nextafter(_X_HALF, 0.0), _X_HALF, math.nextafter(_X_HALF, math.inf)],
-        _X_HALF * np.array([0.9, 0.999, 1.001, 1.1]),
-        np.geomspace(*scheme.PEAK_BRACKET, scheme.PEAK_GRID_POINTS),
-        [1e3],
-    )
-)
-
-
-def _array_tiers():
-    cfgs = {
-        f"{comp.value}-p{p}": SchemeConfig.noisy(5, RATES, GateNoise(p, comp))
-        for comp in Compilation
-        for p in (0.001, 0.01, 1.0)
-    }
-    cfgs["ideal-n1"] = SchemeConfig.ideal(1, RateParams(3.5, 14.0))
-    cfgs["ideal-n8"] = SchemeConfig.ideal(8, RateParams(3.5, 14.0))
-    cfgs["injected"] = _tiers(3)["injected"]
-    return cfgs
-
-
-class TestArrayRoute:
-    """scheme_snr over an array of t is the float call at each t, bit for bit."""
-
-    @pytest.mark.parametrize("cfg", _array_tiers().values(), ids=_array_tiers().keys())
-    def test_equals_float_calls(self, cfg):
-        got = scheme_snr(cfg, ARRAY_TS)
-        assert isinstance(got, np.ndarray) and got.shape == ARRAY_TS.shape
-        want = [scheme_snr(cfg, float(t)) for t in ARRAY_TS]
-        assert all(type(w) is float for w in want)
-        np.testing.assert_array_equal(got, want)
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, -5e-324])
-    def test_bad_entry_raises_the_float_error(self, bad):
-        cfg = SchemeConfig.noisy(3, RATES, NOISE)
-        with pytest.raises(DomainError) as one:
-            scheme_snr(cfg, bad)
-        with pytest.raises(DomainError) as many:
-            scheme_snr(cfg, np.array([1.0, bad, 2.0, math.nan]))
-        assert str(many.value) == str(one.value)
-
-    @pytest.mark.parametrize(
-        "cfg, ts, first",
-        [
-            # the decayed bright moments overflow
-            (SchemeConfig.noisy(1, RATES, NOISE), [1.0, 1e300, 1e200, 2.0], 1e200),
-            # the gap squared overflows below the window where a mean does
-            (SchemeConfig.ideal(1, RateParams(3.5, 14.0)), [1e308, 1.0, 3e153, 1e200], 3e153),
-        ],
-        ids=["decay-moments", "gap-squared"],
-    )
-    def test_overflow_names_the_smallest_window(self, cfg, ts, first):
-        with pytest.raises(DomainError) as one:
-            scheme_snr(cfg, first)
-        with pytest.raises(DomainError) as many:
-            scheme_snr(cfg, np.array(ts))
-        assert f"t={first} ms" in str(one.value)
-        assert str(many.value) == str(one.value)
-
-    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 37)])
-    def test_keeps_the_shape_of_t(self, shape):
-        cfg = SchemeConfig.noisy(3, RATES, NOISE)
-        ts = ARRAY_TS[: math.prod(shape)].reshape(shape)
-        got = scheme_snr(cfg, ts)
-        assert isinstance(got, np.ndarray) and got.shape == shape and got.dtype == np.float64
-        np.testing.assert_array_equal(got.ravel(), [scheme_snr(cfg, t) for t in ts.ravel().tolist()])
+class TestPeakGrid:
+    """peak_snr and time_to_snr scan one constant grid of floats with the scheme's kernel."""
 
     def test_peak_grid_is_one_scan(self, monkeypatch):
         # one kernel pass over the grid, then every solver step a float scheme_snr call
@@ -787,25 +718,6 @@ class TestArrayRoute:
             assert windows[: scheme.PEAK_GRID_POINTS] == list(scheme._PEAK_GRID)
             assert len(windows) == scheme.PEAK_GRID_POINTS + len(calls)
             assert set(calls) == {()}
-
-    def test_window_lengths_are_checked_once(self, monkeypatch):
-        # scheme_snr checks an array once; each float step of the array route takes t as checked
-        checked = []
-
-        def counted(check):
-            def wrapper(t):
-                checked.append(np.shape(t))
-                return check(t)
-
-            return wrapper
-
-        for module, name in [(scheme, "_window_lengths"), (scheme, "_window_length"),
-                             (decay, "_window_length")]:
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
-        scheme_snr(SchemeConfig.noisy(3, RATES, NOISE), ARRAY_TS)
-        assert checked == [ARRAY_TS.shape]
-        DecayModelParams(RATES, 1.0)  # a public caller's window is still checked
-        assert checked == [ARRAY_TS.shape, ()]
 
     def test_peak_grid_is_a_read_only_constant(self, monkeypatch):
         # every scan reads the module's own grid of floats, never a rebuilt one
@@ -870,17 +782,11 @@ class TestMomentKernel:
         assert [_bits(lambda: decaying_poisson_moments(DecayModelParams(rates, t))) for t in ts] == [
             _bits(lambda: float_decay_moments(rates, t)) for t in ts
         ]
-        try:
-            got = [x.hex() for x in scheme_snr(cfg, np.array(ts)).tolist()]
-        except DomainError as exc:
-            # the array call raises the float call's error at the smallest such t
-            got = [str(exc)]
-            wants = [next(w for _, w in sorted(zip(ts, wants)) if not w.startswith(("0x", "inf")))]
-        assert got == wants
 
 
 class TestPeakTable:
-    """peak_snr's scan over the grid moments of its rates equals the array scan, bit for bit."""
+    """peak_snr's scan over the grid moments of its rates equals the scan of one
+    scheme_snr call per window (the array scan before it), bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1100,7 +1006,7 @@ class TestPeakSnr:
             s_max, t_max = peak_snr(cfg)
             assert t_max == math.inf
             assert s_max == pytest.approx(2.0 * eq1 / math.sqrt(vq1), rel=1e-13)
-            curve = scheme_snr(cfg, ts)
+            curve = np.array([scheme_snr(cfg, t) for t in ts.tolist()])
             assert np.all(np.diff(curve) > 0.0)
             assert s_max * (1.0 - 1e-4) < curve[-1] < s_max
 
