@@ -1,4 +1,5 @@
-"""Print the lines and the code lines of the library's source, src/readout_tradeoff/.
+"""Print the lines and the code lines of the library's source, src/readout_tradeoff/,
+file by file, and then of the test suite under tests/ as one total.
 
 A code line is one that is not blank, not a comment and not part of a
 docstring (the leading string of a module, class or function). Run it from
@@ -12,7 +13,9 @@ import io
 import pathlib
 import tokenize
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "readout_tradeoff"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "readout_tradeoff"
+TESTS = ROOT / "tests"
 
 _NOT_CODE = {
     tokenize.COMMENT,
@@ -53,6 +56,8 @@ def main():
         code += code_lines
         print(f"{path.name:16} {lines:5} {code_lines:5}")
     print(f"{'total':16} {total:5} {code:5}")
+    tests = [count(path) for path in sorted(TESTS.glob("*.py"))]
+    print(f"{'tests/':16} {sum(n for n, _ in tests):5} {sum(c for _, c in tests):5}")
 
 
 if __name__ == "__main__":

@@ -231,7 +231,8 @@ def run_validate(cfg: argparse.Namespace):
     compilation = cfg.noise.compilation
     analytic = compiled_dist(10, GateNoise(0.005, compilation))
     empirical = sample_gate_outcomes(compilation.wiring(10), 0.005, shots, seed)
-    checks.append((f"gates-{compilation.value}-n10-p0.005", _tv_outcomes(analytic, empirical)))
+    tv = tv_distance(DiscreteDist(0, analytic.probs, 0.0), DiscreteDist(0, empirical.probs, 0.0))
+    checks.append((f"gates-{compilation.value}-n10-p0.005", tv))
 
     w = decaying_poisson(DecayModelParams(cfg.rates, 3.0))
     emp_w = sample_photon_counts(cfg.rates, 1, 3.0, shots, seed + 1)
@@ -255,13 +256,6 @@ def run_validate(cfg: argparse.Namespace):
             failed = True
         rows.append((name, tv, threshold, status))
     return header, rows, failed
-
-
-def _tv_outcomes(a, b) -> float:
-    return tv_distance(
-        DiscreteDist(0, a.probs, 0.0),
-        DiscreteDist(0, b.probs, 0.0),
-    )
 
 
 def _cell(value) -> str:

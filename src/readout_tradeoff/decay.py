@@ -57,6 +57,15 @@ def _poisson_over(omega: float, chain: tuple[int, np.ndarray], lo: int, hi: int)
     return np.concatenate(parts)
 
 
+def _one_pole(x: np.ndarray, gain: float, pole: float) -> np.ndarray:
+    """y_k = gain*x_k + pole*y_{k-1} from y_{-1} = 0, stepped over Python floats.
+
+    It rounds the same products and sums as scipy.signal.lfilter([gain], [1, -pole], x).
+    """
+    filtered = itertools.accumulate((gain * x).tolist(), lambda y, gx: gx + pole * y)
+    return np.fromiter(filtered, np.float64, x.size)
+
+
 def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     """Exact count law for one initially bright qubit over a window t.
 
@@ -70,21 +79,18 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
     exp(-lam*t)*Pois(k; mu1*t)])/(1+c), which never forms exp(c*mu0*t),
     from max(0, mu0*t - 12*sqrt(mu0*t)): Pois(mu0*t) holds under e^-72
     below that count (Chernoff bound). The recurrence is the one-pole
-    filter y_k = g*x_k + r*y_{k-1}, stepped over Python floats; it rounds
-    the same products and sums as scipy.signal.lfilter([g], [1, -r], x).
-    Above b the bracket is P(k+1, b) - P(k+1, a), a difference of two
-    small tails, and P(k+1, x) = Pr[Pois(x) > k] is summed from the top
-    down (dist._poisson_tails). Each Poisson law's terms come from the
-    ratio chain its support window was found on, extended where the
-    recurrence needs more counts.
+    filter _one_pole. Above b the bracket is P(k+1, b) - P(k+1, a), a
+    difference of two small tails, and P(k+1, x) = Pr[Pois(x) > k] is
+    summed from the top down (dist._poisson_tails). Each Poisson law's
+    terms come from the ratio chain its support window was found on,
+    extended where the recurrence needs more counts.
     """
     rates, t = _instance(params, DecayModelParams, "params").rates, params.t
     mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
     m0, m1 = mu0 * t, mu1 * t
     if m1 == 0.0:
         return point_mass(0)
-    # the window of Pois(0) is the count 0, and its one term 1
-    lo, _, *dark = (0, 0, 0, np.ones(1)) if m0 == 0.0 else _poisson_window(m0)
+    lo, _, *dark = _poisson_window(m0)
     _, hi, *bright = _poisson_window(m1)
     _check_span(lo, hi, "decayed law")
     start = min(lo, max(0, math.floor(m0 - 12.0 * math.sqrt(m0))))
@@ -98,8 +104,7 @@ def decaying_poisson(params: DecayModelParams) -> DiscreteDist:
         drive = _poisson_over(m0, dark, start, start + split - 1) - stay[:split]
         # pole 1/(1+c) and gain c/(1+c), finite even for equal rates
         gain, pole = lam / (delta + lam), delta / (delta + lam)
-        filtered = itertools.accumulate((gain * drive).tolist(), lambda y, gx: gx + pole * y)
-        masses[:split] += np.fromiter(filtered, np.float64, split)
+        masses[:split] += _one_pole(drive, gain, pole)
         if split < masses.size:
             above = start + split
             kt = np.arange(above + 1, hi + 2, dtype=np.float64)

@@ -403,9 +403,11 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     """Distribution of the sum of independent draws from a and b.
 
     FFT rounding noise is clipped at zero; the direct and FFT paths agree
-    to better than 1e-12 per bin.
+    to better than 1e-12 per bin. A product past MAX_SUPPORT counts is
+    refused before it is laid out.
     """
     a, b = _instance(a, DiscreteDist, "law"), _instance(b, DiscreteDist, "law")
+    _check_span(a.offset + b.offset, a.k_max + b.k_max, "convolved law")
     out = _convolve_masses(a.masses, b.masses)
     np.maximum(out, 0.0, out=out)
     return DiscreteDist(a.offset + b.offset, out)

@@ -224,6 +224,7 @@ def _powers(build):
     The last power is kept: asked for one more fold, as compose's Horner
     loop asks for the other side's law, it is extended by one convolution,
     a running product. Any other request goes through n_fold_convolve.
+    Either refuses a power past MAX_SUPPORT before laying it out.
     """
     law = last = None
 
@@ -231,7 +232,6 @@ def _powers(build):
         nonlocal law, last
         if law is None:
             law = build()
-        _check_span(q * law.offset, q * law.k_max, f"{q}-fold law")
         if last is not None and q == last[0] + 1:
             power = convolve(last[1], law)
         else:

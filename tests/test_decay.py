@@ -1,19 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy import integrate, signal, stats as ss
 
-from readout_tradeoff.decay import (
-    DecayModelParams,
-    _poisson_over,
-    decaying_poisson,
-    decaying_poisson_moments,
-)
-from readout_tradeoff.dist import DiscreteDist, DomainError, RateParams, point_mass
-from readout_tradeoff.dist import _poisson_tails, _poisson_window
-from readout_tradeoff.dist import moments, poisson_pmf, tv_distance
+from readout_tradeoff import decay
+from readout_tradeoff.decay import DecayModelParams, decaying_poisson, decaying_poisson_moments
+from readout_tradeoff.dist import DomainError, RateParams, moments, poisson_pmf, tv_distance
 from readout_tradeoff.gates import GateNoise
 from readout_tradeoff.scheme import SchemeConfig, scheme_snr
 from tests._reference import decay_mean_var, decayed_pmf_exact, max_abs_diff
@@ -177,42 +172,20 @@ class TestMassFunction:
         assert d.masses.sum() == pytest.approx(1.0, abs=1e-10)
 
 
-def _lfilter_decaying_poisson(params):
-    """decaying_poisson with its recurrence run by scipy.signal.lfilter."""
-    rates, t = params.rates, params.t
-    mu0, mu1, lam = rates.mu0, rates.mu1, rates.lam
-    m0, m1 = mu0 * t, mu1 * t
-    if m1 == 0.0:
-        return point_mass(0)
-    lo, _, *dark = (0, 0, 0, np.ones(1)) if m0 == 0.0 else _poisson_window(m0)
-    _, hi, *bright = _poisson_window(m1)
-    start = min(lo, max(0, math.floor(m0 - 12.0 * math.sqrt(m0))))
-    stay = math.exp(-lam * t) * _poisson_over(m1, bright, start, hi)
-    masses = stay.copy()
-    if lam > 0.0:
-        delta = mu1 - mu0
-        c = lam / delta if delta > 0.0 else math.inf
-        b = (1.0 + c) * m1
-        split = (hi + 1 if b >= hi else math.floor(b) + 1) - start
-        drive = _poisson_over(m0, dark, start, start + split - 1) - stay[:split]
-        gain, pole = lam / (delta + lam), delta / (delta + lam)
-        masses[:split] += signal.lfilter([gain], [1.0, -pole], drive)
-        if split < masses.size:
-            above = start + split
-            kt = np.arange(above + 1, hi + 2, dtype=np.float64)
-            gap = _poisson_tails(b, above, hi) - _poisson_tails((1.0 + c) * m0, above, hi)
-            masses[split:] += c * np.exp(c * m0 - kt * math.log1p(c)) * gap
-    return DiscreteDist(lo, masses[lo - start :])
-
-
 class TestRecurrenceEqualsLfilter:
     @pytest.mark.parametrize("lam", [1e-4, 0.0041, 10.0])
     @pytest.mark.parametrize("t", [0.5, 60.0, 1e3])
-    def test_bit_identical(self, lam, t):
-        params = DecayModelParams(RateParams(3.5, 14.0, lam), t)
-        got, want = decaying_poisson(params), _lfilter_decaying_poisson(params)
-        assert got.offset == want.offset
-        assert np.array_equal(got.masses, want.masses)
+    def test_bit_identical(self, lam, t, monkeypatch):
+        # mu0 = 0 takes Pois(0)'s window; want runs the recurrence step by scipy.signal.lfilter
+        params = [DecayModelParams(RateParams(mu0, 14.0, lam), t) for mu0 in (3.5, 0.0)]
+        got = [decaying_poisson(p) for p in params]
+        step = mock.Mock(side_effect=lambda x, g, r: signal.lfilter([g], [1.0, -r], x))
+        monkeypatch.setattr(decay, "_one_pole", step)
+        for law, p in zip(got, params):
+            want = decaying_poisson(p)
+            assert law.offset == want.offset
+            assert np.array_equal(law.masses, want.masses)
+        assert step.call_count == len(params)  # each law stepped its recurrence by lfilter
 
 
 class TestExactBins:

@@ -577,27 +577,36 @@ class TestMaxSupport:
     """A law past MAX_SUPPORT counts is a DomainError naming its span, raised before it is laid out."""
 
     @pytest.mark.parametrize(
-        "build, span",
+        "build, args, span",
         [
-            (lambda: decaying_poisson(DecayModelParams(RATES, 1e5)), "decayed law support 345732..1408560"),
+            (decaying_poisson, lambda: (DecayModelParams(RATES, 1e5),), "decayed law support 345732..1408560"),
             (
-                lambda: decaying_poisson(DecayModelParams(RateParams(3.5, 1e8, 0.0041), 1.0)),
+                decaying_poisson,
+                lambda: (DecayModelParams(RateParams(3.5, 1e8, 0.0041), 1.0),),
                 "decayed law support 0..100072264",
             ),
-            (lambda: n_fold_convolve(poisson_pmf(3.0), 10**6), "1000000-fold law support 0..24000000"),
+            (n_fold_convolve, lambda: (poisson_pmf(3.0), 10**6), "1000000-fold law support 0..24000000"),
             # the decayed law of 3.2e5 counts is built, its 64-fold power is not
             (
-                lambda: compose(SchemeConfig.noisy(64, RATES, NOISE), 3e4),
+                compose,
+                lambda: (SchemeConfig.noisy(64, RATES, NOISE), 3e4),
                 "64-fold law support 6570560..27180352",
             ),
+            (
+                convolve,
+                lambda: 2 * (DiscreteDist(0, np.full(600_000, 1 / 600_000)),),
+                "convolved law support 0..1199998",
+            ),
         ],
-        ids=["decayed-long-window", "decayed-bright-rate", "n-fold", "compose"],
+        ids=["decayed-long-window", "decayed-bright-rate", "n-fold", "compose", "convolve"],
     )
-    def test_refused_before_it_is_laid_out(self, build, span):
+    def test_refused_before_it_is_laid_out(self, build, args, span):
+        # the arguments are built before tracing starts: only the refused call is traced
+        args = args()
         tracemalloc.start()
         try:
             with pytest.raises(DomainError, match=f"^{re.escape(span)} spans more than 1000000 counts$"):
-                build()
+                build(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -610,7 +619,7 @@ class TestMaxSupport:
         wide[[0, -1]] = 0.5
         laws = (point_mass(0), DiscreteDist(0, wide))
         cfg = SchemeConfig.injected(4, (np.full(5, 0.2), [0, 0, 0, 0, 1.0]), lambda t: laws)
-        with pytest.raises(DomainError, match=r"^4-fold law support 0\.\.1000000 spans more than"):
+        with pytest.raises(DomainError, match=r"^convolved law support 0\.\.1000000 spans more than"):
             compose(cfg, 1.0)
 
     @staticmethod
