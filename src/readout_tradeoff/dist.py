@@ -36,12 +36,14 @@ TRUNCATION_EPS = 1e-12
 MAX_SUPPORT = 10**6
 # Largest support length that stays on the direct O(n*m) convolution path.
 DIRECT_CONV_LIMIT = 4096
-# Cost model of the two kernels (_convolve_by_cost), fitted on a 2-core
+# Cost model of the two kernels (_convolve_rows_by_cost), fitted on a 2-core
 # x86-64 machine: seconds per multiply-add of np.convolve, and the FFT
 # path's fixed seconds plus seconds per L*log2(L) at transform length L.
 _DIRECT_S = 0.12e-9
 _FFT_S = 23e-6
 _FFT_POINT_S = 1.5e-9
+# Most points one batched transform stacks (512 KiB): a bound on its memory
+_BATCH_POINTS = 2**16
 
 _NORM_TOL = 1e-9
 _MAX_FLOAT = sys.float_info.max
@@ -375,17 +377,34 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-def _convolve_by_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Linear convolution of two mass arrays by the kernel priced lower, unclipped.
+def _convolve_rows_by_cost(rows: list[np.ndarray], b: np.ndarray) -> list[np.ndarray]:
+    """rows, each array replaced by its convolution with b, unclipped, widest first.
 
-    Direct iff _DIRECT_S * n * m <= _FFT_S + _FFT_POINT_S * L * log2(L), with
-    L the real FFT length of the product. An FFT bin is accurate only in
-    absolute terms, so this is for laws that already pass through one.
+    A batch stacks up to _BATCH_POINTS. It is direct, np.convolve per row, iff
+    _DIRECT_S * n * m <= _FFT_S + _FFT_POINT_S * L * log2(L) for n, its widest
+    row's size, m = b.size and L their product's real FFT length; else one real
+    FFT of its rows and b stacked at L, one product, one inverse. A bin, as a lone
+    transform's, is accurate only in absolute terms. Rows held nowhere else are freed.
     """
-    length = _next_fast_len(a.size + b.size - 1)
-    if _DIRECT_S * a.size * b.size <= _FFT_S + _FFT_POINT_S * length * math.log2(length):
-        return np.convolve(a, b)
-    return _fft_convolve(a, b)
+    order = sorted(range(len(rows)), key=lambda i: rows[i].size, reverse=True)
+    while order:
+        widest = rows[order[0]].size
+        length = _next_fast_len(widest + b.size - 1)
+        fit = max(_BATCH_POINTS // length - 1, 1)  # the rows stacked beside b
+        batch, order = order[:fit], order[fit:]
+        if _DIRECT_S * widest * b.size <= _FFT_S + _FFT_POINT_S * length * math.log2(length):
+            for i in batch:
+                rows[i] = np.convolve(rows[i], b)
+            continue
+        stack = np.zeros((len(batch) + 1, length))
+        for row, a in zip(stack, (b, *(rows[i] for i in batch))):
+            row[: a.size] = a
+        spectra = np.fft.rfft(stack)
+        del stack, a  # the inverse needs neither the stack nor its last row
+        spectra[1:] *= spectra[0]
+        for i, o in zip(batch, np.fft.irfft(spectra[1:], length)):
+            rows[i] = o[: rows[i].size + b.size - 1]
+    return rows
 
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -27,8 +27,8 @@ from .dist import (
     DomainError,
     RateParams,
     _check_span,
-    _convolve_by_cost,
     _convolve_masses,
+    _convolve_rows_by_cost,
     _fold,
     _instance,
     _integer,
@@ -198,8 +198,8 @@ def _single_folds(config: SchemeConfig, t: float):
         law0, law1 = _single_laws(config, t)
         return _powers(lambda: law0), _powers(lambda: law1)
 
-    def poisson(mu: float):
-        return lambda q: poisson_pmf(q * mu * t)
+    def poisson(mu: float):  # additive: a stride saves nothing
+        return lambda q, stride=1: poisson_pmf(q * mu * t)
 
     rates = config.rates
     if _no_decay(config):
@@ -221,22 +221,24 @@ def _single_laws(config: SchemeConfig, t: float):
 def _powers(build):
     """q -> law^(*q) for the law build() returns, built on the first call.
 
-    The last power is kept: asked for one more fold, as compose's Horner
-    loop asks for the other side's law, it is extended by one convolution,
-    a running product. Any other request goes through n_fold_convolve.
-    Either refuses a power past MAX_SUPPORT before laying it out.
+    For q > 1 a held q - 1 is extended by one convolution and dropped, one
+    running product per Horner block; else, for a stride > 1, a held q - stride,
+    the block above's, by one convolution with law^(*stride), built once; else
+    n_fold_convolve. Each refuses a power past MAX_SUPPORT before laying it out.
     """
-    law = last = None
+    jumps = {}  # k -> law^(*k): the law itself and each stride's power
+    held = {}
 
-    def fold(q: int) -> DiscreteDist:
-        nonlocal law, last
-        if law is None:
-            law = build()
-        if last is not None and q == last[0] + 1:
-            power = convolve(last[1], law)
+    def fold(q: int, stride: int = 1) -> DiscreteDist:
+        law = jumps[1] = jumps.get(1) or build()
+        if q > 1 and q - 1 in held:
+            power = convolve(held.pop(q - 1), law)
+        elif stride > 1 and q - stride in held:
+            jumps[stride] = jumps.get(stride) or n_fold_convolve(law, stride)
+            power = convolve(held[q - stride], jumps[stride])
         else:
             power = n_fold_convolve(law, q)
-        last = (q, power)
+        held[q] = power
         return power
 
     return fold
@@ -264,17 +266,15 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
     """sum_q w_q own^(*q) * other^(*(n-q)) over the kept outcomes q.
 
     Horner's rule in blocks of consecutive q. A block steps from its largest
-    q down to its base, G <- G * own + w_q other^(*(n-q)), adding a term only
-    where q is kept: one convolution with the single-qubit law per step, for
-    a sum relative to own^(*base). If own^(*q_top) fits in DIRECT_CONV_LIMIT
-    points, one block is the whole sum, and each step takes the kernel
-    _convolve_masses picks by the larger size. A longer law takes blocks of
-    isqrt(q_top + 1), joined by _spectral_horner. Its bins come out of an
-    inverse FFT, accurate only in absolute terms, so its steps take the
-    kernel _convolve_by_cost prices lower. The other side's powers are
-    asked for in increasing n - q, so a law without additivity builds them as
-    a running product (see _powers). Partial sums do not sum to one, so they
-    stay raw mass arrays, and FFT rounding noise is clipped once at the end.
+    q down to its base, G <- G * own + w_q other^(*(n-q)), one convolution
+    with the single-qubit law per step, for a sum relative to own^(*base). If
+    own^(*q_top) fits in DIRECT_CONV_LIMIT points, one block, stepped by
+    _convolve_masses, is the sum. A longer law takes blocks of isqrt(q_top +
+    1), joined by _spectral_horner, whose bins are accurate only in absolute
+    terms: step j of every block is one batched _convolve_rows_by_cost call.
+    The blocks ask for the other side's powers in increasing n - q, one
+    running product per block for a law without additivity (_powers). A term
+    inside its sum's span is added in place; FFT noise is clipped at the end.
     """
     n = t_dist.n_qubits
     kept = [(q, float(w)) for q, w in enumerate(t_dist.probs) if w >= WEIGHT_FLOOR]
@@ -288,18 +288,31 @@ def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
     _check_span(q_top * own.offset, q_top * own.k_max, f"{q_top}-fold law")
     blocked = q_top * (own.masses.size - 1) >= _dist.DIRECT_CONV_LIMIT
     size = math.isqrt(q_top + 1) if blocked else q_top + 1
-    conv = _convolve_by_cost if blocked else _convolve_masses
-    blocks = []  # (base, lo, acc) from the top block down; acc None where nothing is kept
-    for base in range(q_top - q_top % size, -1, -size):
-        lo = acc = None
-        for q in range(min(base + size - 1, q_top), base - 1, -1):
-            if acc is not None:
-                lo, acc = lo + own.offset, conv(acc, own.masses)
-            if q in weights:
-                term = other_fold(n - q)
-                part = (term.offset, weights[q] * term.masses)
-                lo, acc = part if acc is None else _laid_out(((lo, acc), part), "composite law")
-        blocks.append((base, lo, acc))
+    # [base, lo, acc] from the top block down, whose q_top % size + 1 steps end first
+    blocks = [[base, None, None] for base in range(q_top - q_top % size, -1, -size)]
+    # a blocked block keeping a term asks for every step's power: one running product
+    chained = {q - q % size for q in weights} if blocked else ()
+    for j in range(size):
+        steps = blocks[1:] if j > q_top % size else blocks
+        if blocked:  # the sums are popped, so a batch frees its old rows as it ends
+            live = [b for b in steps if b[2] is not None]
+            for b, acc in zip(live, _convolve_rows_by_cost([b.pop() for b in live], own.masses)):
+                b[1:] = b[1] + own.offset, acc
+        elif blocks[0][2] is not None:  # the one block
+            blocks[0][1:] = blocks[0][1] + own.offset, _convolve_masses(blocks[0][2], own.masses)
+        for b in steps:
+            q = min(b[0] + size - 1, q_top) - j
+            if q in weights or b[0] in chained:
+                term = other_fold(n - q, size if chained else 1)
+            if q not in weights:
+                continue
+            part = weights[q] * term.masses
+            if b[2] is None:
+                b[1:] = term.offset, part
+            elif b[1] <= term.offset and term.k_max < b[1] + b[2].size:
+                b[2][term.offset - b[1] :][: part.size] += part
+            else:
+                b[1:] = _laid_out(((b[1], b[2]), (term.offset, part)), "composite law")
     lo, acc = blocks[0][1:] if size > q_top else _spectral_horner(blocks, own, size)
     np.maximum(acc, 0.0, out=acc)
     return DiscreteDist(lo, acc)
@@ -309,21 +322,24 @@ def _spectral_horner(blocks, own: DiscreteDist, size: int):
     """(lo, masses) of the sum of own^(*base) * acc over the blocks, bases size apart.
 
     Horner's rule at the finished law's FFT length, G <- G * FFT(own^(*size)) +
-    FFT(acc): one transform per block, one of own^(*size) and one inverse. The
-    power is built in the time domain, by squaring with the kernel
-    _convolve_by_cost prices lower; FFT(own)**size rounds once per factor.
+    FFT(acc) in place: one transform per block through one zero buffer (a batch
+    would hold every block's spectrum at once), one of own^(*size), built in
+    the time domain by squaring (FFT(own)**size rounds per factor), one inverse.
     """
     lo = min(s + b * own.offset for b, s, a in blocks if a is not None)
     hi = max(s + a.size - 1 + b * own.k_max for b, s, a in blocks if a is not None)
     _check_span(lo, hi, "composite law")
     length = _next_fast_len(hi - lo + 1)
-    step = np.fft.rfft(_fold(own.masses, size, _convolve_by_cost), length)
+    step = np.fft.rfft(_fold(own.masses, size, lambda a, b: _convolve_rows_by_cost([a], b)[0]), length)
+    x = np.zeros(length)
     g = 0.0
     for base, start, acc in blocks:
-        x = np.zeros(length)
+        g *= step
         if acc is not None:
-            x[start + base * own.offset - lo :][: acc.size] = acc
-        g = g * step + np.fft.rfft(x)
+            at = start + base * own.offset - lo
+            x[at : at + acc.size] = acc
+            g += np.fft.rfft(x)
+            x[at : at + acc.size] = 0.0
     return lo, np.fft.irfft(g, length)[: hi - lo + 1]
 
 

@@ -403,17 +403,21 @@ def _horner_steps_and_convolutions(cfg, t, monkeypatch):
     """Horner steps of both laws of cfg at t, and the convolutions compose ran."""
     calls = [0]
 
-    def counted(fn):
+    def counted(fn, convolutions):
         def wrapper(*args):
-            calls[0] += 1
+            calls[0] += convolutions(*args)
             return fn(*args)
 
         return wrapper
 
-    # every convolution, in compose or in a fold, runs one of these two
+    # every convolution, in compose or in a fold, runs one of these two; each
+    # row of a batched call is one convolution
     for module in (dist, scheme):
-        for name in ("_convolve_masses", "_convolve_by_cost"):
-            monkeypatch.setattr(module, name, counted(getattr(module, name)))
+        for name, convolutions in (
+            ("_convolve_masses", lambda a, b: 1),
+            ("_convolve_rows_by_cost", lambda rows, b: len(rows)),
+        ):
+            monkeypatch.setattr(module, name, counted(getattr(module, name), convolutions))
     compose(cfg, t)
     steps = sum(max(q for q, w in enumerate(o.probs) if w >= WEIGHT_FLOOR) for o in cfg.outcomes)
     return steps, calls[0]
@@ -465,7 +469,9 @@ class TestHornerCompose:
             tol = max(1e-12, np.finfo(float).eps * k * math.log(k))
             assert abs(float(a.masses.sum()) + a.truncation_loss - 1.0) <= tol
 
-    @pytest.mark.parametrize("n, t", [(32, 20.0), (64, 5.0), (64, 20.0)])
+    # (64, 60.0) runs nine seeded running products per side, wide enough that
+    # the batches of the widest in-block steps hold one row each
+    @pytest.mark.parametrize("n, t", [(32, 20.0), (64, 5.0), (64, 20.0), (64, 60.0)])
     def test_injected_fft_side_against_all_direct(self, n, t, monkeypatch):
         cfg = _tiers(n)["injected"]
         got = compose(cfg, t)
@@ -545,6 +551,56 @@ class TestHornerCompose:
         full = sum(2 * length >= got.p1.masses.size for length in lengths)
         assert 0 < full <= math.ceil(65 / math.isqrt(65)) + 2, full
         assert builds[0] == 1
+
+    def test_lockstep_step_is_one_batched_transform(self, monkeypatch):
+        # the 9 blocks of 8 step in lockstep: an FFT step stacks every running
+        # sum and own into one rfft, then one irfft, not three per block
+        steps, transforms = [], []
+        batched = scheme._convolve_rows_by_cost
+
+        def counted(fn):
+            def wrapper(x, *args, **kwargs):
+                transforms.append(np.shape(x))
+                return fn(x, *args, **kwargs)
+
+            return wrapper
+
+        def step(rows, b):
+            transforms.clear()
+            out = batched(rows, b)
+            steps.append((len(rows), list(transforms)))
+            return out
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+        monkeypatch.setattr(scheme, "_convolve_rows_by_cost", step)
+        compose(SchemeConfig.noisy(64, RATES, NOISE), 20.0)
+        fft_steps = [(rows, shapes) for rows, shapes in steps if rows == 8 and shapes]
+        assert len(fft_steps) >= 5, steps
+        for rows, (forward, inverse) in fft_steps:
+            assert forward[0] == rows + 1 and inverse[0] == rows, steps
+        # every call, the squarings of own^(*8) too, makes at most one of each
+        assert all(len(shapes) in (0, 2) for _, shapes in steps), steps
+
+    @pytest.mark.parametrize("t", [20.0, 60.0])
+    def test_injected_blocks_seed_their_running_products(self, t, monkeypatch):
+        # each block extends its own running product of the other side's law;
+        # a block's first power is the block above's times other^(*8), so per
+        # side n_fold_convolve folds the other law only for the first power
+        # and other^(*8) (own^(*1), the single law, is no fold)
+        folds = {}
+        original = scheme.n_fold_convolve
+
+        def recorded(law, q):
+            folds.setdefault(id(law), []).append(q)
+            return original(law, q)
+
+        monkeypatch.setattr(scheme, "n_fold_convolve", recorded)
+        got = compose(_tiers(64)["injected"], t)
+        assert min(got.p0.masses.size, got.p1.masses.size) > dist.DIRECT_CONV_LIMIT
+        assert len(folds) == 2
+        for qs in folds.values():
+            assert len([q for q in qs if q != 1]) <= 2, folds
 
     @pytest.mark.parametrize("p, builds", [(1.0, 0), (0.01, 1)])
     def test_decayed_law_built_on_first_fold(self, p, builds, monkeypatch):
