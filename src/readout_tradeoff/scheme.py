@@ -186,25 +186,27 @@ class ThresholdAnalysis:
 
 
 def _single_folds(config: SchemeConfig, t: float):
-    """The dark and the bright law's convolution powers, q -> law^(*q), at t.
+    """The dark and the bright side at t, each a pair: a callable returning the
+    single-qubit law, built on its first call, and q -> law^(*q) in closed
+    form, or None.
 
     Poisson laws add: q qubits emitting at rate mu count one Pois(q*mu*t).
     That covers the dark law and, in a scheme without decay (_no_decay),
-    the bright law. Any other law is folded by convolution; the decayed law
-    is built on its first fold, so a scheme that never folds it never
-    builds it.
+    the bright law. Any other law has no closed-form power: compose folds it
+    by convolution, so a scheme that never folds the decayed law never builds it.
     """
     if not isinstance(config.noise, GateNoise):
         law0, law1 = _single_laws(config, t)
-        return _powers(lambda: law0), _powers(lambda: law1)
+        return (lambda: law0, None), (lambda: law1, None)
 
-    def poisson(mu: float):  # additive: a stride saves nothing
-        return lambda q, stride=1: poisson_pmf(q * mu * t)
+    def poisson(mu: float):
+        return lambda: poisson_pmf(mu * t), lambda q: poisson_pmf(q * mu * t)
 
     rates = config.rates
     if _no_decay(config):
         return poisson(rates.mu0), poisson(rates.mu1)
-    return poisson(rates.mu0), _powers(lambda: decaying_poisson(DecayModelParams(rates, t)))
+    decayed = functools.cache(lambda: decaying_poisson(DecayModelParams(rates, t)))
+    return poisson(rates.mu0), (decayed, None)
 
 
 def _single_laws(config: SchemeConfig, t: float):
@@ -216,32 +218,6 @@ def _single_laws(config: SchemeConfig, t: float):
         message = f"single_laws must return a (law0, law1) pair, got {laws!r} at t={t} ms"
         raise DomainError(message) from None
     return law0, law1
-
-
-def _powers(build):
-    """q -> law^(*q) for the law build() returns, built on the first call.
-
-    For q > 1 a held q - 1 is extended by one convolution and dropped, one
-    running product per Horner block; else, for a stride > 1, a held q - stride,
-    the block above's, by one convolution with law^(*stride), built once; else
-    n_fold_convolve. Each refuses a power past MAX_SUPPORT before laying it out.
-    """
-    jumps = {}  # k -> law^(*k): the law itself and each stride's power
-    held = {}
-
-    def fold(q: int, stride: int = 1) -> DiscreteDist:
-        law = jumps[1] = jumps.get(1) or build()
-        if q > 1 and q - 1 in held:
-            power = convolve(held.pop(q - 1), law)
-        elif stride > 1 and q - stride in held:
-            jumps[stride] = jumps.get(stride) or n_fold_convolve(law, stride)
-            power = convolve(held[q - stride], jumps[stride])
-        else:
-            power = n_fold_convolve(law, q)
-        held[q] = power
-        return power
-
-    return fold
 
 
 def compose(config: SchemeConfig, t: float) -> CompositeStats:
@@ -262,83 +238,100 @@ def compose(config: SchemeConfig, t: float) -> CompositeStats:
     return CompositeStats(_two_sided_mix(t0, dark, bright), _two_sided_mix(t1, bright, dark), t)
 
 
-def _two_sided_mix(t_dist: OutcomeDist, own_fold, other_fold) -> DiscreteDist:
+def _two_sided_mix(t_dist: OutcomeDist, own_side, other_side) -> DiscreteDist:
     """sum_q w_q own^(*q) * other^(*(n-q)) over the kept outcomes q.
 
-    Horner's rule in blocks of consecutive q. A block steps from its largest
-    q down to its base, G <- G * own + w_q other^(*(n-q)), one convolution
-    with the single-qubit law per step, for a sum relative to own^(*base). If
-    own^(*q_top) fits in DIRECT_CONV_LIMIT points, one block, stepped by
-    _convolve_masses, is the sum. A longer law takes blocks of isqrt(q_top +
-    1), joined by _spectral_horner, whose bins are accurate only in absolute
-    terms: step j of every block is one batched _convolve_rows_by_cost call.
-    The blocks ask for the other side's powers in increasing n - q, one
-    running product per block for a law without additivity (_powers). A term
-    inside its sum's span is added in place; FFT noise is clipped at the end.
+    Horner's rule in blocks of consecutive q. A block steps from its top q down
+    to its base, G <- G * own + w_q term_q, one convolution with the single-qubit
+    law per step. If own^(*q_top) fits in DIRECT_CONV_LIMIT points, one block,
+    its top at n, stepped by _convolve_masses, is the sum. A longer law takes
+    blocks of isqrt(q_top + 1), the top one ending at q_top, joined by
+    _spectral_horner, whose bins are accurate only in absolute terms: step j of
+    every block is one batched _convolve_rows_by_cost call. A closed-form other
+    side gives term_q = other^(*(n-q)), for a sum relative to own^(*base). Any
+    other has term_q = other^(*j) at step j, one running product shared by every
+    block, for a sum relative to own^(*base) * other^(*(n - top)). A term inside
+    its sum's span is added in place; FFT noise is clipped at the end.
     """
+    (own_law, own_closed), (other_law, closed) = own_side, other_side
     n = t_dist.n_qubits
     kept = [(q, float(w)) for q, w in enumerate(t_dist.probs) if w >= WEIGHT_FLOOR]
     if kept == [(n, 1.0)]:
         # every qubit carries its own law: no mixture, nothing to convolve
-        return own_fold(n)
+        return own_closed(n) if own_closed else n_fold_convolve(own_law(), n)
     weights = dict(kept)
     q_top = kept[-1][0]
-    own = own_fold(1) if q_top else point_mass(0)
+    own = own_law() if q_top else point_mass(0)
     # the sum holds own^(*q_top), so it spans no fewer counts
     _check_span(q_top * own.offset, q_top * own.k_max, f"{q_top}-fold law")
     blocked = q_top * (own.masses.size - 1) >= _dist.DIRECT_CONV_LIMIT
-    size = math.isqrt(q_top + 1) if blocked else q_top + 1
-    # [base, lo, acc] from the top block down, whose q_top % size + 1 steps end first
-    blocks = [[base, None, None] for base in range(q_top - q_top % size, -1, -size)]
-    # a blocked block keeping a term asks for every step's power: one running product
-    chained = {q - q % size for q in weights} if blocked else ()
+    size, top = (math.isqrt(q_top + 1), q_top) if blocked else (n + 1, n)
+    # [base, depth, lo, acc] from the top block down, whose top % size + 1 steps
+    # end first; depth is the power of other that the block's sum leaves out
+    bases = range(top - top % size, -1, -size)
+    blocks = [[base, 0 if closed else n - min(base + size - 1, top), None, None] for base in bases]
+    if not closed:
+        other = other_law()
+        # the last step at which a block keeps a term
+        reach = max(min(q - q % size + size - 1, top) - q for q in weights)
     for j in range(size):
-        steps = blocks[1:] if j > q_top % size else blocks
+        steps = blocks[1:] if j > top % size else blocks
         if blocked:  # the sums are popped, so a batch frees its old rows as it ends
-            live = [b for b in steps if b[2] is not None]
+            live = [b for b in steps if b[3] is not None]
             for b, acc in zip(live, _convolve_rows_by_cost([b.pop() for b in live], own.masses)):
-                b[1:] = b[1] + own.offset, acc
-        elif blocks[0][2] is not None:  # the one block
-            blocks[0][1:] = blocks[0][1] + own.offset, _convolve_masses(blocks[0][2], own.masses)
+                b[2:] = b[2] + own.offset, acc
+        elif blocks[0][3] is not None:  # the one block
+            blocks[0][2:] = blocks[0][2] + own.offset, _convolve_masses(blocks[0][3], own.masses)
+        if not closed and j <= reach:
+            power = point_mass(0) if j == 0 else other if j == 1 else convolve(power, other)
         for b in steps:
-            q = min(b[0] + size - 1, q_top) - j
-            if q in weights or b[0] in chained:
-                term = other_fold(n - q, size if chained else 1)
+            q = min(b[0] + size - 1, top) - j
             if q not in weights:
                 continue
+            term = closed(n - q) if closed else power
             part = weights[q] * term.masses
-            if b[2] is None:
-                b[1:] = term.offset, part
-            elif b[1] <= term.offset and term.k_max < b[1] + b[2].size:
-                b[2][term.offset - b[1] :][: part.size] += part
+            if b[3] is None:
+                b[2:] = term.offset, part
+            elif b[2] <= term.offset and term.k_max < b[2] + b[3].size:
+                b[3][term.offset - b[2] :][: part.size] += part
             else:
-                b[1:] = _laid_out(((b[1], b[2]), (term.offset, part)), "composite law")
-    lo, acc = blocks[0][1:] if size > q_top else _spectral_horner(blocks, own, size)
+                b[2:] = _laid_out(((b[2], b[3]), (term.offset, part)), "composite law")
+    lo, acc = blocks[0][2:]
+    if blocked:  # a closed side's depths are all 0: it joins no power of other
+        lo, acc = _spectral_horner(blocks, own, size, point_mass(0) if closed else other)
     np.maximum(acc, 0.0, out=acc)
     return DiscreteDist(lo, acc)
 
 
-def _spectral_horner(blocks, own: DiscreteDist, size: int):
-    """(lo, masses) of the sum of own^(*base) * acc over the blocks, bases size apart.
+def _spectral_horner(blocks, own: DiscreteDist, size: int, other: DiscreteDist):
+    """(lo, masses) of the sum of own^(*base) * other^(*depth) * acc over the
+    blocks, bases size apart.
 
     Horner's rule at the finished law's FFT length, G <- G * FFT(own^(*size)) +
-    FFT(acc) in place: one transform per block through one zero buffer (a batch
-    would hold every block's spectrum at once), one of own^(*size), built in
-    the time domain by squaring (FFT(own)**size rounds per factor), one inverse.
+    F * FFT(acc) in place: one transform per block through one zero buffer (a
+    batch would hold every block's spectrum at once), one of own^(*size), built
+    in the time domain by squaring (FFT(own)**size rounds per factor), one
+    inverse. F = FFT(other^(*depth)) grows by FFT(other^(*gap)) from block to
+    block; the depths n - q_top, then q_top % size + 1 and size apart, need at
+    most three powers, each built once by n_fold_convolve and transformed once.
     """
-    lo = min(s + b * own.offset for b, s, a in blocks if a is not None)
-    hi = max(s + a.size - 1 + b * own.k_max for b, s, a in blocks if a is not None)
+    live = [b for b in blocks if b[3] is not None]
+    lo = min(s + b * own.offset + d * other.offset for b, d, s, a in live)
+    hi = max(s + a.size - 1 + b * own.k_max + d * other.k_max for b, d, s, a in live)
     _check_span(lo, hi, "composite law")
     length = _next_fast_len(hi - lo + 1)
     step = np.fft.rfft(_fold(own.masses, size, lambda a, b: _convolve_rows_by_cost([a], b)[0]), length)
+    jump = functools.cache(lambda k: np.fft.rfft(n_fold_convolve(other, k).masses, length))
     x = np.zeros(length)
-    g = 0.0
-    for base, start, acc in blocks:
+    g, f, depth = 0.0, 1.0, 0
+    for base, d, start, acc in blocks:
         g *= step
+        if d > depth:  # F * FFT(other^(*gap)), each gap's power built and transformed once
+            f, depth = f * jump(d - depth), d
         if acc is not None:
-            at = start + base * own.offset - lo
+            at = start + base * own.offset + d * other.offset - lo
             x[at : at + acc.size] = acc
-            g += np.fft.rfft(x)
+            g += np.fft.rfft(x) * f if depth else np.fft.rfft(x)
             x[at : at + acc.size] = 0.0
     return lo, np.fft.irfft(g, length)[: hi - lo + 1]
 
@@ -701,7 +694,10 @@ def gaussian_scheme_snr(drift_rate: float, n: int, t: float) -> float:
 
 
 def estimate_time_exponent(ts, snrs) -> float:
-    """Exponent a in SNR ~ t**a over the given window, by log-log fit."""
+    """Exponent a in SNR ~ t**a over the given window, by log-log fit.
+
+    The samples need at least two window lengths whose logarithms differ.
+    """
     ts = _real_array(ts, "log-log fit needs real samples")
     snrs = _real_array(snrs, "log-log fit needs real samples")
     if ts.ndim != 1 or ts.size < 2 or ts.shape != snrs.shape:
@@ -710,4 +706,6 @@ def estimate_time_exponent(ts, snrs) -> float:
         raise DomainError("log-log fit needs finite samples")
     if np.any(ts <= 0.0) or np.any(snrs <= 0.0):
         raise DomainError("log-log fit needs positive samples")
+    if np.ptp(np.log(ts)) == 0.0:  # a single log window length leaves no slope to fit
+        raise DomainError("log-log fit needs at least two distinct window lengths")
     return float(np.polyfit(np.log(ts), np.log(snrs), 1)[0])

@@ -399,6 +399,12 @@ def _tiers(n):
     }
 
 
+def _top_below_n(n):
+    # flat gates at p = 0.6 keep no outcome past q = 37 at n = 64, so the top
+    # block of a blocked law ends below n on both sides
+    return SchemeConfig.injected(n, (flat_dist(n, GateNoise(0.6)),) * 2, _injected_laws)
+
+
 def _horner_steps_and_convolutions(cfg, t, monkeypatch):
     """Horner steps of both laws of cfg at t, and the convolutions compose ran."""
     calls = [0]
@@ -469,11 +475,15 @@ class TestHornerCompose:
             tol = max(1e-12, np.finfo(float).eps * k * math.log(k))
             assert abs(float(a.masses.sum()) + a.truncation_loss - 1.0) <= tol
 
-    # (64, 60.0) runs nine seeded running products per side, wide enough that
-    # the batches of the widest in-block steps hold one row each
-    @pytest.mark.parametrize("n, t", [(32, 20.0), (64, 5.0), (64, 20.0), (64, 60.0)])
-    def test_injected_fft_side_against_all_direct(self, n, t, monkeypatch):
-        cfg = _tiers(n)["injected"]
+    # top-below-n is the one case whose top block's factor other^(*(n - q_top))
+    # is not a point mass
+    @pytest.mark.parametrize(
+        "n, t, top_below_n",
+        [pytest.param(n, t, False, id=f"{n}-{t}") for n, t in [(32, 20.0), (64, 5.0), (64, 20.0), (64, 60.0)]]
+        + [pytest.param(64, 20.0, True, id="top-below-n-64-20.0")],
+    )
+    def test_injected_fft_side_against_all_direct(self, n, t, top_below_n, monkeypatch):
+        cfg = _top_below_n(n) if top_below_n else _tiers(n)["injected"]
         got = compose(cfg, t)
         assert got.p1.masses.size > dist.DIRECT_CONV_LIMIT
         monkeypatch.setattr(dist, "DIRECT_CONV_LIMIT", 10**12)
@@ -515,17 +525,20 @@ class TestHornerCompose:
         assert all(min(pair) < 1000 and math.prod(pair) <= 10**6 for pair in direct), direct
 
     def test_injected_other_side_is_a_running_product(self, monkeypatch):
-        # each Horner step convolves once with the own law and extends the
-        # other side's power once; no power is squared up from scratch
+        # each Horner step convolves once with the own law and extends the one
+        # running product of the other law once; no power is squared up from scratch
         steps, calls = _horner_steps_and_convolutions(_tiers(10)["injected"], 2.0, monkeypatch)
         assert steps == 20
         assert calls <= 2 * steps, calls
 
     def test_injected_running_product_across_blocks(self, monkeypatch):
-        # at n = 64 both laws are blocked; the blocks still ask for the other
-        # side in increasing n - q, and own^(*size) costs a few squarings
+        # at n = 64 both laws are blocked in 9 blocks of up to 8; step j of every
+        # block reads one shared other^(*j), so the other law's powers up to
+        # other^(*7) cost 6 convolutions a side, not one a block step; own^(*8)
+        # and the join's other^(*8) cost a few squarings
         steps, calls = _horner_steps_and_convolutions(_tiers(64)["injected"], 20.0, monkeypatch)
-        assert calls <= 2 * steps, calls
+        assert steps == 128
+        assert calls <= 1.25 * steps, calls
 
     def test_blocks_are_transformed_once(self, monkeypatch):
         # 65 outcomes in blocks of isqrt(65) = 8: one transform per block, one
@@ -582,12 +595,13 @@ class TestHornerCompose:
         # every call, the squarings of own^(*8) too, makes at most one of each
         assert all(len(shapes) in (0, 2) for _, shapes in steps), steps
 
-    @pytest.mark.parametrize("t", [20.0, 60.0])
-    def test_injected_blocks_seed_their_running_products(self, t, monkeypatch):
-        # each block extends its own running product of the other side's law;
-        # a block's first power is the block above's times other^(*8), so per
-        # side n_fold_convolve folds the other law only for the first power
-        # and other^(*8) (own^(*1), the single law, is no fold)
+    @pytest.mark.parametrize("t, top_below_n", [(20.0, False), (60.0, False), (20.0, True)])
+    def test_injected_folds_only_the_join_factors(self, t, top_below_n, monkeypatch):
+        # the blocks share one running product of the other law, so per side
+        # n_fold_convolve folds it only for the join's factors, each once, from
+        # the top block down: other^(*(n - q_top)), a point mass where q_top = n,
+        # then other^(*(q_top % size + 1)) and other^(*size)
+        cfg = _top_below_n(64) if top_below_n else _tiers(64)["injected"]
         folds = {}
         original = scheme.n_fold_convolve
 
@@ -596,11 +610,30 @@ class TestHornerCompose:
             return original(law, q)
 
         monkeypatch.setattr(scheme, "n_fold_convolve", recorded)
-        got = compose(_tiers(64)["injected"], t)
+        got = compose(cfg, t)
         assert min(got.p0.masses.size, got.p1.masses.size) > dist.DIRECT_CONV_LIMIT
-        assert len(folds) == 2
-        for qs in folds.values():
-            assert len([q for q in qs if q != 1]) <= 2, folds
+        factors = []
+        for outcomes in cfg.outcomes:
+            q_top = max(q for q, w in enumerate(outcomes.probs) if w >= WEIGHT_FLOOR)
+            size = math.isqrt(q_top + 1)
+            gaps = (64 - q_top, q_top % size + 1, size)
+            factors.append(list(dict.fromkeys(gap for gap in gaps if gap)))
+        assert sorted(folds.values()) == sorted(factors), folds
+
+    @pytest.mark.parametrize("t", [20.0, 60.0])
+    def test_injected_blocked_law_peak_memory(self, t):
+        # the other law's one running product and the join's three factors are
+        # all that compose holds of its powers: it peaks at about 2.1 MB at
+        # t = 20 and 4.4 MB at t = 60, where a running product per block
+        # peaked at 3.5 and 8.0 MB
+        cfg = _tiers(64)["injected"]
+        tracemalloc.start()
+        try:
+            compose(cfg, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < {20.0: 3e6, 60.0: 6e6}[t], peak
 
     @pytest.mark.parametrize("p, builds", [(1.0, 0), (0.01, 1)])
     def test_decayed_law_built_on_first_fold(self, p, builds, monkeypatch):
@@ -1357,6 +1390,8 @@ class TestTimeExponent:
             ([1.0, 2.0], [math.nan, 2.0], "log-log fit needs finite samples"),
             ([1.0, 2.0], [1.0, math.inf], "log-log fit needs finite samples"),
             ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "need at least two matching"),
+            ([1.0, 1.0], [1.0, 2.0], "log-log fit needs at least two distinct window lengths"),
+            ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "log-log fit needs at least two distinct window lengths"),
         ],
     )
     def test_rejects_bad_samples(self, ts, snrs, message):
