@@ -13,6 +13,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from .decay import DecayModelParams, decaying_poisson
 from .dist import DiscreteDist, DomainError, RateParams, tv_distance
 from .gates import Compilation, GateNoise, compiled_dist
 from .montecarlo import McConfig, sample_full_scheme, sample_gate_outcomes, sample_photon_counts
-from .scheme import SchemeConfig, compose, mi_optimal, peak_snr, time_to_snr
+from .scheme import SchemeConfig, _grid_snrs, _moment_table, compose, mi_optimal, peak_snr, time_to_snr
 
 __all__ = ["main", "run_snr_sweep", "run_speedup", "run_validate"]
 
@@ -168,10 +169,13 @@ def run_snr_sweep(cfg: argparse.Namespace):
     """Rows (n, t_ms, snr) over the qubit range and window grid."""
     header = ("n", "t_ms", "snr")
     rows = []
-    ts = _t_grid(cfg)
-    for scheme in _schemes(cfg):
-        # build_run_config has checked every window of the grid, so the rows call the kernel
-        rows += [(scheme.n_qubits, t, scheme._snr(t)) for t in ts.tolist()]
+    schemes = _schemes(cfg)
+    # build_run_config has checked every window of the grid; every n has the
+    # same rates, so one moment table serves them all
+    ts = _t_grid(cfg).tolist()
+    table = _moment_table(cfg.rates, ts)
+    for scheme in schemes:
+        rows += zip(itertools.repeat(scheme.n_qubits), ts, _grid_snrs(scheme, ts, table))
     return header, rows
 
 

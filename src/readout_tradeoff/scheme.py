@@ -12,7 +12,6 @@ the same mixture.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -371,6 +370,48 @@ def _snr_kernel(q_moments, n: int, singles) -> Callable[[float], float]:
     return snr
 
 
+def _snr_on_grid(q_moments, n: int, table: np.ndarray) -> list[float] | None:
+    """_snr_kernel's SNR at every window of table, whose rows are (m0, v0, m1, v1)
+    at those windows: the kernel's arithmetic on arrays, in its order, so each
+    value is the kernel's to the bit. None where a variance is not finite, for the
+    kernel's scan to raise at the first such window.
+    """
+    (eq0, vq0), (eq1, vq1) = q_moments
+    rest0, rest1, q_gap = n - eq0, n - eq1, (eq0 - n) + eq1
+    m0, v0, m1, v1 = table
+    with np.errstate(all="ignore"):  # an overflowed gap squared; x/0 where spread is 0
+        gap = m1 - m0
+        gap2 = gap * gap
+        var0 = eq0 * v0 + rest0 * v1 + gap2 * vq0
+        var1 = eq1 * v1 + rest1 * v0 + gap2 * vq1
+        if not (np.isfinite(var0).all() and np.isfinite(var1).all()):
+            return None
+        num = 2.0 * np.abs(gap * q_gap)
+        spread = np.sqrt(np.maximum(var0, 0.0)) + np.sqrt(np.maximum(var1, 0.0))
+        # a zero spread is +0.0 (each variance adds gap2 * Var[Q] >= +0.0 last),
+        # so num / spread is the kernel's inf there
+        snr = num / spread
+    snr[num == 0.0] = 0.0
+    return snr.tolist()
+
+
+def _moment_table(rates: RateParams, ts) -> np.ndarray | None:
+    """(m0, v0, m1, v1) at each checked window of ts, the rows of a (4, len(ts))
+    array, or None where a window's moments overflow (the kernel's scan names it)."""
+    try:
+        return np.array(list(zip(*map(_moments_at(rates), ts))))
+    except DomainError:
+        return None
+
+
+def _grid_snrs(config: SchemeConfig, ts, table: np.ndarray | None) -> list[float]:
+    """The scheme's SNR at each checked window of ts, whose moment table is table:
+    one _snr_on_grid pass, or, with no table or a variance that is not finite,
+    the kernel's scan, which raises at the first window where either overflows."""
+    snrs = None if table is None else _snr_on_grid(config.q_moments, config.n_qubits, table)
+    return list(map(config._snr, ts)) if snrs is None else snrs
+
+
 def snr_direct(stats: CompositeStats) -> float:
     """Signal-to-noise ratio straight from the composite moments.
 
@@ -576,20 +617,25 @@ def _brent_root(f, a: float, b: float, xtol: float) -> float:
 
 
 @functools.lru_cache(maxsize=16)  # a sweep over n solves one set of rates; bounded for long runs
-def _peak_moments(rates: RateParams) -> dict[float, tuple[float, float, float, float]]:
-    """t -> (m0, v0, m1, v1) at each peak-grid window. They depend on the rates
-    alone, so every scheme with equal rates reads one table; a raise stores none."""
-    return dict(zip(_PEAK_GRID, map(_moments_at(rates), _PEAK_GRID)))
+def _peak_moments(rates: RateParams) -> np.ndarray | None:
+    """The read-only (4, PEAK_GRID_POINTS) moment table of the peak grid, or None
+    where a grid window's moments overflow. It depends on the rates alone, so
+    every scheme with equal rates reads one table."""
+    table = _moment_table(rates, _PEAK_GRID)
+    if table is not None:
+        table.flags.writeable = False
+    return table
 
 
 def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     """Largest attainable SNR and the window length attaining it.
 
-    Scans a log-spaced grid of PEAK_GRID_POINTS over PEAK_BRACKET (the
-    scheme's kernel over the grid moments of its rates, computed once per
-    rates), then refines between the grid argmax's neighbours with Brent's
-    bounded maximiser to a window tolerance of 1e-6 of the upper neighbour;
-    the grid point is kept if the refined value falls short of it.
+    Scans a log-spaced grid of PEAK_GRID_POINTS over PEAK_BRACKET (for a
+    GateNoise scheme, one array pass over the grid moments of its rates,
+    computed once per rates; an injected scheme's kernel at each window),
+    then refines between the grid argmax's neighbours with Brent's bounded
+    maximiser to a window tolerance of 1e-6 of the upper neighbour; the grid
+    point is kept if the refined value falls short of it.
 
     A scheme with no signal anywhere on the grid (every gate failing, or
     equal emission rates) has no peak and returns (0.0, nan). A scheme
@@ -599,14 +645,10 @@ def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     towards its supremum 2*E[Q1]/sqrt(Var[Q1]). It returns (sup, inf), and
     sup is inf for perfect gates, as for any single qubit.
     """
-    snr = _instance(config, SchemeConfig, "config")._snr
-    if isinstance(config.noise, GateNoise):
-        # where a grid moment overflows, the scheme's own kernel raises at the smallest window
-        with contextlib.suppress(DomainError):
-            table = _peak_moments(config.rates)
-            snr = _snr_kernel(config.q_moments, config.n_qubits, table.__getitem__)
+    _instance(config, SchemeConfig, "config")
     ts = _PEAK_GRID
-    vals = list(map(snr, ts))
+    table = _peak_moments(config.rates) if isinstance(config.noise, GateNoise) else None
+    vals = _grid_snrs(config, ts, table)
     if not any(vals):
         return 0.0, math.nan
     if _no_decay(config):

@@ -541,13 +541,13 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "command, module, solver",
         [
-            ("snr-sweep", scheme, "_snr_kernel"),
+            ("snr-sweep", scheme, "_snr_on_grid"),
             ("mi-sweep", cli, "compose"),
             ("speedup", cli, "time_to_snr"),
             ("peak-snr", cli, "peak_snr"),
         ],
         ids=[
-            "snr-sweep-_snr_kernel", "mi-sweep-compose", "speedup-time_to_snr", "peak-snr-peak_snr"
+            "snr-sweep-_snr_on_grid", "mi-sweep-compose", "speedup-time_to_snr", "peak-snr-peak_snr"
         ],
     )
     def test_qubit_range_is_checked_before_solving(

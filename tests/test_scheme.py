@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from mpmath import mp
 from scipy import stats as ss
 
-from readout_tradeoff import dist, scheme
+from readout_tradeoff import cli, dist, scheme
 from readout_tradeoff.decay import DecayModelParams, decaying_poisson, decaying_poisson_moments
 from readout_tradeoff.dist import (
     DiscreteDist,
@@ -792,50 +792,69 @@ class TestOverfullOutcomeLaw:
 
 
 class TestPeakGrid:
-    """peak_snr and time_to_snr scan one constant grid of floats with the scheme's kernel."""
+    """peak_snr and time_to_snr scan one constant grid of floats: a GateNoise scheme
+    in one array pass over its rates' moment table, an injected one with its kernel."""
 
     def test_peak_grid_is_one_scan(self, monkeypatch):
-        # one kernel pass over the grid, then every solver step a float scheme_snr call
-        windows, calls = [], []
-        kernel, float_snr = scheme._snr_kernel, scheme.scheme_snr
+        # one scan of the grid, then every solver step a float scheme_snr call
+        passes, windows, calls = [], [], []
+        on_grid, kernel, float_snr = scheme._snr_on_grid, scheme._snr_kernel, scheme.scheme_snr
+
+        def counted_pass(q_moments, n, table):
+            passes.append(table)
+            return on_grid(q_moments, n, table)
 
         def counted_kernel(*args):
             snr = kernel(*args)
             return lambda t: windows.append(t) or snr(t)
 
         def counted(config, t):
-            calls.append(np.shape(t))
+            calls.append(type(t))
             return float_snr(config, t)
 
+        monkeypatch.setattr(scheme, "_snr_on_grid", counted_pass)
         monkeypatch.setattr(scheme, "_snr_kernel", counted_kernel)
         monkeypatch.setattr(scheme, "scheme_snr", counted)
         for cfg, target in ((SchemeConfig.noisy(5, RATES, NOISE), 8.0), (_tiers(3)["injected"], 1.5)):
+            passes.clear()
             windows.clear()
             calls.clear()
             assert time_to_snr(cfg, target) is not None
-            assert windows[: scheme.PEAK_GRID_POINTS] == list(scheme._PEAK_GRID)
-            assert len(windows) == scheme.PEAK_GRID_POINTS + len(calls)
-            assert set(calls) == {()}
+            if isinstance(cfg.noise, GateNoise):
+                # the kernel runs the solver's steps alone
+                assert len(passes) == 1 and passes[0] is scheme._peak_moments(RATES)
+                assert len(windows) == len(calls)
+            else:
+                assert passes == []
+                assert windows[: scheme.PEAK_GRID_POINTS] == list(scheme._PEAK_GRID)
+                assert len(windows) == scheme.PEAK_GRID_POINTS + len(calls)
+            assert calls and set(calls) == {float}
 
     def test_peak_grid_is_a_read_only_constant(self, monkeypatch):
-        # every scan reads the module's own grid of floats, never a rebuilt one
+        # every scan reads the module's own grid of floats, never a rebuilt one,
+        # through one read-only moment table per rates
         grid = scheme._PEAK_GRID
         assert isinstance(grid, tuple) and all(type(t) is float for t in grid)
         assert grid == tuple(np.geomspace(*scheme.PEAK_BRACKET, scheme.PEAK_GRID_POINTS).tolist())
-        scans = []
-        kernel = scheme._snr_kernel
+        scheme._peak_moments.cache_clear()
+        windows, tables = [], []
+        moments_at, on_grid = scheme._moments_at, scheme._snr_on_grid
 
-        def counted_kernel(*args):
-            snr, windows = kernel(*args), []
-            scans.append(windows)
-            return lambda t: windows.append(t) or snr(t)
+        def counted(rates):
+            at = moments_at(rates)
+            return lambda t: windows.append(t) or at(t)
 
-        monkeypatch.setattr(scheme, "_snr_kernel", counted_kernel)
+        monkeypatch.setattr(scheme, "_moments_at", counted)
+        monkeypatch.setattr(scheme, "_snr_on_grid", lambda *args: tables.append(args[2]) or on_grid(*args))
         for n in (3, 5):
             peak_snr(SchemeConfig.noisy(n, RATES, NOISE))
-        grid_scans = [windows for windows in scans if windows and windows[0] is grid[0]]
-        assert len(grid_scans) == 2
-        assert all(len(w) == len(grid) and all(map(operator.is_, w, grid)) for w in grid_scans)
+        assert len(windows) > len(grid) and all(map(operator.is_, windows, grid))
+        table = scheme._peak_moments(RATES)
+        assert len(tables) == 2 and all(t is table for t in tables)
+        assert table.shape == (4, len(grid)) and not table.flags.writeable
+        assert np.array_equal(table, np.array([moments_at(RATES)(t) for t in grid]).T)
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1.0
 
 
 def _bits(call):
@@ -882,6 +901,66 @@ class TestMomentKernel:
         ]
 
 
+# peak-grid windows where a scan's moments or variances overflow: n, p, rates, and the error
+_GRID_OVERFLOWS = [
+    # the bright variance overflows at the grid's first window
+    pytest.param(1, 0.0, RateParams(0.0, 1e306, 0.5), "count moments overflow", id="moments-first-window"),
+    # and mid-grid, past t = 134 ms
+    pytest.param(3, 0.01, RateParams(0.0, 1e152, 1e-3), "count moments overflow", id="moments-mid-grid"),
+    # the moments stay finite, the gap squared does not: the table is complete
+    pytest.param(3, 0.01, RateParams(0.0, 1e152, 0.0), "count moments are not finite", id="kernel"),
+    # the gap squared times Var[Q1] overflows windows below the moments
+    pytest.param(
+        64, 0.5, RateParams(0.0, 1e152, 1e-3), "count moments are not finite", id="kernel-below-moments"
+    ),
+]
+
+
+class TestSnrOnGrid:
+    """_snr_on_grid is the scalar kernel on arrays: the kernel's value at every
+    window of a moment table, bit for bit, or None where the kernel raises."""
+
+    # a window's single-qubit moments, beside those the rates give: signed zeros,
+    # point masses (a distinct pair without spread reads inf) and overflowing values
+    _MOMENT = st.sampled_from([0.0, -0.0, 1.0]) | st.floats(allow_nan=False, allow_infinity=False)
+
+    @settings(max_examples=100, deadline=None)
+    # perfect gates, whose point masses 0 and 1 read inf; every gate failing reads 0
+    @example(5, None, 0.0, Compilation.CASCADE, 3.5, 10.5, 0.0041, [(0.0, 0.0, 1.0, 0.0)])
+    @example(5, None, 1.0, Compilation.FLAT, 3.5, 10.5, 0.0041, [(0.0, 0.0, 1.0, 0.0)])
+    # equal rates, and a dark rate of -0.0
+    @example(3, None, 0.01, Compilation.CASCADE, 14.0, 0.0, 0.0041, [])
+    @example(3, 0.2, 0.01, Compilation.FLAT, -0.0, 14.0, 0.0, [(-0.0, -0.0, 0.0, -0.0)])
+    # a dark variance so large that var0 overflows where var1 does not
+    @example(5, 0.0, 0.0, Compilation.CASCADE, 3.5, 10.5, 0.0041, [(0.0, 1e308, 1.0, 1.0)])
+    @given(
+        st.integers(1, 64),
+        # T0: a GateNoise scheme's all-dark point law (None), or an injected flat law
+        st.none() | st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        st.sampled_from(list(Compilation)),
+        st.sampled_from([0.0, -0.0]) | st.floats(0.0, 1e4),
+        st.sampled_from([0.0]) | st.floats(0.0, 1e4),
+        st.sampled_from([0.0]) | st.floats(0.0, 1e3),
+        st.lists(st.tuples(_MOMENT, _MOMENT, _MOMENT, _MOMENT), max_size=4),
+    )
+    def test_equals_the_kernel(self, n, p0, p, compilation, mu0, gap, lam, extra):
+        t0 = point_outcome(n, n) if p0 is None else flat_dist(n, GateNoise(p0))
+        q_moments = outcome_moments(t0), outcome_moments(compiled_dist(n, GateNoise(p, compilation)))
+        ts = (0.0, 5e-324, *scheme._PEAK_GRID)
+        table = scheme._moment_table(RateParams(mu0, mu0 + gap, lam), ts)
+        assert table is not None and table.shape == (4, len(ts))
+        table = np.concatenate((table, np.array(extra).reshape(-1, 4).T), axis=1)
+        columns = table.T.tolist()
+        kernel = scheme._snr_kernel(q_moments, n, columns.__getitem__)
+        wants = [_bits(lambda: kernel(i)) for i in range(len(columns))]
+        got = scheme._snr_on_grid(q_moments, n, table)
+        if any(want.startswith("count moments") for want in wants):
+            assert got is None
+        else:
+            assert [x.hex() for x in got] == wants
+
+
 class TestPeakTable:
     """peak_snr's scan over the grid moments of its rates equals the scan of one
     scheme_snr call per window (the array scan before it), bit for bit."""
@@ -907,20 +986,7 @@ class TestPeakTable:
             wants = [_bits(lambda: time_to_snr(cfg, s)) for s in targets]
         assert [_bits(lambda: time_to_snr(cfg, s)) for s in targets] == wants
 
-    @pytest.mark.parametrize(
-        "n, p, rates, kind",
-        [
-            # the bright variance overflows at the grid's first window
-            (1, 0.0, RateParams(0.0, 1e306, 0.5), "count moments overflow"),
-            # and mid-grid, past t = 134 ms
-            (3, 0.01, RateParams(0.0, 1e152, 1e-3), "count moments overflow"),
-            # the moments stay finite, the gap squared does not: the table is complete
-            (3, 0.01, RateParams(0.0, 1e152, 0.0), "count moments are not finite"),
-            # the gap squared times Var[Q1] overflows windows below the moments
-            (64, 0.5, RateParams(0.0, 1e152, 1e-3), "count moments are not finite"),
-        ],
-        ids=["moments-first-window", "moments-mid-grid", "kernel", "kernel-below-moments"],
-    )
+    @pytest.mark.parametrize("n, p, rates, kind", _GRID_OVERFLOWS)
     def test_grid_overflow_raises_the_array_scan_error(self, n, p, rates, kind):
         scheme._peak_moments.cache_clear()
         # a second scheme with the same rates, scanned after the raise, raises it too
@@ -931,6 +997,17 @@ class TestPeakTable:
             with pytest.raises(DomainError) as got:
                 peak_snr(cfg)
             assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n, p, rates, kind", _GRID_OVERFLOWS)
+    def test_grid_overflow_through_snr_sweep(self, capsys, n, p, rates, kind):
+        # rt snr-sweep over the peak grid names the window the scalar scan names
+        cfg = SchemeConfig.noisy(n, rates, GateNoise(p))
+        with pytest.raises(DomainError, match=f"^{kind} at window length t=") as want:
+            [scheme_snr(cfg, t) for t in scheme._PEAK_GRID]
+        rate_args = ["--mu0", repr(rates.mu0), "--mu1", repr(rates.mu1), "--lambda", repr(rates.lam)]
+        grid_args = ["--t-start", "1e-3", "--t-stop", "1e3", "--t-points", str(scheme.PEAK_GRID_POINTS)]
+        code = cli.main(["snr-sweep", *rate_args, "--p", repr(p), "--n-min", str(n), "--n-max", str(n), *grid_args])
+        assert (code, capsys.readouterr()) == (1, ("", f"error: {want.value}\n"))
 
     def test_signed_zero_rates_share_a_table(self):
         scheme._peak_moments.cache_clear()
