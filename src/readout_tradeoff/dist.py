@@ -8,7 +8,7 @@ long convolution pipelines instead of silently eroding.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import math
 import sys
 from dataclasses import dataclass
@@ -310,6 +310,16 @@ def _poisson_tails(omega: float, lo: int, hi: int) -> np.ndarray:
 _WINDOW_Q = TRUNCATION_EPS / 4.0
 
 
+def _check_mean(omega: float) -> None:
+    """DomainError for a Poisson mean whose window must pass MAX_SUPPORT counts.
+
+    A window's edges sit 7.2 standard deviations out, so a mean with
+    14.4 sqrt(omega) > MAX_SUPPORT, from about 4.8e9 on, is refused.
+    """
+    if 14.4 * math.sqrt(omega) > MAX_SUPPORT:
+        raise DomainError(f"poisson mean {omega} support spans more than {MAX_SUPPORT} counts")
+
+
 def _poisson_window(omega: float) -> tuple[int, int, int, np.ndarray]:
     """(lo, hi, first, terms): the smallest integer window lo..hi holding all
     but ~TRUNCATION_EPS of Pois(omega), and the terms at the counts first..
@@ -319,12 +329,10 @@ def _poisson_window(omega: float) -> tuple[int, int, int, np.ndarray]:
     Pr[K <= k] >= q and the smallest with Pr[K > k] <= q, widened by two
     counts each. Both are read off the running sums, from below and from
     above, of the terms over omega +- (11 sqrt(omega) + 60). A window wider
-    than MAX_SUPPORT is refused, never clipped. Its edges sit 7.2 standard
-    deviations out, so a mean with 14.4 sqrt(omega) > MAX_SUPPORT is refused
-    before any term is built.
+    than MAX_SUPPORT is refused, never clipped; _check_mean refuses the
+    widest means before any term is built.
     """
-    if 14.4 * math.sqrt(omega) > MAX_SUPPORT:
-        raise DomainError(f"poisson mean {omega} support spans more than {MAX_SUPPORT} counts")
+    _check_mean(omega)
     half = 11.0 * math.sqrt(omega) + 60.0
     first, last = max(0, math.floor(omega - half)), math.ceil(omega + half)
     terms = _poisson_terms(omega, first, last)
@@ -354,27 +362,31 @@ def poisson_pmf(omega: float) -> DiscreteDist:
 def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Linear convolution of two mass arrays, unclipped.
 
-    Small supports use the direct O(n*m) product sum; large ones switch to
-    the FFT, whose rounding noise can leave bins slightly below zero.
+    Supports up to DIRECT_CONV_LIMIT points take the direct O(n*m) product sum,
+    which keeps paper-scale tails exact; a longer pair, the kernel that
+    _convolve_rows_by_cost prices cheaper, whose FFT bins can fall below zero.
     """
     if max(a.size, b.size) <= DIRECT_CONV_LIMIT:
         return np.convolve(a, b)
-    return _fft_convolve(a, b)
+    return _convolve_rows_by_cost([a], b)[0]
 
 
-@functools.lru_cache(maxsize=4096)  # lengths recur across a sweep's laws; bounded for long runs
+def _smooth_lengths(limit: int) -> tuple[int, ...]:
+    """Every 2**a * 3**b * 5**c <= limit, ascending."""
+    lengths = [1]
+    for p in (2, 3, 5):  # each length so far times each power of p that keeps it within limit
+        lengths = [x * p**k for x in lengths for k in range((limit // x).bit_length()) if x * p**k <= limit]
+    return tuple(sorted(lengths))
+
+
+# the real FFT lengths: a product of two laws within MAX_SUPPORT has fewer points
+_FAST_LENS = _smooth_lengths(2 * MAX_SUPPORT)
+
+
 def _next_fast_len(n: int) -> int:
-    """The smallest 2**a * 3**b * 5**c >= n, as scipy.fft.next_fast_len(n, True) gives it."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # the least power of two that takes p35 to n or past it
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
+    """The smallest 2**a * 3**b * 5**c >= n, as scipy.fft.next_fast_len(n, True)
+    gives it, for 1 <= n <= 2 * MAX_SUPPORT: one bisection of _FAST_LENS."""
+    return _FAST_LENS[bisect.bisect_left(_FAST_LENS, n)]
 
 
 def _convolve_rows_by_cost(rows: list[np.ndarray], b: np.ndarray) -> list[np.ndarray]:
@@ -383,8 +395,9 @@ def _convolve_rows_by_cost(rows: list[np.ndarray], b: np.ndarray) -> list[np.nda
     A batch stacks up to _BATCH_POINTS. It is direct, np.convolve per row, iff
     _DIRECT_S * n * m <= _FFT_S + _FFT_POINT_S * L * log2(L) for n, its widest
     row's size, m = b.size and L their product's real FFT length; else one real
-    FFT of its rows and b stacked at L, one product, one inverse. A bin, as a lone
-    transform's, is accurate only in absolute terms. Rows held nowhere else are freed.
+    FFT of its rows and b stacked at L, one product, one inverse; a lone row and
+    b are transformed apart, the same bins for less. A bin, fftconvolve's at L,
+    is accurate only in absolute terms. Rows held nowhere else are freed.
     """
     order = sorted(range(len(rows)), key=lambda i: rows[i].size, reverse=True)
     while order:
@@ -395,6 +408,10 @@ def _convolve_rows_by_cost(rows: list[np.ndarray], b: np.ndarray) -> list[np.nda
         if _DIRECT_S * widest * b.size <= _FFT_S + _FFT_POINT_S * length * math.log2(length):
             for i in batch:
                 rows[i] = np.convolve(rows[i], b)
+            continue
+        if len(batch) == 1:
+            spectrum = np.fft.rfft(rows[batch[0]], length) * np.fft.rfft(b, length)
+            rows[batch[0]] = np.fft.irfft(spectrum, length)[: widest + b.size - 1]
             continue
         stack = np.zeros((len(batch) + 1, length))
         for row, a in zip(stack, (b, *(rows[i] for i in batch))):
@@ -407,23 +424,12 @@ def _convolve_rows_by_cost(rows: list[np.ndarray], b: np.ndarray) -> list[np.nda
     return rows
 
 
-def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # The steps scipy.signal.fftconvolve takes for real 1-d input, so its
-    # bins are that function's: a one-point operand is a plain product, and
-    # any other pair is multiplied in the frequency domain at a 5-smooth length.
-    if min(a.size, b.size) == 1:
-        return a * b
-    size = a.size + b.size - 1
-    n = _next_fast_len(size)
-    return np.fft.irfft(np.fft.rfft(a, n) * np.fft.rfft(b, n), n)[:size]
-
-
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     """Distribution of the sum of independent draws from a and b.
 
-    FFT rounding noise is clipped at zero; the direct and FFT paths agree
-    to better than 1e-12 per bin. A product past MAX_SUPPORT counts is
-    refused before it is laid out.
+    A pair past DIRECT_CONV_LIMIT points takes the kernel its cost model picks
+    (_convolve_masses); FFT noise, within 1e-12 per bin, is clipped at zero. A
+    product past MAX_SUPPORT counts is refused before it is laid out.
     """
     a, b = _instance(a, DiscreteDist, "law"), _instance(b, DiscreteDist, "law")
     _check_span(a.offset + b.offset, a.k_max + b.k_max, "convolved law")

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decay import _window_length
-from .dist import DiscreteDist, DomainError, RateParams, _check_span, _instance, _integer, _laid_out
+from .dist import DiscreteDist, DomainError, RateParams, _check_mean, _check_span, _instance, _integer, _laid_out
 from .gates import GateNoise, OutcomeDist, _gate_pairs, validate_wiring
 from .scheme import SchemeConfig
 
@@ -148,6 +148,13 @@ def _bright_time(rng, lam: float, t: float, shape) -> np.ndarray:
     return np.full(shape, t)
 
 
+def _poisson(rng, mean, size=None) -> np.ndarray:
+    """rng.poisson(mean, size) once the largest mean passes poisson_pmf's check,
+    which refuses it with poisson_pmf's DomainError."""
+    _check_mean(float(np.max(mean)))
+    return rng.poisson(mean, size)
+
+
 def _count_means(bright: np.ndarray, rates: RateParams, t: float) -> np.ndarray:
     """mu1 * bright + mu0 * (t - bright), built in place in bright."""
     dark = t - bright
@@ -177,7 +184,7 @@ def sample_photon_counts(
             mean = _count_means(_bright_time(rng, rates.lam, t, size), rates, t)
         else:
             mean = np.full(size, rates.mu0 * t)
-        return _histogram(rng.poisson(mean))
+        return _histogram(_poisson(rng, mean))
 
     return _empirical(_map_batches(seed, shots, draw), shots)
 
@@ -200,11 +207,11 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
     t = config.t
 
     def draw(rng, size):
-        dark = _histogram(rng.poisson(rates.mu0 * t, (size, n)).sum(axis=1))
+        dark = _histogram(_poisson(rng, rates.mu0 * t, (size, n)).sum(axis=1))
         state = _run_gates(rng, wiring, n, scheme.noise.p, size)
         bright = _bright_time(rng, rates.lam, t, (size, n))
         bright[~state] = 0.0
-        return dark, _histogram(rng.poisson(_count_means(bright, rates, t)).sum(axis=1))
+        return dark, _histogram(_poisson(rng, _count_means(bright, rates, t)).sum(axis=1))
 
     dark, bright = zip(*_map_batches(config.seed, config.shots, draw))
     return _empirical(dark, config.shots), _empirical(bright, config.shots)

@@ -11,9 +11,12 @@ for everyone and no member is left under-resolved.
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
+
+from .dist import DomainError, _real
 
 __all__ = ["integrate_family"]
 
@@ -34,6 +37,9 @@ class _Panel:
         vals = np.asarray(f(x), dtype=np.float64)
         self.est_lo = vals[..., :16] @ (_LO_W * h)
         self.est_hi = vals[..., 16:] @ (_HI_W * h)
+        # a nan estimate would split no panel and refine forever
+        if not (np.all(np.isfinite(self.est_lo)) and np.all(np.isfinite(self.est_hi))):
+            raise DomainError(f"integrand estimate on [{a}, {b}] is not finite")
         self.err = np.abs(self.est_hi - self.est_lo)
 
 
@@ -54,12 +60,15 @@ def integrate_family(
     rel_tol in relative terms. seed_points pre-splits the interval, which
     matters for integrands whose natural scale (for instance a fast
     exponential decay near a) would otherwise be invisible to a coarse
-    first pass.
+    first pass. Bounds that are not finite, a rel_tol outside (0, inf) and an
+    integrand whose panel estimate is not finite are a DomainError.
     """
-    a = float(a)
-    b = float(b)
+    a = _real(a, "integration bounds must be finite numbers, got {}")
+    b = _real(b, "integration bounds must be finite numbers, got {}")
+    # the least positive float: a rel_tol of 0 is refused like inf and nan
+    rel_tol = _real(rel_tol, "rel_tol must be positive and finite, got {}", math.ulp(0.0))
     if b < a:
-        raise ValueError(f"inverted interval [{a}, {b}]")
+        raise DomainError(f"inverted interval [{a}, {b}]")
     if b == a:
         probe = np.asarray(f(np.array([a])), dtype=np.float64)
         return np.zeros(probe.shape[:-1])

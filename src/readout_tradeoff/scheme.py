@@ -465,18 +465,24 @@ def threshold_analytic(rates: RateParams, n: int, t: float) -> ThresholdAnalysis
     With alpha = mu0/mu1 and beta = (1/alpha - 1)/ln(1/alpha) the crossing
     sits at eta = mu0*n*t*beta, and the two error tails decay with the
     strictly positive exponents gamma0 and gamma1 per unit of mu0*n*t and
-    mu1*n*t respectively.
+    mu1*n*t respectively. Where a field would not be finite (mu1/mu0 past
+    about 1e308, or eta past the largest float) it is a DomainError.
     """
     if _instance(rates, RateParams, "rates").mu0 <= 0.0 or rates.mu0 >= rates.mu1:
         raise DomainError("analytic threshold needs 0 < mu0 < mu1")
     n = _integer(n, _POSITIVE_N, 1)
     t = _window_length(t)
     alpha = rates.mu0 / rates.mu1
-    beta = (1.0 / alpha - 1.0) / math.log(1.0 / alpha)
+    # alpha underflows to 0 for mu1/mu0 past the largest float: no beta then
+    beta = (1.0 / alpha - 1.0) / math.log(1.0 / alpha) if alpha else math.nan
     gamma0 = beta * math.log(beta) + 1.0 - beta
     gamma1 = alpha * beta * math.log(alpha * beta) + 1.0 - alpha * beta
-    eta = rates.mu0 * n * t * beta
-    return ThresholdAnalysis(alpha, beta, gamma0, gamma1, eta)
+    fields = (alpha, beta, gamma0, gamma1, rates.mu0 * n * t * beta)
+    if not all(map(math.isfinite, fields)):
+        raise DomainError(
+            f"analytic threshold is not finite at mu0={rates.mu0}, mu1={rates.mu1}, n={n}, t={t}"
+        )
+    return ThresholdAnalysis(*fields)
 
 
 def _no_decay(config: SchemeConfig) -> bool:

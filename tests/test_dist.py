@@ -273,6 +273,9 @@ class TestScipyKernels:
         with pytest.raises(DomainError, match=f"^{re.escape(span)} spans more than 1000000 counts$"):
             dist._poisson_window(4.8e9)
 
+    # past DIRECT_CONV_LIMIT the cost model prices a pair with a short side,
+    # (4097, 60) and (20000, 60), direct; a one-point pair's product is
+    # fftconvolve's too
     @pytest.mark.parametrize(
         "n, m",
         [(4097, 1), (4097, 60), (4097, 4097), (5000, 4099), (20000, 60), (93001, 4500)],
@@ -280,12 +283,35 @@ class TestScipyKernels:
     def test_fft_side_equals_fftconvolve(self, n, m):
         rng = np.random.default_rng(n + m)
         a, b = rng.random(n), rng.random(m)
+        reference = np.convolve if m == 60 else signal.fftconvolve
         for x, y in ((a, b), (b, a)):
-            assert np.array_equal(dist._convolve_masses(x, y), signal.fftconvolve(x, y))
+            assert np.array_equal(dist._convolve_masses(x, y), reference(x, y))
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_kernel_rows_equal_fftconvolve(self, k, monkeypatch):
+        # a lone row and b are transformed apart, k >= 2 rows in one stack at
+        # the widest product's FFT length, 5000 here for each: either way each
+        # row's bins are fftconvolve's
+        rng = np.random.default_rng(k)
+        rows, b = [rng.random(n) for n in (3000, 2990, 2980)[:k]], rng.random(2000)
+        assert {scipy.fft.next_fast_len(row.size + b.size - 1, True) for row in rows} == {5000}
+        shapes, rfft = [], np.fft.rfft
+
+        def recorded(x, *args, **kwargs):
+            shapes.append(np.shape(x))
+            return rfft(x, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recorded)
+        got = dist._convolve_rows_by_cost(list(rows), b)
+        assert shapes == ([(3000,), (2000,)] if k == 1 else [(k + 1, 5000)])
+        for row, out in zip(rows, got):
+            assert np.array_equal(out, signal.fftconvolve(row, b))
 
     def test_next_fast_len_equals_scipy(self):
-        got = [dist._next_fast_len(n) for n in range(1, 20001)]
-        assert got == [scipy.fft.next_fast_len(n, True) for n in range(1, 20001)]
+        # every length up to 20,000, and near MAX_SUPPORT and the table's end
+        lengths = [*range(1, 20001), *range(10**6 - 2000, 10**6 + 2001), *range(2 * 10**6 - 4000, 2 * 10**6 + 1)]
+        got = [dist._next_fast_len(n) for n in lengths]
+        assert got == [scipy.fft.next_fast_len(n, True) for n in lengths]
 
 
 class TestConvolve:
@@ -321,6 +347,13 @@ class TestConvolve:
         assert np.max(np.abs(out.masses - ref)) < 1e-12
         # a sum of independent counts with those rates
         assert abs(moments(out)[0] - 2.2e5) < 1e-3
+
+    def test_long_lopsided_pair_is_exact(self):
+        # one side past DIRECT_CONV_LIMIT (4,574 points), the other 27: the
+        # cost model prices it direct, so every bin, tails too, is np.convolve's
+        a, b = poisson_pmf(1e5), poisson_pmf(3.5)
+        assert a.masses.size > DIRECT_CONV_LIMIT
+        assert np.array_equal(convolve(a, b).masses, np.convolve(a.masses, b.masses))
 
 
 class TestNFoldConvolve:

@@ -1,9 +1,29 @@
+import contextlib
 import math
+import signal
 
 import numpy as np
 import pytest
 
+from readout_tradeoff.dist import DomainError
 from readout_tradeoff.quadrature import integrate_family
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run for seconds: a call
+    that would refine forever fails instead of hanging the suite."""
+
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_monomial_exact():
@@ -89,5 +109,27 @@ def test_panel_budget_warns():
 
 
 def test_rejects_inverted_interval():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^inverted interval \[1\.0, 0\.0\]$"):
         integrate_family(lambda x: x, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("a, b", [(0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)])
+def test_rejects_bounds_that_are_not_finite(a, b):
+    with _deadline(5.0), pytest.raises(DomainError, match="^integration bounds must be finite"):
+        integrate_family(lambda x: x, a, b)
+
+
+@pytest.mark.parametrize("rel_tol", [math.nan, math.inf, 0.0, -1e-10])
+def test_rejects_tolerance_outside_zero_to_inf(rel_tol):
+    with _deadline(5.0), pytest.raises(DomainError, match="^rel_tol must be positive and finite"):
+        integrate_family(lambda x: x, 0.0, 1.0, rel_tol=rel_tol)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_rejects_an_estimate_that_is_not_finite(value):
+    # the second member alone is not finite; with nan no panel would split
+    def f(x):
+        return np.stack([x, np.full(x.size, value)])
+
+    with _deadline(5.0), pytest.raises(DomainError, match=r"^integrand estimate on \[0\.0, 1\.0\] is not finite$"):
+        integrate_family(f, 0.0, 1.0)

@@ -507,6 +507,19 @@ class TestHornerCompose:
             assert (a.offset, a.masses.size) == (b.offset, b.masses.size)
             assert np.abs(a.masses - b.masses).max() <= 1e-16
 
+    def test_long_fold_priced_direct_is_exact(self, monkeypatch):
+        # perfect gates leave one 33-fold law a side; its last fold product,
+        # 141 x 4,481 points, is past DIRECT_CONV_LIMIT but priced direct, so
+        # mi, 5.19e-70, is the all-direct law's, not FFT noise near 1e-16
+        cfg = SchemeConfig.noisy(33, RATES, GateNoise(0.0))
+        got = compose(cfg, 5.0)
+        assert got.p1.masses.size > dist.DIRECT_CONV_LIMIT
+        monkeypatch.setattr(dist, "DIRECT_CONV_LIMIT", 10**12)
+        ref = compose(cfg, 5.0)
+        assert mi_optimal(got) == mi_optimal(ref)
+        for a, b in ((got.p0, ref.p0), (got.p1, ref.p1)):
+            assert a.offset == b.offset and np.array_equal(a.masses, b.masses)
+
     def test_blocked_law_prices_its_kernels(self, monkeypatch):
         # Under the cost model two operands of 1,000 points or more always go
         # to the FFT: here the squarings of own^(*8), 1897 and 3793 points a
@@ -592,8 +605,9 @@ class TestHornerCompose:
         assert len(fft_steps) >= 5, steps
         for rows, (forward, inverse) in fft_steps:
             assert forward[0] == rows + 1 and inverse[0] == rows, steps
-        # every call, the squarings of own^(*8) too, makes at most one of each
-        assert all(len(shapes) in (0, 2) for _, shapes in steps), steps
+        # every call, the squarings of own^(*8) too, makes at most one of each,
+        # but a one-row call, which transforms its row and own apart
+        assert all(len(shapes) in (0, 3 if rows == 1 else 2) for rows, shapes in steps), steps
 
     @pytest.mark.parametrize("t, top_below_n", [(20.0, False), (60.0, False), (20.0, True)])
     def test_injected_folds_only_the_join_factors(self, t, top_below_n, monkeypatch):
@@ -1130,6 +1144,22 @@ class TestThresholdAnalytic:
     def test_rejects_bad_register(self, n):
         with pytest.raises(DomainError, match=f"^n must be a positive integer, got {n}$"):
             threshold_analytic(RateParams(3.5, 14.0), n, 1.0)
+
+    # mu1/mu0 past the largest float, where alpha is 0 or 1/alpha is inf,
+    # and an eta past it
+    @pytest.mark.parametrize(
+        "rates, n, t",
+        [
+            (RateParams(1e-200, 1e200), 1, 1.0),
+            (RateParams(1e-300, 1e10), 1, 1.0),
+            (RateParams(5e-324, 1.0), 1, 1.0),
+            (RateParams(1.0, 1e300), 64, 1e300),
+        ],
+    )
+    def test_rejects_a_field_that_is_not_finite(self, rates, n, t):
+        message = f"analytic threshold is not finite at mu0={rates.mu0}, mu1={rates.mu1}, n={n}, t={t}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            threshold_analytic(rates, n, t)
 
 
 class TestPeakSnr:
