@@ -395,9 +395,9 @@ def _convolve_rows_by_cost(rows: list[np.ndarray], b: np.ndarray) -> list[np.nda
     A batch stacks up to _BATCH_POINTS. It is direct, np.convolve per row, iff
     _DIRECT_S * n * m <= _FFT_S + _FFT_POINT_S * L * log2(L) for n, its widest
     row's size, m = b.size and L their product's real FFT length; else one real
-    FFT of its rows and b stacked at L, one product, one inverse; a lone row and
-    b are transformed apart, the same bins for less. A bin, fftconvolve's at L,
-    is accurate only in absolute terms. Rows held nowhere else are freed.
+    FFT of its rows and b stacked at L, one product, one inverse. A row's bins,
+    a lone row's too, are fftconvolve's at L, accurate only in absolute terms.
+    Rows held nowhere else are freed.
     """
     order = sorted(range(len(rows)), key=lambda i: rows[i].size, reverse=True)
     while order:
@@ -408,10 +408,6 @@ def _convolve_rows_by_cost(rows: list[np.ndarray], b: np.ndarray) -> list[np.nda
         if _DIRECT_S * widest * b.size <= _FFT_S + _FFT_POINT_S * length * math.log2(length):
             for i in batch:
                 rows[i] = np.convolve(rows[i], b)
-            continue
-        if len(batch) == 1:
-            spectrum = np.fft.rfft(rows[batch[0]], length) * np.fft.rfft(b, length)
-            rows[batch[0]] = np.fft.irfft(spectrum, length)[: widest + b.size - 1]
             continue
         stack = np.zeros((len(batch) + 1, length))
         for row, a in zip(stack, (b, *(rows[i] for i in batch))):

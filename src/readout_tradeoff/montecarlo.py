@@ -148,13 +148,6 @@ def _bright_time(rng, lam: float, t: float, shape) -> np.ndarray:
     return np.full(shape, t)
 
 
-def _poisson(rng, mean, size=None) -> np.ndarray:
-    """rng.poisson(mean, size) once the largest mean passes poisson_pmf's check,
-    which refuses it with poisson_pmf's DomainError."""
-    _check_mean(float(np.max(mean)))
-    return rng.poisson(mean, size)
-
-
 def _count_means(bright: np.ndarray, rates: RateParams, t: float) -> np.ndarray:
     """mu1 * bright + mu0 * (t - bright), built in place in bright."""
     dark = t - bright
@@ -172,19 +165,22 @@ def sample_photon_counts(
     A bright qubit draws its decay time from Exp(lam) (infinite when
     lam = 0) and then one Poisson count with the time-weighted mean; a
     dark qubit draws a plain Poisson count. Draw order per batch: decay
-    times first, then counts.
+    times first, then counts. Where mu1 * t is a mean poisson_pmf refuses,
+    from about 4.8e9 on, the call is refused before drawing, for either
+    preparation, as decaying_poisson refuses it.
     """
     initial_state = _integer(initial_state, "initial state must be 0 or 1, got {}", 0, 1)
     _instance(rates, RateParams, "rates")
     t = _window_length(t)
     shots = _integer(shots, _SHOTS, 1)
+    _check_mean(rates.mu1 * t)  # the largest mean a shot can have
 
     def draw(rng, size):
         if initial_state == 1:
             mean = _count_means(_bright_time(rng, rates.lam, t, size), rates, t)
         else:
             mean = np.full(size, rates.mu0 * t)
-        return _histogram(_poisson(rng, mean))
+        return _histogram(rng.poisson(mean))
 
     return _empirical(_map_batches(seed, shots, draw), shots)
 
@@ -196,7 +192,8 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
     every qubit contributes its own count conditioned on its post-gate
     state; the shot lands in exactly one bin of each histogram. Draw order
     per batch: dark-preparation counts, then gate uniforms, decay times
-    and counts for the bright preparation.
+    and counts for the bright preparation. Where mu1 * t is a mean
+    poisson_pmf refuses, the call is refused before drawing.
     """
     scheme = _instance(config, McConfig, "config").scheme
     if not isinstance(scheme.noise, GateNoise):
@@ -205,13 +202,14 @@ def sample_full_scheme(config: McConfig) -> tuple[DiscreteDist, DiscreteDist]:
     rates = scheme.rates
     wiring = scheme.noise.compilation.wiring(n)
     t = config.t
+    _check_mean(rates.mu1 * t)  # the largest mean a shot can have
 
     def draw(rng, size):
-        dark = _histogram(_poisson(rng, rates.mu0 * t, (size, n)).sum(axis=1))
+        dark = _histogram(rng.poisson(rates.mu0 * t, (size, n)).sum(axis=1))
         state = _run_gates(rng, wiring, n, scheme.noise.p, size)
         bright = _bright_time(rng, rates.lam, t, (size, n))
         bright[~state] = 0.0
-        return dark, _histogram(_poisson(rng, _count_means(bright, rates, t)).sum(axis=1))
+        return dark, _histogram(rng.poisson(_count_means(bright, rates, t)).sum(axis=1))
 
     dark, bright = zip(*_map_batches(config.seed, config.shots, draw))
     return _empirical(dark, config.shots), _empirical(bright, config.shots)

@@ -289,9 +289,8 @@ class TestScipyKernels:
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_kernel_rows_equal_fftconvolve(self, k, monkeypatch):
-        # a lone row and b are transformed apart, k >= 2 rows in one stack at
-        # the widest product's FFT length, 5000 here for each: either way each
-        # row's bins are fftconvolve's
+        # k rows, a lone row too, and b in one stack at the widest product's
+        # FFT length, 5000 here for each: each row's bins are fftconvolve's
         rng = np.random.default_rng(k)
         rows, b = [rng.random(n) for n in (3000, 2990, 2980)[:k]], rng.random(2000)
         assert {scipy.fft.next_fast_len(row.size + b.size - 1, True) for row in rows} == {5000}
@@ -303,7 +302,7 @@ class TestScipyKernels:
 
         monkeypatch.setattr(np.fft, "rfft", recorded)
         got = dist._convolve_rows_by_cost(list(rows), b)
-        assert shapes == ([(3000,), (2000,)] if k == 1 else [(k + 1, 5000)])
+        assert shapes == [(k + 1, 5000)]
         for row, out in zip(rows, got):
             assert np.array_equal(out, signal.fftconvolve(row, b))
 

@@ -301,20 +301,33 @@ class TestSparseBinning:
             tracemalloc.stop()
         assert peak < 8 * 10**6  # less than the refused histogram
 
-    def test_mean_past_poisson_pmf_check_is_refused_before_drawing(self):
-        # a dark mean of 1.05e19, past what numpy's sampler takes, and one of
-        # 5e9, which ten shots would span in far fewer than 10^6 counts: both
-        # are refused as poisson_pmf refuses them
-        for mu0, t in ((3.5, 3e18), (5.0, 1e9)):
-            with pytest.raises(DomainError) as expected:
-                poisson_pmf(mu0 * t)
+    # mu1 * t, the largest mean a shot can have, is checked as poisson_pmf
+    # checks it, under every seed: a dark mean of 1.05e19, past what numpy's
+    # sampler takes; a dark one of 5e9, which ten shots would span in far
+    # fewer than 10^6 counts; and a bright 1e10 that decay at 10 per ms
+    # leaves under the 4.8e9 limit in all but about 0.8% of shots
+    @pytest.mark.parametrize(
+        "rates, state, t",
+        [
+            (RateParams(3.5, 14.0, 0.0041), 0, 3e18),
+            (RateParams(3.5, 14.0, 0.0041), 1, 3e18),
+            (RateParams(5.0, 14.0, 0.0041), 0, 1e9),
+            (RateParams(0.0, 1e10, 10.0), 1, 1.0),
+        ],
+    )
+    def test_mean_past_poisson_pmf_check_is_refused_before_drawing(self, rates, state, t):
+        with pytest.raises(DomainError) as expected:
+            poisson_pmf(rates.mu1 * t)
+        for seed in range(20):
             with pytest.raises(DomainError, match=f"^{re.escape(str(expected.value))}$"):
-                sample_photon_counts(RateParams(mu0, 14.0, 0.0041), 0, t, 10, 0)
+                sample_photon_counts(rates, state, t, 10, seed)
 
-    def test_full_scheme_mean_past_poisson_pmf_check_is_refused(self):
-        cfg = SchemeConfig.noisy(3, RateParams(0.0, 1e300, 0.1), GateNoise(0.01))
-        with pytest.raises(DomainError, match=r"^poisson mean \S+ support spans more than 1000000 counts$"):
-            sample_full_scheme(McConfig(10, 0, cfg, 1.0))
+    @pytest.mark.parametrize("rates", [RateParams(0.0, 1e300, 0.1), RateParams(0.0, 1e10, 10.0)])
+    def test_full_scheme_mean_past_poisson_pmf_check_is_refused(self, rates):
+        cfg = SchemeConfig.noisy(3, rates, GateNoise(0.01))
+        for seed in range(20):
+            with pytest.raises(DomainError, match=r"^poisson mean \S+ support spans more than 1000000 counts$"):
+                sample_full_scheme(McConfig(10, seed, cfg, 1.0))
 
     def test_merged_span_past_max_support_is_refused(self):
         batches = [(0, np.ones(10, dtype=np.int64)), (10**6, np.ones(1, dtype=np.int64))]
