@@ -633,15 +633,34 @@ def _peak_moments(rates: RateParams) -> np.ndarray | None:
     return table
 
 
+def _peak_scan(config: SchemeConfig) -> list[float]:
+    """_grid_snrs over _PEAK_GRID, from the rates' cached moment table for a GateNoise scheme."""
+    table = _peak_moments(config.rates) if isinstance(config.noise, GateNoise) else None
+    return _grid_snrs(config, _PEAK_GRID, table)
+
+
+def _refined_peak(config: SchemeConfig, vals: list[float]) -> tuple[float, float]:
+    """peak_snr's result refined from vals, the scheme's _peak_scan, with no second scan."""
+    if not any(vals):
+        return 0.0, math.nan
+    if _no_decay(config):
+        return _no_decay_supremum(config), math.inf
+    ts = _PEAK_GRID
+    i = vals.index(max(vals))
+    a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
+    x, fx = _bounded_minimum(lambda t: -scheme_snr(config, t), a, b, 1e-6 * b)
+    if vals[i] > -fx:
+        return vals[i], ts[i]
+    return -fx, x
+
+
 def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     """Largest attainable SNR and the window length attaining it.
 
-    Scans a log-spaced grid of PEAK_GRID_POINTS over PEAK_BRACKET (for a
-    GateNoise scheme, one array pass over the grid moments of its rates,
-    computed once per rates; an injected scheme's kernel at each window),
+    Scans a log-spaced grid of PEAK_GRID_POINTS over PEAK_BRACKET (_peak_scan),
     then refines between the grid argmax's neighbours with Brent's bounded
     maximiser to a window tolerance of 1e-6 of the upper neighbour; the grid
-    point is kept if the refined value falls short of it.
+    point is kept if the refined value falls short of it (_refined_peak).
 
     A scheme with no signal anywhere on the grid (every gate failing, or
     equal emission rates) has no peak and returns (0.0, nan). A scheme
@@ -652,19 +671,7 @@ def peak_snr(config: SchemeConfig) -> tuple[float, float]:
     sup is inf for perfect gates, as for any single qubit.
     """
     _instance(config, SchemeConfig, "config")
-    ts = _PEAK_GRID
-    table = _peak_moments(config.rates) if isinstance(config.noise, GateNoise) else None
-    vals = _grid_snrs(config, ts, table)
-    if not any(vals):
-        return 0.0, math.nan
-    if _no_decay(config):
-        return _no_decay_supremum(config), math.inf
-    i = vals.index(max(vals))
-    a, b = ts[max(i - 1, 0)], ts[min(i + 1, len(ts) - 1)]
-    x, fx = _bounded_minimum(lambda t: -scheme_snr(config, t), a, b, 1e-6 * b)
-    if vals[i] > -fx:
-        return vals[i], ts[i]
-    return -fx, x
+    return _refined_peak(config, _peak_scan(config))
 
 
 def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
@@ -682,9 +689,13 @@ def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
     positive root, for a target below the supremum (k*k > c), is
     u = target_s*(k*sqrt(a) + sqrt(k*k*a + (k*k - c)*(B - a)))/(k*k - c).
     B - a = E[Q1]*gap, so no term cancels; at Var[Q1] = 0 this is the ideal
-    t = target_s**2*(sqrt(mu0) + sqrt(mu1))**2/(4*n*gap**2). Any other
-    scheme rises from SNR 0 at t = 0 to its peak, so Brent's root finder on
-    [0, t_peak] starts from a valid bracket. Either estimate is then
+    t = target_s**2*(sqrt(mu0) + sqrt(mu1))**2/(4*n*gap**2). gap and mu0 are
+    scaled by 2**m, m even, to put gap near 1, so no product over- or
+    underflows; that scales t by 2**-m exactly. Any other scheme rises from
+    SNR 0 at t = 0: Brent's root finder brackets the peak grid's first window
+    ts[i] that reaches the target on [ts[i-1], ts[i]] (or [0, ts[0]]), whose
+    ends the grid pass, the kernel's to the bit, signs; with none, it refines
+    the peak from that scan and brackets [0, t_peak]. Either estimate is then
     snapped onto the crossing by bisection over floats.
 
     None means no window reaches the target: it lies above the peak, or,
@@ -697,16 +708,20 @@ def time_to_snr(config: SchemeConfig, target_s: float) -> float | None:
     f = functools.partial(scheme_snr, config)
     if _no_decay(config):
         (eq1, vq1), gap = config.q_moments[1], config.rates.mu1 - config.rates.mu0
+        m = -2 * (math.frexp(gap)[1] // 2)
+        gap, mu0 = math.ldexp(gap, m), math.ldexp(config.rates.mu0, m)
         k = 2.0 * gap * eq1
-        ka = k * math.sqrt(config.n_qubits * config.rates.mu0)
-        d = k * k - (target_s * gap) * (target_s * gap) * vq1  # k*k - c; products overflow to inf
+        ka = k * math.sqrt(config.n_qubits * mu0)
+        d = k * k - (target_s * gap) * (target_s * gap) * vq1  # k*k - c
         u = target_s * (ka + math.sqrt(ka * ka + d * eq1 * gap)) / d if d > 0.0 else math.inf
+        u *= 2.0 ** (m // 2)  # exact, as is its square, short of the float range's ends
         t = u * u if target_s < _no_decay_supremum(config) else math.inf
     else:
-        s_max, t_peak = peak_snr(config)
-        if not s_max >= target_s:
-            return None
-        t = _brent_root(lambda x: f(x) - target_s, 0.0, t_peak, 1e-300)
+        vals = _peak_scan(config)
+        i = next((j for j, s in enumerate(vals) if s >= target_s), None)
+        s_max, b = _refined_peak(config, vals) if i is None else (vals[i], _PEAK_GRID[i])
+        a = _PEAK_GRID[i - 1] if i else 0.0
+        t = _brent_root(lambda x: f(x) - target_s, a, b, 1e-300) if s_max >= target_s else math.inf
     if not math.isfinite(t):
         return None
     # Snap onto the crossing in floats: widen [lo, hi] around t by doubling

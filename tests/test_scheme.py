@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import re
+import sys
 import tracemalloc
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
@@ -825,10 +826,19 @@ class TestPeakGrid:
             calls.append(type(t))
             return float_snr(config, t)
 
+        # n = 1's grid maximum, 9.18459, lies below 9.1865 and its refined peak,
+        # 9.18833, above: time_to_snr refines the peak from its one grid pass
+        probe = SchemeConfig.noisy(1, RATES, NOISE)  # its kernel is bound before the counters
+        assert max(scheme_snr(probe, t) for t in scheme._PEAK_GRID) < 9.1865 < peak_snr(probe)[0]
         monkeypatch.setattr(scheme, "_snr_on_grid", counted_pass)
         monkeypatch.setattr(scheme, "_snr_kernel", counted_kernel)
         monkeypatch.setattr(scheme, "scheme_snr", counted)
-        for cfg, target in ((SchemeConfig.noisy(5, RATES, NOISE), 8.0), (_tiers(3)["injected"], 1.5)):
+        rows = (
+            (SchemeConfig.noisy(5, RATES, NOISE), 8.0),
+            (SchemeConfig.noisy(1, RATES, NOISE), 9.1865),
+            (_tiers(3)["injected"], 1.5),
+        )
+        for cfg, target in rows:
             passes.clear()
             windows.clear()
             calls.clear()
@@ -1360,6 +1370,84 @@ class TestTimeToSnr:
     def test_rejects_non_positive_target(self):
         with pytest.raises(DomainError):
             time_to_snr(SchemeConfig.ideal(1, RATES), 0.0)
+
+    @pytest.mark.parametrize(
+        "cfg, target",
+        [(SchemeConfig.noisy(5, RATES, NOISE), 8.0), (_tiers(3)["injected"], 1.5)],
+        ids=["gate-noise", "injected"],
+    )
+    def test_grid_crossing_needs_no_peak(self, cfg, target, monkeypatch):
+        # a target some grid window reaches is bracketed on the grid: the peak
+        # is never refined
+        def refused(*args):
+            raise AssertionError("the peak was refined")
+
+        monkeypatch.setattr(scheme, "_bounded_minimum", refused)
+        t = time_to_snr(cfg, target)
+        assert scheme_snr(cfg, t) >= target > scheme_snr(cfg, math.nextafter(t, 0.0))
+
+    @pytest.mark.parametrize(
+        "rates, target",
+        [(RateParams(3.5e3, 1.4e4, 0.0041), 2.0), (RATES, 2.0), (RATES, 8.0)],
+        ids=["first-window", "low-target", "default-target"],
+    )
+    def test_bracket_is_the_first_grid_cell_reaching_target(self, rates, target, monkeypatch):
+        # [0, ts[0]] when the first window reaches the target, else the grid
+        # cell [ts[i-1], ts[i]] whose upper end is the first window reaching it
+        cfg = SchemeConfig.noisy(3, rates, NOISE)
+        grid = scheme._PEAK_GRID
+        i = next(j for j, t in enumerate(grid) if scheme_snr(cfg, t) >= target)
+        assert (i == 0) == (rates.mu1 > RATES.mu1)
+        brackets, root = [], scheme._brent_root
+
+        def recorded(f, a, b, xtol):
+            brackets.append((a, b))
+            return root(f, a, b, xtol)
+
+        monkeypatch.setattr(scheme, "_brent_root", recorded)
+        t = time_to_snr(cfg, target)
+        assert brackets == [(grid[i - 1] if i else 0.0, grid[i])]
+        assert scheme_snr(cfg, t) >= target > scheme_snr(cfg, math.nextafter(t, 0.0))
+
+    @staticmethod
+    def no_decay_crossing(cfg, target) -> float:
+        """The exact window at which the closed-form SNR of the float rates and
+        outcome moments reaches target (see time_to_snr), inf where it never does."""
+        with mp.workdps(60):
+            eq1, vq1 = map(mp.mpf, cfg.q_moments[1])
+            mu0, mu1 = mp.mpf(cfg.rates.mu0), mp.mpf(cfg.rates.mu1)
+            gap, s = mu1 - mu0, mp.mpf(target)
+            k, a = 2 * gap * eq1, cfg.n_qubits * mu0
+            d = k * k - (s * gap) ** 2 * vq1
+            if d <= 0:
+                return math.inf
+            u = s * (k * mp.sqrt(a) + mp.sqrt(k * k * a + d * eq1 * gap)) / d
+            return float(u * u)  # inf past the largest float
+
+    @settings(max_examples=300, deadline=None)
+    @example(log_mu1=140.0, frac=0.0, n=1, p=0.0, comp=Compilation.CASCADE, target=8.0)
+    @example(log_mu1=-170.0, frac=0.0, n=1, p=0.0, comp=Compilation.CASCADE, target=8.0)
+    @example(log_mu1=150.0, frac=0.0, n=2, p=0.0, comp=Compilation.CASCADE, target=1.5)
+    @given(
+        log_mu1=st.floats(-300.0, 300.0),
+        frac=st.floats(0.0, 1.0),
+        n=st.integers(1, 64),
+        p=st.floats(0.0, 0.05),
+        comp=st.sampled_from(list(Compilation)),
+        target=st.floats(0.5, 15.0),
+    )
+    def test_no_decay_solves_at_any_rates(self, log_mu1, frac, n, p, comp, target):
+        # the closed form neither over- nor underflows: None only where the
+        # crossing is past the largest float or the supremum
+        mu1 = 10.0**log_mu1
+        cfg = SchemeConfig.noisy(n, RateParams(frac * mu1, mu1, 0.0), GateNoise(p, comp))
+        t = time_to_snr(cfg, target)
+        if t is None:
+            eq1, vq1 = cfg.q_moments[1]
+            near_sup = vq1 > 0.0 and target >= (1.0 - 1e-13) * 2.0 * eq1 / math.sqrt(vq1)
+            assert near_sup or self.no_decay_crossing(cfg, target) > 0.999 * sys.float_info.max
+        else:
+            assert scheme_snr(cfg, t) >= target > scheme_snr(cfg, math.nextafter(t, 0.0))
 
 
 def _counted(f, calls: list):
