@@ -235,7 +235,7 @@ def run_validate(cfg: argparse.Namespace):
     compilation = cfg.noise.compilation
     analytic = compiled_dist(10, GateNoise(0.005, compilation))
     empirical = sample_gate_outcomes(compilation.wiring(10), 0.005, shots, seed)
-    tv = tv_distance(DiscreteDist(0, analytic.probs, 0.0), DiscreteDist(0, empirical.probs, 0.0))
+    tv = tv_distance(DiscreteDist(0, analytic.probs), DiscreteDist(0, empirical.probs))
     checks.append((f"gates-{compilation.value}-n10-p0.005", tv))
 
     w = decaying_poisson(DecayModelParams(cfg.rates, 3.0))

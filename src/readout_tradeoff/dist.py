@@ -1,9 +1,9 @@
 """Finite discrete distributions over non-negative integer counts.
 
 Distributions are stored as dense probability vectors on a contiguous
-window of integers. Every constructor accounts explicitly for the mass it
-drops when truncating a support, so normalisation stays checkable through
-long convolution pipelines instead of silently eroding.
+window of integers. A law's truncation loss is what its masses leave out of
+one, the mass dropped when a support was truncated, so normalisation stays
+checkable through long convolution pipelines instead of silently eroding.
 """
 
 from __future__ import annotations
@@ -153,19 +153,13 @@ class RateParams:
 class DiscreteDist:
     """Probability law on a contiguous window of non-negative integers.
 
-    ``masses[i]`` is the probability of the count ``offset + i``. Mass
-    dropped when a support was truncated is recorded in
-    ``truncation_loss``, so ``sum(masses) + truncation_loss`` stays equal
-    to one up to float rounding. Leave ``truncation_loss`` as None to have
-    it inferred from the mass actually stored.
-
-    Instances are immutable after construction; the mass array is marked
-    read-only.
+    ``masses[i]`` is the probability of the count ``offset + i``; masses
+    summing past one by more than float rounding are refused. Instances are
+    immutable after construction; the mass array is marked read-only.
     """
 
     offset: int
     masses: np.ndarray
-    truncation_loss: float | None = None
 
     def __post_init__(self):
         self.offset = _integer(self.offset, "offset must be a non-negative integer, got {}")
@@ -180,14 +174,15 @@ class DiscreteDist:
                 raise DomainError("masses must be finite")
             if np.any(arr < 0.0):
                 raise DomainError("masses must be non-negative")
-        loss = max(0.0, 1.0 - total) if self.truncation_loss is None else self.truncation_loss
-        self.truncation_loss = _real(loss, "truncation_loss must be non-negative", 0.0, math.inf)
-        if abs(total + self.truncation_loss - 1.0) > _NORM_TOL:
-            raise DomainError(
-                f"masses plus truncation_loss must sum to one, got {total + self.truncation_loss}"
-            )
+        if total > 1.0 + _NORM_TOL:
+            raise DomainError(f"masses must sum to at most one, got {total}")
         arr.setflags(write=False)
         self.masses = arr
+
+    @property
+    def truncation_loss(self) -> float:
+        """The mass the stored masses leave out of one, max(0, 1 - sum(masses))."""
+        return max(0.0, 1.0 - float(self.masses.sum()))
 
     @property
     def k_max(self) -> int:
@@ -227,7 +222,7 @@ def _laid_out(parts, what: str) -> tuple[int, np.ndarray]:
 
 def point_mass(k: int) -> DiscreteDist:
     """Deterministic count k."""
-    return DiscreteDist(k, np.ones(1), 0.0)
+    return DiscreteDist(k, np.ones(1))
 
 
 # stirlerr(n) below 16, where Loader's series is not yet accurate, as the

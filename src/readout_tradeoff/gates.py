@@ -26,7 +26,6 @@ __all__ = [
     "compiled_dist",
     "flat_dist",
     "flat_wiring",
-    "general_t_pair",
     "outcome_moments",
     "point_outcome",
     "validate_wiring",
@@ -61,18 +60,17 @@ class GateNoise:
 
 @dataclass
 class OutcomeDist:
-    """Law of the bright-qubit count q in 0..n_qubits after entangling."""
+    """Law of the bright-qubit count q in 0..n_qubits after entangling.
 
-    n_qubits: int
+    ``probs[q]`` is the probability of q; ``n_qubits`` is len(probs) - 1.
+    """
+
     probs: np.ndarray
 
     def __post_init__(self):
-        self.n_qubits = _integer(self.n_qubits, "n_qubits must be a positive integer, got {}", 1)
         arr = np.array(_real_array(self.probs, "probs must be real numbers"))  # frozen below
-        if arr.shape != (self.n_qubits + 1,):
-            raise DomainError(
-                f"probs must have length n_qubits + 1 = {self.n_qubits + 1}, got {arr.shape}"
-            )
+        if arr.ndim != 1 or arr.size < 2:
+            raise DomainError(f"probs must be a 1-d array of at least two outcomes, got shape {arr.shape}")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise DomainError("probs must be finite and non-negative")
         total = float(arr.sum())
@@ -81,6 +79,10 @@ class OutcomeDist:
         arr.setflags(write=False)
         self.probs = arr
 
+    @property
+    def n_qubits(self) -> int:
+        return self.probs.size - 1
+
 
 def point_outcome(n: int, q: int) -> OutcomeDist:
     """All mass on the single outcome q."""
@@ -88,7 +90,7 @@ def point_outcome(n: int, q: int) -> OutcomeDist:
     q = _integer(q, f"outcome {{}} outside 0..{n}", 0, n)
     probs = np.zeros(n + 1)
     probs[q] = 1.0
-    return OutcomeDist(n, probs)
+    return OutcomeDist(probs)
 
 
 def flat_dist(n: int, noise: GateNoise) -> OutcomeDist:
@@ -136,33 +138,13 @@ def _wiring_dist(n: int, wiring, p: float) -> OutcomeDist:
         law[0] += p
         laws[c] = law
     root = laws[0]
-    return OutcomeDist(n, np.pad(root, (0, int(n) + 1 - root.size)))
-
-
-def general_t_pair(n: int, t0, t1) -> tuple[OutcomeDist, OutcomeDist]:
-    """Validate an externally supplied pair of outcome laws.
-
-    t0 is the law of the dark-count q for a register prepared dark, t1 the
-    bright-count law for a register prepared bright; both may come from
-    tomography and need not obey the structural zeros of the built-in
-    compilations. Plain probability sequences are accepted and wrapped.
-    """
-    pair = []
-    for t in (t0, t1):
-        if not isinstance(t, OutcomeDist):
-            t = OutcomeDist(n, t)
-        if t.n_qubits != n:
-            raise DomainError(
-                f"outcome law is for {t.n_qubits} qubits, expected {n}"
-            )
-        pair.append(t)
-    return pair[0], pair[1]
+    return OutcomeDist(np.pad(root, (0, int(n) + 1 - root.size)))
 
 
 def outcome_moments(t: OutcomeDist) -> tuple[float, float]:
     """Mean and variance of the bright-qubit count."""
     _instance(t, OutcomeDist, "outcome law")
-    q = np.arange(t.n_qubits + 1, dtype=np.float64)
+    q = np.arange(t.probs.size, dtype=np.float64)
     mean = float(q @ t.probs)
     var = float(((q - mean) ** 2) @ t.probs)
     return mean, var

@@ -126,7 +126,7 @@ def sample_gate_outcomes(wiring, p: float, shots: int, seed: int) -> OutcomeDist
     def draw(rng, size):
         return np.bincount(_run_gates(rng, wiring, n, p, size).sum(axis=1), minlength=n + 1)
 
-    return OutcomeDist(n, sum(_map_batches(seed, shots, draw)) / shots)
+    return OutcomeDist(sum(_map_batches(seed, shots, draw)) / shots)
 
 
 def _run_gates(rng, wiring, n: int, p: float, size: int) -> np.ndarray:

@@ -46,7 +46,6 @@ from .gates import (
     GateNoise,
     OutcomeDist,
     compiled_dist,
-    general_t_pair,
     outcome_moments,
     point_outcome,
 )
@@ -90,9 +89,10 @@ class SchemeConfig:
     - a ``GateNoise``: failing gates per ``noise`` plus single-decay
       emission statistics from ``rates``; ``ideal()`` is its p = 0,
       lam = 0 point.
-    - an explicit (t0, t1) outcome pair: an injected scheme, whose
-      single-qubit count laws come from ``single_laws``, a callable
-      t -> (law0, law1) defined at every window length.
+    - an explicit (t0, t1) outcome pair, each an ``OutcomeDist`` for
+      n_qubits or its probs: an injected scheme, whose single-qubit count
+      laws come from ``single_laws``, a callable t -> (law0, law1) defined
+      at every window length.
 
     The field the tier does not read, ``single_laws`` or ``rates``, must
     be left as None.
@@ -114,7 +114,10 @@ class SchemeConfig:
             t0, t1 = self.noise
         except (TypeError, ValueError):
             raise DomainError("noise must be GateNoise or a (t0, t1) outcome pair") from None
-        object.__setattr__(self, "noise", general_t_pair(self.n_qubits, t0, t1))
+        pair = tuple(t if isinstance(t, OutcomeDist) else OutcomeDist(t) for t in (t0, t1))
+        if other := [t.n_qubits for t in pair if t.n_qubits != self.n_qubits]:
+            raise DomainError(f"outcome law is for {other[0]} qubits, expected {self.n_qubits}")
+        object.__setattr__(self, "noise", pair)
         if self.rates is not None:
             raise DomainError("an injected scheme reads no rates: its laws come from single_laws")
         if not callable(self.single_laws):

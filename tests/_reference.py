@@ -138,7 +138,7 @@ def enumerate_gate_patterns(n: int, wiring, p: float) -> OutcomeDist:
                 if state[c]:
                     state[t] = True
         probs[sum(state)] += weight
-    return OutcomeDist(n, probs)
+    return OutcomeDist(probs)
 
 
 def decay_mean_var(mu0: float, mu1: float, lam: float, t: float) -> tuple[float, float]:

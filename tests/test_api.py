@@ -26,7 +26,6 @@ PUBLIC = [
     "flat_dist",
     "flat_wiring",
     "gaussian_scheme_snr",
-    "general_t_pair",
     "integrate_family",
     "mi_optimal",
     "mixture",

@@ -50,7 +50,7 @@ def small_dists(max_offset=6, max_len=8):
 
     def build(offset, weights):
         w = np.asarray(weights, dtype=float)
-        return DiscreteDist(offset, w / w.sum(), 0.0)
+        return DiscreteDist(offset, w / w.sum())
 
     weights = st.lists(
         st.floats(min_value=1e-3, max_value=1.0), min_size=1, max_size=max_len
@@ -86,14 +86,14 @@ class TestDiscreteDist:
             d.masses[0] = 0.5
 
     def test_support_and_pmf(self):
-        d = DiscreteDist(2, np.array([0.5, 0.5]), 0.0)
+        d = DiscreteDist(2, np.array([0.5, 0.5]))
         assert d.k_max == 3
         assert list(d.support) == [2, 3]
         assert d.pmf(2) == 0.5
         assert d.pmf(1) == 0.0 and d.pmf(4) == 0.0
 
     def test_pmf_of_a_count_that_cannot_occur_is_zero(self):
-        d = DiscreteDist(2, np.array([0.5, 0.5]), 0.0)
+        d = DiscreteDist(2, np.array([0.5, 0.5]))
         assert d.pmf(3.0) == d.pmf(np.int64(3)) == d.pmf(True + 2) == 0.5
         for k in (2.5, 3.0000000000000004, math.inf, -math.inf, 1e300):
             assert d.pmf(k) == 0.0
@@ -101,11 +101,11 @@ class TestDiscreteDist:
     @pytest.mark.parametrize("k", ["3", math.nan, None])
     def test_pmf_rejects_what_is_no_number(self, k):
         with pytest.raises(DomainError, match="^count must be a number, got "):
-            DiscreteDist(2, np.array([0.5, 0.5]), 0.0).pmf(k)
+            DiscreteDist(2, np.array([0.5, 0.5])).pmf(k)
 
     def test_rejects_negative_mass(self):
         with pytest.raises(DomainError):
-            DiscreteDist(0, np.array([0.5, -0.1, 0.6]), 0.0)
+            DiscreteDist(0, np.array([0.5, -0.1, 0.6]))
 
     @pytest.mark.parametrize(
         "masses, message",
@@ -125,19 +125,26 @@ class TestDiscreteDist:
 
     def test_rejects_negative_offset(self):
         with pytest.raises(DomainError):
-            DiscreteDist(-1, np.array([1.0]), 0.0)
+            DiscreteDist(-1, np.array([1.0]))
 
     def test_rejects_inconsistent_loss(self):
-        with pytest.raises(DomainError):
-            DiscreteDist(0, np.array([0.5, 0.5]), 0.2)
+        # masses past one would leave a negative loss
+        with pytest.raises(DomainError, match=r"^masses must sum to at most one, got 1\.2$"):
+            DiscreteDist(0, np.array([0.5, 0.7]))
 
     def test_rejects_negative_loss(self):
-        with pytest.raises(DomainError, match="^truncation_loss must be non-negative$"):
-            DiscreteDist(0, np.array([0.5, 0.5]), -1e-3)
+        # an overshoot within float rounding reads as no loss; past 1e-9 it is refused
+        assert DiscreteDist(0, np.array([0.5, 0.5 + 5e-10])).truncation_loss == 0.0
+        with pytest.raises(DomainError, match="^masses must sum to at most one, got "):
+            DiscreteDist(0, np.array([0.5, 0.5 + 2e-9]))
+
+    def test_truncation_loss_is_read_only(self):
+        with pytest.raises(AttributeError):
+            point_mass(0).truncation_loss = 0.5
 
     def test_rejects_empty(self):
         with pytest.raises(DomainError):
-            DiscreteDist(0, np.array([]), 0.0)
+            DiscreteDist(0, np.array([]))
 
 
 class TestPoissonPmf:
@@ -315,7 +322,7 @@ class TestScipyKernels:
 
 class TestConvolve:
     def test_two_coins(self):
-        c = DiscreteDist(0, np.array([0.5, 0.5]), 0.0)
+        c = DiscreteDist(0, np.array([0.5, 0.5]))
         out = convolve(c, c)
         assert out.offset == 0
         np.testing.assert_allclose(out.masses, [0.25, 0.5, 0.25], atol=1e-15)
@@ -408,7 +415,7 @@ class TestMoments:
 
 class TestTailGe:
     def test_hand_case(self):
-        d = DiscreteDist(2, np.array([0.1, 0.2, 0.3, 0.4]), 0.0)
+        d = DiscreteDist(2, np.array([0.1, 0.2, 0.3, 0.4]))
         assert tail_ge(d, 4.0) == pytest.approx(0.7)
         assert tail_ge(d, 3.5) == pytest.approx(0.7)  # ceil lands on 4
         assert tail_ge(d, 0.0) == 1.0
@@ -437,7 +444,6 @@ _COUNT_ARGUMENTS = {
     "point_mass": point_mass,
     "n_fold_convolve": lambda x: n_fold_convolve(point_mass(1), x),
     "Compilation.wiring": Compilation.FLAT.wiring,
-    "OutcomeDist.n_qubits": lambda x: OutcomeDist(x, [0.0, 1.0]),
     "validate_wiring": lambda x: validate_wiring(x, []),
     "point_outcome.n": lambda x: point_outcome(x, 0),
     "point_outcome.q": lambda x: point_outcome(3, x),
@@ -481,12 +487,11 @@ class TestCountArguments:
 
 
 # What scalar real arguments refuse: a string, 0-d string and object arrays
-# (all of which float() converts), nan and a list always, None where it is no
-# default, inf and an int past the largest float where the value must be finite.
+# (all of which float() converts), None, nan and a list always, inf and an int
+# past the largest float where the value must be finite.
 _NON_NUMERIC = ["0.5", np.array("0.5"), np.array(0.5, dtype=object)]
 _FINITE = [*_NON_NUMERIC, None, math.nan, [1.0, 2.0], math.inf, 10**400]
 _EXTENDED = [*_NON_NUMERIC, None, math.nan, [1.0, 2.0]]
-_OPTIONAL = [*_NON_NUMERIC, math.nan, [1.0, 2.0], math.inf, 10**400]
 _ONES = [1, True, np.int64(1)]
 _HALVES = [np.float32(0.5), np.float64(0.5)]
 _IDEAL = SchemeConfig.ideal(1, _RATES)
@@ -495,9 +500,6 @@ _REAL_ARGUMENTS = {
     "RateParams.mu0": (lambda x: RateParams(x, 14.0), _FINITE, _ONES + _HALVES),
     "RateParams.mu1": (lambda x: RateParams(0.0, x), _FINITE, _ONES + _HALVES),
     "RateParams.lam": (lambda x: RateParams(3.5, 14.0, x), _FINITE, _ONES + _HALVES),
-    "DiscreteDist.truncation_loss": (
-        lambda x: DiscreteDist(0, np.full(2, 0.25), x), _OPTIONAL, _HALVES
-    ),
     "DiscreteDist.pmf": (point_mass(1).pmf, _EXTENDED, _ONES + _HALVES),
     "poisson_pmf": (poisson_pmf, _FINITE, _ONES + _HALVES),
     "tail_ge": (lambda x: tail_ge(point_mass(1), x), _EXTENDED, _ONES + _HALVES),
@@ -553,7 +555,7 @@ class TestRealArguments:
 # that _real refuses
 _ARRAY_ARGUMENTS = {
     "DiscreteDist.masses": (lambda x: DiscreteDist(0, x), [0.5, 0.5], [0, 1], [True, False]),
-    "OutcomeDist.probs": (lambda x: OutcomeDist(1, x), [0.5, 0.5], [0, 1], [True, False]),
+    "OutcomeDist.probs": (lambda x: OutcomeDist(x), [0.5, 0.5], [0, 1], [True, False]),
     "mixture": (
         lambda x: mixture([point_mass(0), point_mass(1)], x), [0.5, 0.5], [0, 1], [True, False]
     ),
@@ -627,10 +629,10 @@ class TestMixture:
         np.testing.assert_allclose(out.masses, [0.25, 0.0, 0.75], atol=1e-15)
 
     def test_offset_alignment(self):
-        a = DiscreteDist(0, np.array([0.5, 0.5]), 0.0)
-        b = DiscreteDist(2, np.array([1.0]), 0.0)
+        a = DiscreteDist(0, np.array([0.5, 0.5]))
+        b = DiscreteDist(2, np.array([1.0]))
         out = mixture([a, b], [0.5, 0.5])
-        cmp = DiscreteDist(0, np.array([0.25, 0.25, 0.5]), 0.0)
+        cmp = DiscreteDist(0, np.array([0.25, 0.25, 0.5]))
         assert max_abs_diff(out, cmp) < 1e-15
 
     def test_rejects_weight_mismatch(self):

@@ -15,13 +15,13 @@ from readout_tradeoff.gates import (
     compiled_dist,
     flat_dist,
     flat_wiring,
-    general_t_pair,
     outcome_moments,
     point_outcome,
     validate_wiring,
 )
-from readout_tradeoff.dist import DomainError
+from readout_tradeoff.dist import DomainError, point_mass
 from readout_tradeoff.montecarlo import sample_gate_outcomes
+from readout_tradeoff.scheme import SchemeConfig
 from tests._reference import cascade_conv_ref, cascade_explicit, enumerate_gate_patterns, flat_ref
 
 P_GRID = [0.0, 0.001, 0.01, 0.25, 0.5, 0.9, 1.0]
@@ -243,36 +243,53 @@ class TestWiring:
         )
 
 
+def _laws(t):
+    return point_mass(0), point_mass(1)
+
+
 class TestOutcomeHelpers:
     def test_point_outcome(self):
         d = point_outcome(4, 2)
         assert d.probs[2] == 1.0 and d.probs.sum() == 1.0
 
     def test_outcome_moments(self):
-        d = OutcomeDist(2, np.array([0.25, 0.5, 0.25]))
+        d = OutcomeDist(np.array([0.25, 0.5, 0.25]))
         mean, var = outcome_moments(d)
         assert mean == pytest.approx(1.0)
         assert var == pytest.approx(0.5)
 
-    def test_general_t_pair_from_sequences(self):
-        t0, t1 = general_t_pair(2, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    def test_n_qubits_is_the_outcome_count_less_one(self):
+        d = OutcomeDist([0.25, 0.5, 0.25])
+        assert d.n_qubits == 2
+        with pytest.raises(AttributeError):
+            d.n_qubits = 3
+
+    @pytest.mark.parametrize("probs", [[1.0], [], [[0.5, 0.5]], 1.0])
+    def test_outcome_dist_needs_two_outcomes_in_one_dimension(self, probs):
+        with pytest.raises(DomainError, match="^probs must be a 1-d array of at least two outcomes"):
+            OutcomeDist(probs)
+
+    def test_injected_pair_from_sequences(self):
+        cfg = SchemeConfig.injected(2, ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), _laws)
+        t0, t1 = cfg.outcomes
+        assert isinstance(t0, OutcomeDist) and isinstance(t1, OutcomeDist)
         assert t0.probs[0] == 1.0 and t1.probs[2] == 1.0
 
-    def test_general_t_pair_rejects_length_mismatch(self):
-        with pytest.raises(DomainError):
-            general_t_pair(3, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
+    def test_injected_pair_rejects_length_mismatch(self):
+        with pytest.raises(DomainError, match="^outcome law is for 2 qubits, expected 3$"):
+            SchemeConfig.injected(3, ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), _laws)
 
     def test_outcome_dist_rejects_unnormalized(self):
         with pytest.raises(DomainError):
-            OutcomeDist(1, np.array([0.7, 0.7]))
+            OutcomeDist(np.array([0.7, 0.7]))
 
     @pytest.mark.parametrize(
         "build, message",
         [
-            (lambda: OutcomeDist(1, [1.5, -0.5]), "probs must be finite and non-negative"),
+            (lambda: OutcomeDist([1.5, -0.5]), "probs must be finite and non-negative"),
             (lambda: point_outcome(3, 4), "outcome 4 outside 0..3"),
             (
-                lambda: general_t_pair(3, point_outcome(3, 3), point_outcome(2, 2)),
+                lambda: SchemeConfig.injected(3, (point_outcome(3, 3), point_outcome(2, 2)), _laws),
                 "outcome law is for 2 qubits, expected 3",
             ),
         ],

@@ -1084,7 +1084,7 @@ class TestMiOptimal:
         else:
             # the bright law has lost half its mass, so a cut past the gap, through the
             # dark law, is the best one: 0.5 * (0.6 + 0.5) at gap + 1, 0.5 * 0.5 at gap + 2
-            stats = CompositeStats(DiscreteDist(gap, [0.4, 0.6]), DiscreteDist(0, [0.5], 0.5), 1.0)
+            stats = CompositeStats(DiscreteDist(gap, [0.4, 0.6]), DiscreteDist(0, [0.5]), 1.0)
             want = (0.25, float(gap + 2))
         assert mi_optimal(stats) == want
 
