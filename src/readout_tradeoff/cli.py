@@ -229,6 +229,9 @@ def run_validate(cfg: argparse.Namespace):
     """
     header = ("check", "tv", "threshold", "status")
     shots, seed = cfg.shots, cfg.seed
+    # the later checks' seeds, seed + k, wrap into the sampler's [-2**255, 2**255)
+    # so that its largest seeds work; the first check refuses a seed outside it
+    derived = [(seed + k + (1 << 255)) % (1 << 256) - (1 << 255) for k in (1, 2)]
     threshold = _VALIDATE_BASE_TV * math.sqrt(_VALIDATE_BASE_SHOTS / shots)
     checks = []
 
@@ -239,12 +242,12 @@ def run_validate(cfg: argparse.Namespace):
     checks.append((f"gates-{compilation.value}-n10-p0.005", tv))
 
     w = decaying_poisson(DecayModelParams(cfg.rates, 3.0))
-    emp_w = sample_photon_counts(cfg.rates, 1, 3.0, shots, seed + 1)
+    emp_w = sample_photon_counts(cfg.rates, 1, 3.0, shots, derived[0])
     checks.append(("decay-bright-t3", tv_distance(w, emp_w)))
 
     scheme = SchemeConfig.noisy(5, cfg.rates, cfg.noise)
     stats = compose(scheme, 2.0)
-    emp0, emp1 = sample_full_scheme(McConfig(shots, seed + 2, scheme, 2.0))
+    emp0, emp1 = sample_full_scheme(McConfig(shots, derived[1], scheme, 2.0))
     checks.append(("scheme-dark-n5-t2", tv_distance(stats.p0, emp0)))
     checks.append(("scheme-bright-n5-t2", tv_distance(stats.p1, emp1)))
 

@@ -101,6 +101,14 @@ def _real(x, message: str, lo: float = -_MAX_FLOAT, hi: float = _MAX_FLOAT) -> f
     raise _refused(x, message)
 
 
+def _exact_real(x, message: str) -> int | float:
+    """int(x) for a Python or numpy integer, which compares exactly with counts
+    past 2**53 where its float would not; else _real(x, message, -inf, inf)."""
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return _real(x, message, -math.inf, math.inf)
+
+
 def _instance(x, cls: type, name: str):
     """x if it is a cls, else DomainError("<name> must be a <cls> instance")."""
     if not isinstance(x, cls):
@@ -194,8 +202,8 @@ class DiscreteDist:
 
     def pmf(self, k: float) -> float:
         """Probability of the exact count k (zero outside the window and for a non-integral k)."""
-        k = _real(k, "count must be a number, got {}", -math.inf, math.inf)
-        if k.is_integer() and self.offset <= k <= self.k_max:
+        k = _exact_real(k, "count must be a number, got {}")
+        if self.offset <= k <= self.k_max and k == int(k):
             return float(self.masses[int(k) - self.offset])
         return 0.0
 
@@ -472,7 +480,7 @@ def tail_ge(d: DiscreteDist, eta: float) -> float:
     all the stored mass, +inf none of it.
     """
     _instance(d, DiscreteDist, "law")
-    eta = _real(eta, "threshold must be a number, got {}", -math.inf, math.inf)
+    eta = _exact_real(eta, "threshold must be a number, got {}")
     if eta <= d.offset:
         return float(d.masses.sum())
     if eta > d.k_max:

@@ -212,14 +212,14 @@ def _single_folds(config: SchemeConfig, t: float):
 
 
 def _single_laws(config: SchemeConfig, t: float):
-    """The (law0, law1) pair an injected scheme's single_laws returns at t."""
+    """The (law0, law1) pair an injected scheme's single_laws returns at t, each a DiscreteDist."""
     laws = config.single_laws(t)
     try:
         law0, law1 = laws
     except (TypeError, ValueError):
         message = f"single_laws must return a (law0, law1) pair, got {laws!r} at t={t} ms"
         raise DomainError(message) from None
-    return law0, law1
+    return _instance(law0, DiscreteDist, "law"), _instance(law1, DiscreteDist, "law")
 
 
 def compose(config: SchemeConfig, t: float) -> CompositeStats:

@@ -701,6 +701,31 @@ class TestValidate:
         statuses = [line.split(",")[3] for line in out.splitlines()[1:]]
         assert statuses == ["fail", "pass", "pass", "pass"]
 
+    @pytest.mark.parametrize("seed, seeds", [
+        (7, [7, 8, 9]),
+        (2**255 - 2, [2**255 - 2, 2**255 - 1, -(2**255)]),
+        (2**255 - 1, [2**255 - 1, -(2**255), -(2**255) + 1]),
+        (-(2**255), [-(2**255), -(2**255) + 1, -(2**255) + 2]),
+    ], ids=["small", "largest-but-one", "largest", "smallest"])
+    def test_every_valid_seed_works(self, capsys, monkeypatch, seed, seeds):
+        # the later checks sample from seed + k wrapped into [-2**255, 2**255),
+        # the same 256-bit word as seed + k, so a seed whose successors are
+        # valid keeps its streams
+        used = []
+        for name in ("sample_gate_outcomes", "sample_photon_counts"):
+            sampler = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *a, f=sampler: used.append(a[-1]) or f(*a))
+        full = cli.sample_full_scheme
+        monkeypatch.setattr(cli, "sample_full_scheme", lambda c: used.append(c.seed) or full(c))
+        code, out, err = run(capsys, "validate", "--shots", "20000", "--seed", str(seed))
+        assert (code, err, used) == (0, "", seeds)
+        assert len(out.splitlines()) == 5
+
+    def test_a_seed_past_the_range_is_refused_by_name(self, capsys):
+        code, out, err = run(capsys, "validate", "--shots", "20", "--seed", str(2**255))
+        assert (code, out) == (1, "")
+        assert err == f"error: seed must be an integer in [-2**255, 2**255), got {2**255}\n"
+
     def test_tiny_run_inconclusive(self, capsys):
         # threshold scaled up to the trivial bound carries no information
         code, out, _ = run(capsys, "validate", "--shots", "25", "--seed", "7")

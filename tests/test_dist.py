@@ -98,6 +98,20 @@ class TestDiscreteDist:
         for k in (2.5, 3.0000000000000004, math.inf, -math.inf, 1e300):
             assert d.pmf(k) == 0.0
 
+    @pytest.mark.parametrize(
+        "offset, masses, k, mass",
+        [
+            (2**53, [0.3, 0.7], 2**53 + 1, 0.7),
+            (2**60, [0.25, 0.25, 0.5], 2**60 + 2, 0.5),
+            (2**53, [0.3, 0.7], np.uint64(2**53 + 1), 0.7),
+            # a float keeps its own rule: 2.0**53 + 1 rounds to 2**53
+            (2**53, [0.3, 0.7], 2.0**53 + 1, 0.3),
+            (2**53, [0.3, 0.7], 10**400, 0.0),
+        ],
+    )
+    def test_pmf_compares_an_integer_count_exactly(self, offset, masses, k, mass):
+        assert DiscreteDist(offset, masses).pmf(k) == mass
+
     @pytest.mark.parametrize("k", ["3", math.nan, None])
     def test_pmf_rejects_what_is_no_number(self, k):
         with pytest.raises(DomainError, match="^count must be a number, got "):
@@ -426,6 +440,13 @@ class TestTailGe:
         d = DiscreteDist(2, np.array([0.1, 0.2, 0.3]))
         assert tail_ge(d, math.inf) == 0.0
         assert tail_ge(d, -math.inf) == float(d.masses.sum())
+
+    @pytest.mark.parametrize(
+        "eta, tail",
+        [(2**53 + 1, 0.7), (np.int64(2**53 + 1), 0.7), (2**53 + 2, 0.0), (10**400, 0.0), (-(10**400), 1.0)],
+    )
+    def test_an_integer_threshold_compares_exactly(self, eta, tail):
+        assert tail_ge(DiscreteDist(2**53, [0.3, 0.7]), eta) == tail
 
     def test_rejects_nan_threshold(self):
         with pytest.raises(DomainError, match="^threshold must be a number, got nan$"):

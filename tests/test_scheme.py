@@ -312,6 +312,15 @@ class TestNoisyComposite:
             assert fast == pytest.approx(direct, rel=1e-9)
 
 
+# every entry that evaluates an injected scheme's single_laws, as a call on the scheme
+_INJECTED_CALLS = {
+    "compose": lambda cfg: compose(cfg, 1.0),
+    "scheme_snr": lambda cfg: scheme_snr(cfg, 1.0),
+    "peak_snr": peak_snr,
+    "time_to_snr": lambda cfg: time_to_snr(cfg, 4.0),
+}
+
+
 class TestInjected:
     def test_symmetric_two_sided_mixture(self):
         # fair coin between keeping and flipping both qubits, point-mass laws
@@ -326,20 +335,20 @@ class TestInjected:
     @pytest.mark.parametrize(
         "laws", [5, None, (point_mass(0),) * 3], ids=["number", "none", "three-laws"]
     )
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda cfg: compose(cfg, 1.0),
-            lambda cfg: scheme_snr(cfg, 1.0),
-            peak_snr,
-            lambda cfg: time_to_snr(cfg, 4.0),
-        ],
-        ids=["compose", "scheme_snr", "peak_snr", "time_to_snr"],
-    )
+    @pytest.mark.parametrize("call", _INJECTED_CALLS.values(), ids=_INJECTED_CALLS)
     def test_laws_other_than_a_pair_are_refused(self, laws, call):
         cfg = SchemeConfig.injected(2, ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]), lambda t: laws)
         message = r"^single_laws must return a \(law0, law1\) pair, got .* at t=[0-9.e+-]+ ms$"
         with pytest.raises(DomainError, match=message):
+            call(cfg)
+
+    @pytest.mark.parametrize(
+        "laws", [(poisson_pmf(1.0), "x"), ("x", poisson_pmf(1.0))], ids=["second", "first"]
+    )
+    @pytest.mark.parametrize("call", _INJECTED_CALLS.values(), ids=_INJECTED_CALLS)
+    def test_a_pair_holding_no_law_is_refused(self, laws, call):
+        cfg = SchemeConfig.injected(2, (point_outcome(2, 2), [0.1, 0.2, 0.7]), lambda t: laws)
+        with pytest.raises(DomainError, match="^law must be a DiscreteDist instance$"):
             call(cfg)
 
     def test_an_error_of_single_laws_is_its_own(self):
@@ -1111,6 +1120,70 @@ class TestMiOptimal:
         a, _ = mi_optimal(compose(SchemeConfig.ideal(3, RATES), 0.8))
         b, _ = mi_optimal(compose(SchemeConfig.ideal(1, RATES), 2.4))
         assert a == pytest.approx(b, rel=1e-12)
+
+
+class TestEnvelope:
+    """Oracles on random schemes over the declared envelope, at windows up to 20 ms."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 16),
+        # a mean mu * t below about 1e-300 is subnormal, where a float holds too
+        # few bits for any relative tolerance
+        t=st.one_of(st.just(0.0), st.floats(1e-6, 20.0)),
+        p=st.floats(0.0, 1.0),
+        mu1=st.one_of(st.just(0.0), st.floats(1e-6, 20.0)),
+        frac=st.floats(0.0, 1.0),
+        # decay rates up to 240 times the measured 0.0041 per ms; past about
+        # 1 per ms test_snr_of_a_fast_decay_on_the_fft_side fails
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+        comp=st.sampled_from(list(Compilation)),
+        injected=st.booleans(),
+    )
+    def test_compose_meets_the_moment_route_and_the_bayes_error(
+        self, n, t, p, mu1, frac, lam, comp, injected
+    ):
+        rates = RateParams(frac * mu1, mu1, lam)
+        cfg = SchemeConfig.noisy(n, rates, GateNoise(p, comp))
+        if injected:
+            # the same laws through the injected tier, which folds both sides by convolution
+            laws = lambda t: (poisson_pmf(rates.mu0 * t), decaying_poisson(DecayModelParams(rates, t)))
+            cfg = SchemeConfig.injected(n, cfg.outcomes, laws)
+        stats = compose(cfg, t)
+        for law in (stats.p0, stats.p1):
+            assert float(law.masses.sum()) <= 1.0 + 1e-9
+        # An SNR near 0 (equal rates, or p near 1, where almost every register
+        # ends dark) is resolved only to what the laws lost. A law that dropped
+        # mass L past its top count k_max has its mean off by up to L k_max, and
+        # rounding moves it by about 1e-15 of itself: twice that drift over the
+        # summed standard deviations. Outcome weights below WEIGHT_FLOOR, which
+        # compose drops, of total w, move it by up to 2 sqrt(w).
+        (m0, v0), (m1, v1) = moments(stats.p0), moments(stats.p1)
+        drift = sum(d.truncation_loss * d.k_max for d in (stats.p0, stats.p1)) + 1e-15 * (m0 + m1)
+        dropped = sum(float(w) for law in cfg.outcomes for w in law.probs if w < WEIGHT_FLOOR)
+        floor = 2.0 * math.sqrt(dropped)
+        if v0 + v1:
+            floor += 2.0 * drift / (math.sqrt(v0) + math.sqrt(v1))
+        assert scheme_snr(cfg, t) == pytest.approx(snr_direct(stats), rel=1e-9, abs=floor)
+        # 0.5 (1 - TV) is the Bayes error on the count; a threshold can only match
+        # it, up to the mass the laws dropped and the rounding of their sums
+        mi, _ = mi_optimal(stats)
+        bayes = 0.5 * (1.0 - tv_distance(stats.p0, stats.p1))
+        assert mi >= bayes - (stats.p0.truncation_loss + stats.p1.truncation_loss) / 2 - 1e-12
+        assert mi == pytest.approx(bayes, rel=0.0, abs=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="decaying_poisson spans the bright Poisson window at any decay, so 16 folds "
+        "lay 8,880 counts on the FFT side where the mass lies below about 20, and the "
+        "clipped FFT noise in the empty tail moves the variance",
+    )
+    def test_snr_of_a_fast_decay_on_the_fft_side(self):
+        cfg = SchemeConfig.noisy(16, RateParams(0.0, 20.0, 1e3), GateNoise(0.75))
+        stats = compose(cfg, 20.0)
+        assert stats.p1.k_max > dist.DIRECT_CONV_LIMIT
+        # 1.3e-5 apart
+        assert scheme_snr(cfg, 20.0) == pytest.approx(snr_direct(stats), rel=1e-9)
 
 
 class TestThresholdAnalytic:
