@@ -330,23 +330,33 @@ def _poisson_window(omega: float) -> tuple[int, int, int, np.ndarray]:
 
     The edges are the exact _WINDOW_Q quantiles, the smallest k with
     Pr[K <= k] >= q and the smallest with Pr[K > k] <= q, widened by two
-    counts each. Both are read off the running sums, from below and from
-    above, of the terms over omega +- (11 sqrt(omega) + 60). A window wider
-    than MAX_SUPPORT is refused, never clipped; _check_mean refuses the
-    widest means before any term is built.
+    counts each. Both are read off running sums of the terms over omega +-
+    (11 sqrt(omega) + 60) that stop at the mode, from below and from above:
+    each side of it holds far more than q. A window past MAX_SUPPORT is
+    refused, never clipped, the widest before any term is built (_check_mean).
     """
     _check_mean(omega)
     half = 11.0 * math.sqrt(omega) + 60.0
     first, last = max(0, math.floor(omega - half)), math.ceil(omega + half)
     terms = _poisson_terms(omega, first, last)
-    lo = max(0, first + int(np.add.accumulate(terms).searchsorted(_WINDOW_Q)) - 2)
-    hi = last - int(np.add.accumulate(terms[::-1]).searchsorted(_WINDOW_Q, "right")) + 2
+    mode = math.floor(omega) - first
+    lo = max(0, first + int(np.add.accumulate(terms[: mode + 1]).searchsorted(_WINDOW_Q)) - 2)
+    hi = last - int(np.add.accumulate(terms[mode:][::-1]).searchsorted(_WINDOW_Q, "right")) + 2
     _check_span(lo, hi, "poisson law")
     return lo, hi, first, terms
 
 
+def _poisson_masses(omega: float) -> tuple[int, np.ndarray]:
+    """(offset, masses) of poisson_pmf(omega), its mean checked, with no law built."""
+    omega = _real(omega, "poisson mean must be finite and non-negative, got {}", 0.0)
+    if omega == 0.0:
+        return 0, np.ones(1)
+    lo, hi, first, terms = _poisson_window(omega)
+    return lo, terms[lo - first : hi - first + 1]
+
+
 def poisson_pmf(omega: float) -> DiscreteDist:
-    """Poisson law with mean omega.
+    """Poisson law with mean omega, the law of _poisson_masses' pair.
 
     The support window is chosen so the two discarded tails together hold
     no more than about 1e-12 of the mass (_poisson_window). Every bin is a
@@ -355,11 +365,7 @@ def poisson_pmf(omega: float) -> DiscreteDist:
     to 5e6, far tails included. A mean whose window would pass MAX_SUPPORT,
     from about 4.8e9 on, is a DomainError; no law is clipped.
     """
-    omega = _real(omega, "poisson mean must be finite and non-negative, got {}", 0.0)
-    if omega == 0.0:
-        return point_mass(0)
-    lo, hi, first, terms = _poisson_window(omega)
-    return DiscreteDist(lo, terms[lo - first : hi - first + 1])
+    return DiscreteDist(*_poisson_masses(omega))
 
 
 def _convolve_masses(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -423,6 +429,18 @@ def _convolve_rows_by_cost(rows: list[np.ndarray], b: np.ndarray) -> list[np.nda
     return rows
 
 
+def _convolve_pair(a: tuple[int, np.ndarray], b: tuple[int, np.ndarray]) -> tuple[int, np.ndarray]:
+    """convolve on (offset, masses) pairs, with its guards in its order: the span
+    refused before it is laid out, FFT noise clipped at zero, the mass rule."""
+    (a_lo, a), (b_lo, b) = a, b
+    _check_span(a_lo + b_lo, a_lo + b_lo + a.size + b.size - 2, "convolved law")
+    out = _convolve_masses(a, b)
+    np.maximum(out, 0.0, out=out)
+    if (total := float(out.sum())) > 1.0 + _NORM_TOL:
+        raise DomainError(f"masses must sum to at most one, got {total}")
+    return a_lo + b_lo, out
+
+
 def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     """Distribution of the sum of independent draws from a and b.
 
@@ -431,10 +449,7 @@ def convolve(a: DiscreteDist, b: DiscreteDist) -> DiscreteDist:
     product past MAX_SUPPORT counts is refused before it is laid out.
     """
     a, b = _instance(a, DiscreteDist, "law"), _instance(b, DiscreteDist, "law")
-    _check_span(a.offset + b.offset, a.k_max + b.k_max, "convolved law")
-    out = _convolve_masses(a.masses, b.masses)
-    np.maximum(out, 0.0, out=out)
-    return DiscreteDist(a.offset + b.offset, out)
+    return DiscreteDist(*_convolve_pair((a.offset, a.masses), (b.offset, b.masses)))
 
 
 def n_fold_convolve(d: DiscreteDist, n: int) -> DiscreteDist:

@@ -27,16 +27,16 @@ from .dist import (
     RateParams,
     _check_span,
     _convolve_masses,
+    _convolve_pair,
     _convolve_rows_by_cost,
     _fold,
     _instance,
     _integer,
     _laid_out,
     _next_fast_len,
+    _poisson_masses,
     _real,
-    _real_array,
     _union,
-    convolve,
     moments,
     n_fold_convolve,
     point_mass,
@@ -55,7 +55,6 @@ __all__ = [
     "SchemeConfig",
     "ThresholdAnalysis",
     "compose",
-    "estimate_time_exponent",
     "gaussian_scheme_snr",
     "mi_optimal",
     "peak_snr",
@@ -190,7 +189,7 @@ class ThresholdAnalysis:
 def _single_folds(config: SchemeConfig, t: float):
     """The dark and the bright side at t, each a pair: a callable returning the
     single-qubit law, built on its first call, and q -> law^(*q) in closed
-    form, or None.
+    form as an (offset, masses) pair, or None.
 
     Poisson laws add: q qubits emitting at rate mu count one Pois(q*mu*t).
     That covers the dark law and, in a scheme without decay (_no_decay),
@@ -202,7 +201,7 @@ def _single_folds(config: SchemeConfig, t: float):
         return (lambda: law0, None), (lambda: law1, None)
 
     def poisson(mu: float):
-        return lambda: poisson_pmf(mu * t), lambda q: poisson_pmf(q * mu * t)
+        return lambda: poisson_pmf(mu * t), lambda q: _poisson_masses(q * mu * t)
 
     rates = config.rates
     if _no_decay(config):
@@ -253,14 +252,16 @@ def _two_sided_mix(t_dist: OutcomeDist, own_side, other_side) -> DiscreteDist:
     side gives term_q = other^(*(n-q)), for a sum relative to own^(*base). Any
     other has term_q = other^(*j) at step j, one running product shared by every
     block, for a sum relative to own^(*base) * other^(*(n - top)). A term inside
-    its sum's span is added in place; FFT noise is clipped at the end.
+    its sum's span is added in place; FFT noise is clipped at the end. Terms and
+    the running product, stepped by _convolve_pair with convolve's guards, stay
+    (offset, masses) pairs: only the returned law is built and checked.
     """
     (own_law, own_closed), (other_law, closed) = own_side, other_side
     n = t_dist.n_qubits
     kept = [(q, float(w)) for q, w in enumerate(t_dist.probs) if w >= WEIGHT_FLOOR]
     if kept == [(n, 1.0)]:
         # every qubit carries its own law: no mixture, nothing to convolve
-        return own_closed(n) if own_closed else n_fold_convolve(own_law(), n)
+        return DiscreteDist(*own_closed(n)) if own_closed else n_fold_convolve(own_law(), n)
     weights = dict(kept)
     q_top = kept[-1][0]
     own = own_law() if q_top else point_mass(0)
@@ -274,6 +275,7 @@ def _two_sided_mix(t_dist: OutcomeDist, own_side, other_side) -> DiscreteDist:
     blocks = [[base, 0 if closed else n - min(base + size - 1, top), None, None] for base in bases]
     if not closed:
         other = other_law()
+        single = other.offset, other.masses
         # the last step at which a block keeps a term
         reach = max(min(q - q % size + size - 1, top) - q for q in weights)
     for j in range(size):
@@ -285,19 +287,19 @@ def _two_sided_mix(t_dist: OutcomeDist, own_side, other_side) -> DiscreteDist:
         elif blocks[0][3] is not None:  # the one block
             blocks[0][2:] = blocks[0][2] + own.offset, _convolve_masses(blocks[0][3], own.masses)
         if not closed and j <= reach:
-            power = point_mass(0) if j == 0 else other if j == 1 else convolve(power, other)
+            power = (0, np.ones(1)) if j == 0 else single if j == 1 else _convolve_pair(power, single)
         for b in steps:
             q = min(b[0] + size - 1, top) - j
             if q not in weights:
                 continue
-            term = closed(n - q) if closed else power
-            part = weights[q] * term.masses
+            offset, masses = closed(n - q) if closed else power
+            part = weights[q] * masses
             if b[3] is None:
-                b[2:] = term.offset, part
-            elif b[2] <= term.offset and term.k_max < b[2] + b[3].size:
-                b[3][term.offset - b[2] :][: part.size] += part
+                b[2:] = offset, part
+            elif b[2] <= offset and offset + part.size <= b[2] + b[3].size:
+                b[3][offset - b[2] :][: part.size] += part
             else:
-                b[2:] = _laid_out(((b[2], b[3]), (term.offset, part)), "composite law")
+                b[2:] = _laid_out(((b[2], b[3]), (offset, part)), "composite law")
     lo, acc = blocks[0][2:]
     if blocked:  # a closed side's depths are all 0: it joins no power of other
         lo, acc = _spectral_horner(blocks, own, size, point_mass(0) if closed else other)
@@ -758,20 +760,3 @@ def gaussian_scheme_snr(drift_rate: float, n: int, t: float) -> float:
     t = _real(t, "window length must be positive and finite, got {}", _MIN_POSITIVE)
     return 2.0 * math.sqrt(n * drift_rate * t)
 
-
-def estimate_time_exponent(ts, snrs) -> float:
-    """Exponent a in SNR ~ t**a over the given window, by log-log fit.
-
-    The samples need at least two window lengths whose logarithms differ.
-    """
-    ts = _real_array(ts, "log-log fit needs real samples")
-    snrs = _real_array(snrs, "log-log fit needs real samples")
-    if ts.ndim != 1 or ts.size < 2 or ts.shape != snrs.shape:
-        raise DomainError("need at least two matching (t, snr) samples")
-    if not (np.isfinite(ts).all() and np.isfinite(snrs).all()):
-        raise DomainError("log-log fit needs finite samples")
-    if np.any(ts <= 0.0) or np.any(snrs <= 0.0):
-        raise DomainError("log-log fit needs positive samples")
-    if np.ptp(np.log(ts)) == 0.0:  # a single log window length leaves no slope to fit
-        raise DomainError("log-log fit needs at least two distinct window lengths")
-    return float(np.polyfit(np.log(ts), np.log(snrs), 1)[0])

@@ -10,11 +10,12 @@ probabilities from mpmath, dense-array helpers that do not
 share code with the DiscreteDist machinery, the term-by-term mixture
 that composite laws were evaluated with before Horner's rule, the
 golden-section peak search that peak_snr refined with before Brent's
-bounded maximiser, peak_snr's peak-grid scan as one scheme_snr call per
-window, as it was before the per-rates moment table, the scipy.optimize
-calls that the package's two solvers port, and one-batch-after-another
-replays of the trajectory samplers that follow their documented per-batch
-draw order.
+bounded maximiser, the Poisson window's two edge searches over every term,
+as they ran before each stopped at the mode, peak_snr's peak-grid scan as
+one scheme_snr call per window, as it was before the per-rates moment
+table, the scipy.optimize calls that the package's two solvers port, and
+one-batch-after-another replays of the trajectory samplers that follow
+their documented per-batch draw order.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from mpmath import mp
 from scipy import optimize
 
+from readout_tradeoff import dist
 from readout_tradeoff.dist import DomainError, convolve, mixture, n_fold_convolve
 from readout_tradeoff.gates import OutcomeDist, validate_wiring
 from readout_tradeoff import scheme
@@ -40,6 +42,7 @@ __all__ = [
     "enumerate_gate_patterns",
     "flat_ref",
     "float_decay_moments",
+    "full_search_window",
     "golden_max",
     "golden_peak_snr",
     "grid_peak_snr",
@@ -234,6 +237,21 @@ def poisson_tails_exact(k: int, omega: float):
     with mp.workdps(60):
         below = mp.gammainc(k + 1, mp.mpf(omega), regularized=True)
         return below, 1 - below
+
+
+def full_search_window(omega: float):
+    """(lo, hi, first, terms) of dist._poisson_window(omega) with each edge read
+    off a running sum over every term of first..last: from below to last, and
+    from above down to first."""
+    dist._check_mean(omega)
+    half = 11.0 * math.sqrt(omega) + 60.0
+    first, last = max(0, math.floor(omega - half)), math.ceil(omega + half)
+    terms = dist._poisson_terms(omega, first, last)
+    q = dist.TRUNCATION_EPS / 4.0
+    lo = max(0, first + int(np.add.accumulate(terms).searchsorted(q)) - 2)
+    hi = last - int(np.add.accumulate(terms[::-1]).searchsorted(q, "right")) + 2
+    dist._check_span(lo, hi, "poisson law")
+    return lo, hi, first, terms
 
 
 def decayed_pmf_exact(mu0: float, mu1: float, lam: float, t: float, k: int) -> float:

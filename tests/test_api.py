@@ -22,7 +22,6 @@ PUBLIC = [
     "convolve",
     "decaying_poisson",
     "decaying_poisson_moments",
-    "estimate_time_exponent",
     "flat_dist",
     "flat_wiring",
     "gaussian_scheme_snr",

@@ -35,13 +35,12 @@ from readout_tradeoff.montecarlo import McConfig, sample_gate_outcomes, sample_p
 from readout_tradeoff.scheme import (
     SchemeConfig,
     compose,
-    estimate_time_exponent,
     gaussian_scheme_snr,
     scheme_snr,
     threshold_analytic,
     time_to_snr,
 )
-from tests._reference import max_abs_diff, poisson_pmf_exact, poisson_tails_exact
+from tests._reference import full_search_window, max_abs_diff, poisson_pmf_exact, poisson_tails_exact
 from tests.test_cli import run_python
 
 
@@ -207,6 +206,52 @@ class TestPoissonPmf:
             poisson_pmf(omega)
 
 
+# a decade apart from 1e-300, and densely over the envelope's largest means
+_DECADE_MEANS = np.concatenate((np.geomspace(1e-300, 1e11, 311), np.geomspace(1e5, 5e6, 101)))
+
+
+class TestWindowSearchToTheMode:
+    """_poisson_window's running sums stop at the mode and find the window that
+    sums over every term finds, and compose's (offset, masses) pairs are
+    poisson_pmf's laws."""
+
+    # the means above; the mode at count 0; small integers and powers of two;
+    # and below 225, where omega - 11 sqrt(omega) - 60 < 0, the first count
+    # clamped to 0
+    MEANS = np.concatenate(
+        (_DECADE_MEANS, np.linspace(0.0, 1.0, 101)[1:-1], np.arange(1, 201), 2.0 ** np.arange(33),
+         np.geomspace(1.0, 224.99, 97))
+    ).tolist()
+
+    def test_window_equals_the_full_searches(self):
+        clamped = 0
+        for omega in self.MEANS:
+            try:
+                want = full_search_window(omega)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                    dist._poisson_window(omega)
+                continue
+            lo, hi, first, terms = dist._poisson_window(omega)
+            assert (lo, hi, first) == want[:3], omega
+            assert np.array_equal(terms, want[3]), omega
+            clamped += first == 0 and math.floor(omega) > 0
+        assert clamped > 200
+
+    def test_masses_are_the_poisson_law(self):
+        for omega in [0.0] + self.MEANS:
+            try:
+                d = poisson_pmf(omega)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                    dist._poisson_masses(omega)
+                continue
+            offset, masses = dist._poisson_masses(omega)
+            assert offset == d.offset and np.array_equal(masses, d.masses), omega
+            # the construction checks a pair skips could not fire
+            assert masses.min() >= 0.0 and masses.sum() <= 1.0 + 1e-12, omega
+
+
 class TestScipyKernels:
     """The windows equal their exact definitions, and the FFT convolutions scipy's wrapper."""
 
@@ -259,9 +304,7 @@ class TestScipyKernels:
     def test_window_equals_scipy_quantiles(self):
         # a decade apart from 1e-300, densely over the envelope's largest
         # means, and just past the mean from which windows are refused at once
-        omegas = np.concatenate(
-            (np.geomspace(1e-300, 1e11, 311), np.geomspace(1e5, 5e6, 101), [4.85e9])
-        )
+        omegas = np.concatenate((_DECADE_MEANS, [4.85e9]))
         lo_q, hi_q = self.defined_edges(omegas)
         for omega, lo_k, hi_k in zip(omegas.tolist(), lo_q, hi_q):
             try:
@@ -579,12 +622,6 @@ _ARRAY_ARGUMENTS = {
     "OutcomeDist.probs": (lambda x: OutcomeDist(x), [0.5, 0.5], [0, 1], [True, False]),
     "mixture": (
         lambda x: mixture([point_mass(0), point_mass(1)], x), [0.5, 0.5], [0, 1], [True, False]
-    ),
-    "estimate_time_exponent.ts": (
-        lambda x: estimate_time_exponent(x, [1.0, 2.0]), [1.0, 4.0], [1, 4], [True, 4]
-    ),
-    "estimate_time_exponent.snrs": (
-        lambda x: estimate_time_exponent([1.0, 4.0], x), [1.0, 2.0], [1, 2], [True, 2]
     ),
 }
 

@@ -43,7 +43,6 @@ from readout_tradeoff.scheme import (
     CompositeStats,
     SchemeConfig,
     compose,
-    estimate_time_exponent,
     gaussian_scheme_snr,
     mi_optimal,
     peak_snr,
@@ -310,6 +309,14 @@ class TestNoisyComposite:
             direct = snr_direct(compose(cfg, t))
             fast = scheme_snr(cfg, t)
             assert fast == pytest.approx(direct, rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_closed_form_mean_that_overflows_is_refused_as_poisson_pmf_refuses_it(self, lam):
+        # the dark law's 4-fold power, Pois(4 * mu0 * t), has a mean past the
+        # largest float: its pair is checked as poisson_pmf checks a mean
+        cfg = SchemeConfig.noisy(4, RateParams(1e307, 1e308, lam), GateNoise(0.01))
+        with pytest.raises(DomainError, match="^poisson mean must be finite and non-negative, got inf$"):
+            compose(cfg, 100.0)
 
 
 # every entry that evaluates an injected scheme's single_laws, as a call on the scheme
@@ -732,6 +739,18 @@ class TestMaxSupport:
         laws = (point_mass(0), DiscreteDist(0, wide))
         cfg = SchemeConfig.injected(4, (np.full(5, 0.2), [0, 0, 0, 0, 1.0]), lambda t: laws)
         with pytest.raises(DomainError, match=r"^convolved law support 0\.\.1000000 spans more than"):
+            compose(cfg, 1.0)
+
+    # T0 puts w on q = 0, whose term is the bright law's 4-fold power, and the
+    # rest on q = 4. The bright law holds 1 + 0.9e-9, within the rule, and its
+    # square 1 + 1.8e-9, past it. At w = 0.9 only the running product's own
+    # mass rule names 1.0000000018: without it the mixture would sum to
+    # 1 + 3.24e-9. At w = 0.1 the bright side's 4-fold power names it too.
+    @pytest.mark.parametrize("w", [0.5, 0.1, 0.9], ids=["even", "diluted", "dominant"])
+    def test_running_product_keeps_the_mass_rule(self, w):
+        laws = (point_mass(0), DiscreteDist(0, [0.5, 0.5 + 0.9e-9]))
+        cfg = SchemeConfig.injected(4, ([w, 0, 0, 0, 1.0 - w], [0, 0, 0, 0, 1.0]), lambda t: laws)
+        with pytest.raises(DomainError, match=r"^masses must sum to at most one, got 1\.0000000018$"):
             compose(cfg, 1.0)
 
     @staticmethod
@@ -1643,25 +1662,4 @@ class TestTimeExponent:
     def test_ideal_snr_scales_like_square_root(self):
         ts = np.geomspace(0.5, 8.0, 12)
         snrs = [scheme_snr(SchemeConfig.ideal(2, RateParams(3.5, 14.0)), t) for t in ts]
-        assert estimate_time_exponent(ts, snrs) == pytest.approx(0.5, abs=1e-8)
-
-    @pytest.mark.parametrize(
-        "ts, snrs, message",
-        [
-            ([1.0], [1.0], "need at least two matching"),
-            ([1.0, 2.0], [1.0, 2.0, 3.0], "need at least two matching"),
-            ([0.0, 1.0], [1.0, 2.0], "log-log fit needs positive samples"),
-            ([1.0, 2.0], [1.0, -2.0], "log-log fit needs positive samples"),
-            ([1.0, math.nan], [1.0, 2.0], "log-log fit needs finite samples"),
-            ([1.0, math.inf], [1.0, 2.0], "log-log fit needs finite samples"),
-            ([1.0, 2.0], [math.nan, 2.0], "log-log fit needs finite samples"),
-            ([1.0, 2.0], [1.0, math.inf], "log-log fit needs finite samples"),
-            ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 4.0]], "need at least two matching"),
-            ([1.0, 1.0], [1.0, 2.0], "log-log fit needs at least two distinct window lengths"),
-            ([2.0, 2.0, 2.0], [1.0, 2.0, 3.0], "log-log fit needs at least two distinct window lengths"),
-        ],
-    )
-    def test_rejects_bad_samples(self, ts, snrs, message):
-        with pytest.raises(DomainError, match=f"^{message}"):
-            estimate_time_exponent(ts, snrs)
-
+        assert np.polyfit(np.log(ts), np.log(snrs), 1)[0] == pytest.approx(0.5, abs=1e-8)
